@@ -8,17 +8,15 @@ resubmits them with their original ids, priorities and submission
 times, so no accepted job is ever lost and clients can keep polling the
 ids they were given across the restart.
 
-The journal is written atomically (temp file + ``os.replace`` +
-fsync): it always describes one consistent queued set, never a torn
-mixture of two drains.  Corrupt lines on load are skipped and counted
-(``serve.journal.corrupt``), costing one lost *queued* (never started)
-job rather than a wrong result.
+The journal is written atomically and fsync'd
+(:func:`repro.store.atomic_write`): it always describes one consistent
+queued set, never a torn mixture of two drains.  Corrupt lines on load
+are skipped and counted (``serve.journal.corrupt``), costing one lost
+*queued* (never started) job rather than a wrong result.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
@@ -26,6 +24,7 @@ from repro.errors import ServeError
 from repro.obs import metrics as _metrics
 from repro.serve.jobs import Job
 from repro.sim.checkpoint import journal_line, parse_journal_line
+from repro.store import atomic_write
 
 #: Journal file name inside the service state directory.
 JOB_JOURNAL_NAME = "serve-jobs.jsonl"
@@ -61,21 +60,9 @@ class JobJournal:
             for job in jobs
         ]
         text = "".join(journal_line(record) + "\n" for record in records)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, suffix=".tmp", prefix="serve-jobs."
-        )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
+            atomic_write(self.path, text.encode("utf-8"), fsync=True)
         except OSError as error:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
             raise ServeError(
                 f"cannot journal queued jobs to {self.path}: {error}",
                 http_status=500,

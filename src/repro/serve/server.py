@@ -438,7 +438,7 @@ class ExperimentServer:
 
     def _health(self) -> Dict[str, Any]:
         from repro import __version__
-        from repro.sim.replay_cache import ReplayCache
+        from repro.sim.replay_cache import default_cache
 
         counts = self.queue.counts()
         return {
@@ -453,7 +453,7 @@ class ExperimentServer:
             "queue_bound": self.queue.max_queued,
             "workers": self.pool.workers,
             "state_dir": self.state_dir,
-            "cache": ReplayCache().stats(),
+            "cache": default_cache().stats(),
             "store": self.store.stats() if self.store is not None else None,
         }
 

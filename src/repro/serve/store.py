@@ -17,11 +17,11 @@ contract the single daemon already guarantees (pinned by
 Backends
 --------
 
-- :class:`FileResultStore` — a directory of checksummed payload files,
-  written atomically (temp file + ``os.replace``), safe for any number
-  of shard processes sharing one filesystem.  This is the normal fleet
-  deployment: every shard points ``REPRO_SERVE_STORE_DIR`` at the same
-  directory.
+- :class:`FileResultStore` — a directory of checksummed payload files
+  (a :class:`repro.store.BlobStore`: magic ``RSV1``, suffix ``.res``,
+  counters ``serve.store.*``), safe for any number of shard processes
+  sharing one filesystem.  This is the normal fleet deployment: every
+  shard points ``REPRO_SERVE_STORE_DIR`` at the same directory.
 - :class:`HTTPResultStore` — speaks ``GET/PUT /store/<digest>`` to
   another serve instance (every shard exposes its store over those
   endpoints), for fleets that span hosts without a shared filesystem.
@@ -33,43 +33,28 @@ replay-cache miss.
 Garbage collection
 ------------------
 
-The file backend is size-capped the same way the replay cache is
-(``REPRO_CACHE_MAX_MB``): set ``REPRO_SERVE_STORE_MAX_MB`` and every
-``put`` evicts least-recently-used entries (mtime order; reads
-re-touch their entry) until the directory is back under the cap.  Two
-protections keep eviction safe under live traffic:
-
-- entries this process wrote or read are in its *live set* and are
-  never evicted by it (the replay-cache discipline), and
-- digests explicitly pinned via :meth:`ResultStore.pin` — the worker
-  pool pins every in-flight digest for the duration of its execution —
-  are never evicted either, so a payload cannot vanish between a
-  router routing decision and the owning worker's store probe.
-
-The cap may therefore be transiently exceeded rather than ever losing
-a live result; evictions are counted in ``serve.store.evictions`` /
-``serve.store.evicted_bytes``.
+The file backend shares the replay cache's GC (:mod:`repro.store`),
+capped by ``REPRO_SERVE_STORE_MAX_MB``.  The worker pool pins every
+in-flight digest (:meth:`ResultStore.pin`) for the duration of its
+execution, so a payload cannot vanish between a router routing decision
+and the owning worker's store probe.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
-import tempfile
-import threading
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.errors import ServeError
 from repro.obs import metrics as _metrics
+from repro.store import BlobStore, env_max_bytes
 
 #: Environment variable naming a shared store directory.
 STORE_DIR_ENV = "REPRO_SERVE_STORE_DIR"
 
-#: Environment variable capping the file backend's size in megabytes
-#: (unset / empty / non-numeric / <= 0 means unbounded), mirroring the
-#: replay cache's ``REPRO_CACHE_MAX_MB``.
+#: Environment variable capping the file backend's size in megabytes.
 STORE_MAX_MB_ENV = "REPRO_SERVE_STORE_MAX_MB"
 
 #: Environment variable naming a remote store base URL (a serve
@@ -77,13 +62,9 @@ STORE_MAX_MB_ENV = "REPRO_SERVE_STORE_MAX_MB"
 #: are set.
 STORE_URL_ENV = "REPRO_SERVE_STORE_URL"
 
-#: Stored-entry container magic; the format is ``MAGIC +
-#: blake2b(payload, 16) + payload`` (the replay cache's container
-#: discipline, with the payload being the raw result bytes).
+#: Stored-entry container magic (:func:`repro.store.seal`); the
+#: payload is the raw result bytes.
 STORE_MAGIC = b"RSV1"
-
-#: Bytes of blake2b digest embedded after the magic.
-_DIGEST_SIZE = 16
 
 #: Digests are run-manifest config digests: lowercase hex.  Anything
 #: else is rejected before it can touch the filesystem or a URL.
@@ -91,18 +72,8 @@ _DIGEST_RE = re.compile(r"^[0-9a-f]{8,128}$")
 
 
 def store_max_bytes() -> Optional[int]:
-    """The configured size cap in bytes (``REPRO_SERVE_STORE_MAX_MB``),
-    or None for unbounded (unset, empty, non-numeric or <= 0)."""
-    raw = os.environ.get(STORE_MAX_MB_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        megabytes = float(raw)
-    except ValueError:
-        return None
-    if megabytes <= 0:
-        return None
-    return int(megabytes * 1024 * 1024)
+    """The size cap set by ``REPRO_SERVE_STORE_MAX_MB`` (None = unbounded)."""
+    return env_max_bytes(STORE_MAX_MB_ENV)
 
 
 def check_digest(digest: str) -> str:
@@ -110,21 +81,6 @@ def check_digest(digest: str) -> str:
     if not isinstance(digest, str) or not _DIGEST_RE.match(digest):
         raise ServeError(f"invalid result digest {digest!r}")
     return digest
-
-
-def _pack(payload: bytes) -> bytes:
-    check = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-    return STORE_MAGIC + check + payload
-
-
-def _unpack(blob: bytes) -> bytes:
-    header = len(STORE_MAGIC) + _DIGEST_SIZE
-    if len(blob) < header or not blob.startswith(STORE_MAGIC):
-        raise ValueError("not a result-store container")
-    check, payload = blob[len(STORE_MAGIC):header], blob[header:]
-    if hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest() != check:
-        raise ValueError("result-store checksum mismatch")
-    return payload
 
 
 class ResultStore:
@@ -153,12 +109,13 @@ class ResultStore:
         """Release one :meth:`pin` reference on a digest."""
 
 
-class FileResultStore(ResultStore):
+class FileResultStore(BlobStore, ResultStore):
     """Shared-directory backend (multi-process safe, checksummed).
 
     Entries are one file per digest; a corrupt entry (torn write from a
     crashed shard, bit rot) is quarantined — deleted, counted in
-    ``serve.store.corrupt``, recomputed — never returned.
+    ``serve.store.corrupt``, recomputed — never returned.  ``max_bytes``
+    defaults to ``REPRO_SERVE_STORE_MAX_MB``; None means unbounded.
     """
 
     def __init__(
@@ -166,151 +123,23 @@ class FileResultStore(ResultStore):
         root: Union[str, Path],
         max_bytes: Optional[int] = None,
     ) -> None:
-        self.root = Path(root)
-        #: Size cap for LRU-by-mtime eviction; defaults to
-        #: ``REPRO_SERVE_STORE_MAX_MB``; None means unbounded.
-        self.max_bytes = store_max_bytes() if max_bytes is None else max_bytes
-        self.evictions = 0
-        #: Entry file names this process wrote or hit — never evicted
-        #: by it (the replay-cache live-set discipline).
-        self._live: set = set()
-        #: Reference-counted digests protected while in flight.
-        self._pins: Dict[str, int] = {}
-        self._pin_lock = threading.Lock()
-
-    def _path(self, digest: str) -> Path:
-        return self.root / f"{check_digest(digest)}.res"
-
-    def pin(self, digest: str) -> None:
-        with self._pin_lock:
-            self._pins[digest] = self._pins.get(digest, 0) + 1
-
-    def unpin(self, digest: str) -> None:
-        with self._pin_lock:
-            count = self._pins.get(digest, 0) - 1
-            if count > 0:
-                self._pins[digest] = count
-            else:
-                self._pins.pop(digest, None)
-
-    def _protected(self, name: str) -> bool:
-        """Whether an entry file name is exempt from eviction."""
-        if name in self._live:
-            return True
-        digest = name[:-len(".res")] if name.endswith(".res") else name
-        with self._pin_lock:
-            return digest in self._pins
+        super().__init__(
+            root,
+            STORE_MAGIC,
+            ".res",
+            "serve.store",
+            store_max_bytes() if max_bytes is None else max_bytes,
+        )
+        self.sweep_stale_tmp()
 
     def get(self, digest: str) -> Optional[bytes]:
-        path = self._path(digest)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            _metrics.counter_add("serve.store.misses")
-            return None
-        except OSError:
-            _metrics.counter_add("serve.store.errors")
-            return None
-        try:
-            payload = _unpack(blob)
-        except ValueError:
-            _metrics.counter_add("serve.store.corrupt")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self._live.add(path.name)
-        try:
-            os.utime(path)  # LRU recency: a read re-touches its entry
-        except OSError:
-            pass
-        _metrics.counter_add("serve.store.hits")
-        return payload
+        return self.read(check_digest(digest))
 
     def put(self, digest: str, payload: bytes) -> None:
-        path = self._path(digest)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        except OSError:
-            _metrics.counter_add("serve.store.errors")
-            return
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_pack(payload))
-            os.replace(tmp_name, path)
-        except OSError:
-            _metrics.counter_add("serve.store.errors")
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            return
-        self._live.add(path.name)
-        _metrics.counter_add("serve.store.stores")
-        self._enforce_cap()
-
-    def _entries_by_age(self):
-        out = []
-        for path in self.root.glob("*.res"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            out.append((stat.st_mtime, stat.st_size, path))
-        out.sort(key=lambda item: item[0])
-        return out
-
-    def _enforce_cap(self) -> None:
-        """Evict least-recently-used entries until under ``max_bytes``.
-
-        Live (written/read here) and pinned (in-flight anywhere in this
-        process) entries are exempt, so the cap can be transiently
-        exceeded rather than ever evicting a payload a worker or the
-        router is about to use.
-        """
-        if self.max_bytes is None or not self.root.is_dir():
-            return
-        entries = self._entries_by_age()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if self._protected(path.name):
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
-            _metrics.counter_add("serve.store.evictions")
-            _metrics.counter_add("serve.store.evicted_bytes", size)
+        self.write(check_digest(digest), payload)
 
     def stats(self) -> Dict[str, object]:
-        entries = 0
-        total = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.res"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-        with self._pin_lock:
-            pinned = len(self._pins)
-        return {
-            "backend": "file",
-            "root": str(self.root),
-            "entries": entries,
-            "total_bytes": total,
-            "max_bytes": self.max_bytes,
-            "pinned": pinned,
-            "evictions": self.evictions,
-        }
+        return {"backend": "file", **super().stats()}
 
 
 class HTTPResultStore(ResultStore):
@@ -338,14 +167,10 @@ class HTTPResultStore(ResultStore):
 
         try:
             payload = self._request("GET", digest)
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                _metrics.counter_add("serve.store.misses")
-            else:
+        except (urllib.error.URLError, OSError, ValueError) as error:
+            if getattr(error, "code", None) != 404:
                 _metrics.counter_add("serve.store.errors")
-            return None
-        except (urllib.error.URLError, OSError, ValueError):
-            _metrics.counter_add("serve.store.errors")
+            _metrics.counter_add("serve.store.misses")
             return None
         _metrics.counter_add("serve.store.hits")
         return payload

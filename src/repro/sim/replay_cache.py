@@ -20,27 +20,18 @@ Configuration (environment):
 - ``REPRO_CACHE_DIR`` — cache directory (default
   ``~/.cache/repro/replay``).
 - ``REPRO_REPLAY_CACHE`` — set to ``0`` to disable entirely.
-- ``REPRO_CACHE_MAX_MB`` — size cap in megabytes; when a store pushes
-  the directory above it, least-recently-used entries (by mtime — hits
-  re-touch their entry) are evicted until back under.  Entries written
-  by the evicting process itself are never evicted, so a live run
-  cannot starve its own working set.  Unset = unbounded.
+- ``REPRO_CACHE_MAX_MB`` — size cap in megabytes (unset = unbounded).
 
-Integrity
----------
-
-Entries are written atomically (temp file + ``os.replace``), so
-concurrent writers — e.g. the :mod:`repro.sim.parallel` worker pool —
-never corrupt each other, and each entry embeds a checksum
-(blake2b of the pickled payload behind a magic header) verified on
-every load: a truncated, bit-flipped or torn entry is *quarantined* —
-deleted and recomputed, counted in ``replay_cache.corrupt`` — never
-silently deserialized.  A worker killed between temp-file creation and
-``os.replace`` leaves a stale ``*.tmp`` file; cache open sweeps any
-older than :data:`TMP_SWEEP_AGE_S` (young ones may belong to a live
-concurrent writer).  Traces shorter than ``min_accesses`` are not
-cached: unit-test and hypothesis traces would otherwise litter the
-cache with thousands of tiny files.
+Entries live in a :class:`repro.store.BlobStore` (magic ``RPC2``,
+suffix ``.pkl``, counters ``replay_cache.*``), which owns the container,
+atomic writes, quarantine, the live-set LRU cap, the temp sweep and the
+failure policy: a write that fails (full disk, unwritable
+``REPRO_CACHE_DIR``) is counted in ``replay_cache.errors``, warned
+about once, and the run carries on exactly as with a working cache.
+This module adds the keys, the pickle codec and the provenance
+envelope.  Traces shorter than ``min_accesses`` are not cached:
+unit-test and hypothesis traces would otherwise litter the cache with
+thousands of tiny files.
 
 Invariants
 ----------
@@ -55,19 +46,6 @@ Invariants
   the LLC-geometry fields (:func:`llc_geometry_key`), and
   :data:`CACHE_VERSION`.  Timing/energy constants are deliberately
   excluded — they are applied after replay.
-- Unreadable entries are never fatal: any checksum or unpickling
-  failure is a miss (``replay_cache.corrupt``) followed by
-  recomputation, and the bad file is removed so it cannot fail again.
-- Eviction never removes an entry this process wrote or hit during its
-  lifetime (the live set), so a running sweep keeps its working set
-  even under an undersized cap.
-
-When run metrics are enabled (:mod:`repro.obs`), every probe and store
-is counted (``replay_cache.hits`` / ``.misses`` / ``.corrupt`` /
-``.stores`` / ``.evictions`` / ``.tmp_swept``) along with bytes moved
-(``.bytes_read`` / ``.bytes_written`` / ``.evicted_bytes``), which is
-what ``repro-experiments metrics-summary`` turns into the cache
-hit-rate line.
 """
 
 from __future__ import annotations
@@ -75,25 +53,20 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
-import time
 from pathlib import Path
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.obs import metrics as _metrics
 from repro.sim.config import ArchitectureConfig
+from repro.store import BlobStore, env_max_bytes, unseal
 from repro.trace.stream import Trace
 
 #: Bump to invalidate all previously cached replays.
 #: 2: entries gained the checksummed container format (magic + digest).
 CACHE_VERSION = 2
 
-#: Entry container magic; the format is ``MAGIC + blake2b(payload,16) +
-#: payload`` where payload is the pickled value.
+#: Entry container magic (:func:`repro.store.seal`); the payload is the
+#: pickled value.
 ENTRY_MAGIC = b"RPC2"
-
-#: Bytes of blake2b digest embedded after the magic.
-_DIGEST_SIZE = 16
 
 #: Environment variable naming the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -106,10 +79,6 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
 #: Traces shorter than this are never cached (tests, tiny tools).
 DEFAULT_MIN_ACCESSES = 10_000
-
-#: Stale ``*.tmp`` files older than this are swept on cache open;
-#: younger ones may belong to a concurrent writer mid-store.
-TMP_SWEEP_AGE_S = 300.0
 
 #: Marker key of the optional metadata envelope around a stored value.
 #: Every engine produces bit-identical replay objects (pinned by the
@@ -146,18 +115,8 @@ def cache_enabled() -> bool:
 
 
 def cache_max_bytes() -> Optional[int]:
-    """The configured size cap in bytes (``REPRO_CACHE_MAX_MB``), or
-    None for unbounded (unset, empty, non-numeric or <= 0)."""
-    raw = os.environ.get(CACHE_MAX_MB_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        megabytes = float(raw)
-    except ValueError:
-        return None
-    if megabytes <= 0:
-        return None
-    return int(megabytes * 1024 * 1024)
+    """The size cap set by ``REPRO_CACHE_MAX_MB`` (None = unbounded)."""
+    return env_max_bytes(CACHE_MAX_MB_ENV)
 
 
 def trace_fingerprint(trace: Trace) -> str:
@@ -217,26 +176,13 @@ def _key_digest(*parts: Any) -> str:
     return digest.hexdigest()
 
 
-def _pack(value: Any) -> bytes:
-    """Serialize a value into the checksummed container format."""
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    check = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-    return ENTRY_MAGIC + check + payload
-
-
 def _unpack(blob: bytes) -> Any:
-    """Verify and deserialize a container; raises ValueError on any
+    """Verify and unpickle one entry container; raises ValueError on any
     damage (wrong magic, truncated header, checksum mismatch)."""
-    header = len(ENTRY_MAGIC) + _DIGEST_SIZE
-    if len(blob) < header or not blob.startswith(ENTRY_MAGIC):
-        raise ValueError("not a cache entry container")
-    check, payload = blob[len(ENTRY_MAGIC):header], blob[header:]
-    if hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest() != check:
-        raise ValueError("cache entry checksum mismatch")
-    return pickle.loads(payload)
+    return pickle.loads(unseal(ENTRY_MAGIC, blob))
 
 
-class ReplayCache:
+class ReplayCache(BlobStore):
     """A content-addressed, checksummed pickle store for replay results.
 
     Parameters
@@ -259,17 +205,15 @@ class ReplayCache:
         min_accesses: int = DEFAULT_MIN_ACCESSES,
         max_bytes: Optional[int] = None,
     ) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
+        super().__init__(
+            root if root is not None else default_cache_dir(),
+            ENTRY_MAGIC,
+            ".pkl",
+            "replay_cache",
+            cache_max_bytes() if max_bytes is None else max_bytes,
+        )
         self.enabled = cache_enabled() if enabled is None else enabled
         self.min_accesses = min_accesses
-        self.max_bytes = cache_max_bytes() if max_bytes is None else max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.evictions = 0
-        self.tmp_swept = 0
-        #: Entry names this process wrote or hit — never evicted by it.
-        self._live: set = set()
         if self.enabled:
             self.sweep_stale_tmp()
 
@@ -303,81 +247,27 @@ class ReplayCache:
             trace_fp, private_arch_key(arch), llc_geometry_key(arch, capacity_bytes)
         )
 
-    # -- store ------------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
+    # -- codec ------------------------------------------------------------
 
     def get(self, key: str) -> Optional[Any]:
-        """Load a cached value, or None on miss/corruption.
-
-        Corrupt entries (bad magic, checksum mismatch, unpicklable
-        payload) are quarantined: deleted, counted, recomputed by the
-        caller."""
+        """Load a cached value, or None on a miss (damaged entries are
+        quarantined and recomputed by the caller)."""
         if not self.enabled:
             return None
-        path = self._path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            self.misses += 1
-            _metrics.counter_add("replay_cache.misses")
-            return None
-        except OSError:
-            self.misses += 1
-            _metrics.counter_add("replay_cache.misses")
-            return None
-        try:
-            value, _ = _split(_unpack(blob))
-        except Exception:
-            # Damaged container or unpicklable payload: a miss, and the
-            # entry is removed so it cannot keep failing.
-            self.misses += 1
-            self.corrupt += 1
-            _metrics.counter_add("replay_cache.misses")
-            _metrics.counter_add("replay_cache.corrupt")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        self._live.add(path.name)
-        _metrics.counter_add("replay_cache.hits")
-        _metrics.counter_add("replay_cache.bytes_read", len(blob))
-        try:
-            os.utime(path)  # LRU: a hit refreshes the entry's recency
-        except OSError:
-            pass
-        return value
+        stored = self.read(key, pickle.loads)
+        return None if stored is None else _split(stored)[0]
 
     def put(self, key: str, value: Any, meta: Optional[dict] = None) -> None:
-        """Store a value atomically (concurrent-writer safe), then
-        enforce the size cap if one is configured.
+        """Store a value (atomic, concurrent-writer safe, size-capped).
 
         ``meta`` attaches provenance (e.g. the producing engine) in an
         envelope around the value; it is invisible to :meth:`get` —
         which unwraps — and readable via :meth:`entry_meta`.
         """
-        if not self.enabled:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        blob = _pack(_wrap(value, meta))
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self._live.add(self._path(key).name)
-        _metrics.counter_add("replay_cache.stores")
-        _metrics.counter_add("replay_cache.bytes_written", len(blob))
-        self._enforce_cap()
+        if self.enabled:
+            self.write(key, pickle.dumps(
+                _wrap(value, meta), protocol=pickle.HIGHEST_PROTOCOL
+            ))
 
     def entry_meta(self, key: str) -> Optional[dict]:
         """Provenance metadata of a stored entry, or None if absent.
@@ -394,111 +284,10 @@ class ReplayCache:
             return None
         return meta
 
-    # -- maintenance ------------------------------------------------------
-
-    def sweep_stale_tmp(self, max_age_s: float = TMP_SWEEP_AGE_S) -> int:
-        """Remove orphaned ``*.tmp`` files older than ``max_age_s``.
-
-        A worker killed between ``tempfile.mkstemp`` and ``os.replace``
-        leaves its temp file behind; nothing ever reads those, so any
-        that have outlived a plausible in-flight store are garbage.
-        Returns the number removed.
-        """
-        if not self.root.is_dir():
-            return 0
-        cutoff = time.time() - max_age_s
-        removed = 0
-        for path in self.root.glob("*.tmp"):
-            try:
-                if path.stat().st_mtime <= cutoff:
-                    path.unlink()
-                    removed += 1
-            except OSError:
-                continue  # raced with its writer or another sweeper
-        if removed:
-            self.tmp_swept += removed
-            _metrics.counter_add("replay_cache.tmp_swept", removed)
-        return removed
-
-    def _entries_by_age(self) -> List[Tuple[float, int, Path]]:
-        out = []
-        for path in self.root.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            out.append((stat.st_mtime, stat.st_size, path))
-        out.sort(key=lambda item: item[0])
-        return out
-
-    def _enforce_cap(self) -> None:
-        """Evict least-recently-used entries until under ``max_bytes``.
-
-        Entries in this process's live set (written or hit here) are
-        exempt, so the cap can be transiently exceeded rather than ever
-        evicting a result a running sweep is about to reuse.
-        """
-        if self.max_bytes is None or not self.root.is_dir():
-            return
-        entries = self._entries_by_age()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if path.name in self._live:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
-            _metrics.counter_add("replay_cache.evictions")
-            _metrics.counter_add("replay_cache.evicted_bytes", size)
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def entries(self) -> int:
-        """Number of entries currently on disk."""
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.pkl"))
-
-    def total_bytes(self) -> int:
-        """Total size of all entries currently on disk."""
-        return sum(size for _, size, _ in self._entries_by_age())
-
     def stats(self) -> dict:
-        """One JSON-ready snapshot of the cache's on-disk state.
-
-        The shape ``repro-cli cache``, ``repro-cli serve``'s health
-        endpoint and the doctor all render: root, enabled flag, entry
-        count, total/capped bytes and orphaned temp files.
-        """
-        return {
-            "root": str(self.root),
-            "enabled": self.enabled,
-            "entries": self.entries(),
-            "total_bytes": self.total_bytes(),
-            "max_bytes": self.max_bytes,
-            "tmp_files": (
-                sum(1 for _ in self.root.glob("*.tmp"))
-                if self.root.is_dir()
-                else 0
-            ),
-        }
+        """The store snapshot plus the enabled flag, as ``repro-cli
+        cache``, the serve health endpoint and the doctor render it."""
+        return {"enabled": self.enabled, **super().stats()}
 
     def should_cache(self, trace: Trace) -> bool:
         """Whether a trace is worth caching (enabled + long enough)."""

@@ -54,6 +54,34 @@ class TestMain:
         with pytest.raises(SystemExit):
             runner.main(["--only", "table9"])
 
+    def test_unwritable_replay_cache_does_not_change_the_run(
+        self, capfd, monkeypatch, tmp_path
+    ):
+        """A REPRO_CACHE_DIR that cannot be created costs caching, not
+        the run: same output as with a working cache, one warning."""
+        import re
+
+        from repro.sim.replay_cache import CACHE_DIR_ENV, reset_default_cache
+
+        blocked = tmp_path / "a-file"
+        blocked.write_text("x")
+        runs = []
+        try:
+            for cache_dir in (tmp_path / "cache", blocked / "cache"):
+                monkeypatch.setenv(CACHE_DIR_ENV, str(cache_dir))
+                reset_default_cache()
+                assert runner.main(["--scale", "0.05", "--only", "table5"]) == 0
+                runs.append(capfd.readouterr())
+        finally:
+            reset_default_cache()
+        working, blocked_run = (
+            re.sub(r"\[[0-9.]+s\]", "", run.out) for run in runs
+        )
+        assert any((tmp_path / "cache").glob("*.pkl"))  # the cache was in use
+        assert blocked_run == working
+        assert runs[1].err.count("warning: replay_cache") == 1
+        assert "Traceback" not in runs[1].err
+
 
 class TestEngineFlag:
     def test_engine_flag_exported_for_workers(self, capfd, monkeypatch, tmp_path):

@@ -1,4 +1,4 @@
-"""Property-based tests for checkpoint durability and cache eviction.
+"""Property-based tests for checkpoint durability.
 
 The crash model: a run may die at *any byte offset* of its journal.
 Whatever prefix survives must recover cleanly, and recovery plus
@@ -165,36 +165,3 @@ def test_arbitrary_overwrites_never_yield_wrong_results(
             assert key in full
             assert value == full[key]
 
-
-OPS = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=11), st.booleans()),
-    min_size=1,
-    max_size=40,
-)
-
-
-@given(ops=OPS, cap_kb=st.integers(min_value=1, max_value=32))
-@settings(max_examples=40, deadline=None)
-def test_eviction_never_evicts_live_entries(ops, cap_kb):
-    """Whatever the op sequence and however undersized the cap, an
-    entry this instance wrote or hit is never its own victim."""
-    from repro.sim.replay_cache import ReplayCache
-
-    with tempfile.TemporaryDirectory() as tmp:
-        # Pre-existing entries from "another run": fair eviction game.
-        other = ReplayCache(root=tmp, enabled=True, max_bytes=None)
-        for index in range(6):
-            other.put(f"foreign-{index}", "y" * 2048)
-
-        cache = ReplayCache(root=tmp, enabled=True, max_bytes=cap_kb * 1024)
-        touched = set()
-        for key_index, is_put in ops:
-            key = f"mine-{key_index}"
-            if is_put:
-                cache.put(key, key * 256)
-                touched.add(key)
-            else:
-                if cache.get(key) is not None:
-                    touched.add(key)
-        survivors = {p.stem for p in Path(tmp).glob("*.pkl")}
-        assert touched <= survivors

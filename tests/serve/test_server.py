@@ -23,6 +23,35 @@ class TestEndpoints:
         }
         assert "entries" in health["cache"]
 
+    def test_healthz_reports_the_replay_cache_without_sweeping_it(
+        self, client, monkeypatch, tmp_path
+    ):
+        """A health probe reads the process's replay cache; it neither
+        opens a new one (whose open sweeps temp files) nor mutates it."""
+        import os
+        import time
+
+        from repro.sim.replay_cache import (
+            CACHE_DIR_ENV,
+            default_cache,
+            reset_default_cache,
+        )
+
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+        reset_default_cache()
+        try:
+            cache = default_cache()
+            cache.root.mkdir(parents=True)
+            orphan = cache.root / "orphan.tmp"
+            orphan.write_bytes(b"partial")
+            os.utime(orphan, (time.time() - 3600, time.time() - 3600))
+            stats = client.health()["cache"]
+            assert stats["root"] == str(cache.root)
+            assert stats["tmp_files"] == 1
+            assert orphan.exists()
+        finally:
+            reset_default_cache()
+
     def test_metrics_is_an_obs_snapshot(self, client):
         snapshot = client.metrics()
         assert "counters" in snapshot and "gauges" in snapshot
