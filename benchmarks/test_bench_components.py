@@ -45,7 +45,8 @@ def test_bench_private_filter(benchmark):
 
 def test_bench_private_filter_reference(benchmark):
     """The dict-of-caches reference engine on the same workload, for a
-    side-by-side with ``test_bench_private_filter`` (the fast engine)."""
+    side-by-side with ``test_bench_private_filter`` (the default vector
+    engine's batched loop)."""
     trace = generate_trace("leela", n_accesses=30_000)
     arch = gainestown()
     result = benchmark.pedantic(
@@ -84,7 +85,7 @@ def test_bench_llc_replay(benchmark):
 
 def test_bench_llc_replay_reference(benchmark):
     """Reference-engine LLC replay, side-by-side with
-    ``test_bench_llc_replay`` (the fast engine)."""
+    ``test_bench_llc_replay`` (the default vector engine)."""
     trace = generate_trace("bzip2", n_accesses=40_000)
     arch = gainestown()
     private = filter_private(trace, arch)
@@ -99,30 +100,6 @@ def test_bench_llc_replay_reference(benchmark):
             "mlp_window": arch.mlp_window_instructions,
             "mlp_ceiling": arch.max_mlp,
             "engine": "reference",
-        },
-        rounds=1,
-        iterations=1,
-    )
-    assert counts.read_lookups > 0
-
-
-def test_bench_llc_replay_vector(benchmark):
-    """Vector-engine LLC replay, side-by-side with
-    ``test_bench_llc_replay`` (fast) and the reference variant."""
-    trace = generate_trace("bzip2", n_accesses=40_000)
-    arch = gainestown()
-    private = filter_private(trace, arch)
-    counts = benchmark.pedantic(
-        simulate_llc,
-        args=(private.stream,),
-        kwargs={
-            "capacity_bytes": sram_baseline().capacity_bytes,
-            "associativity": arch.llc_associativity,
-            "block_bytes": arch.llc_block_bytes,
-            "n_cores": arch.n_cores,
-            "mlp_window": arch.mlp_window_instructions,
-            "mlp_ceiling": arch.max_mlp,
-            "engine": "vector",
         },
         rounds=1,
         iterations=1,

@@ -28,7 +28,6 @@ from repro.experiments import (
     figure1,
     figure2,
     figure4,
-    runner,
     table2,
     table3,
     table5,
@@ -45,7 +44,6 @@ __all__ = [
     "figure1",
     "figure2",
     "figure4",
-    "runner",
     "table2",
     "table3",
     "table5",

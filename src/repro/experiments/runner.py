@@ -469,14 +469,16 @@ def main(argv: Optional[list] = None) -> int:
         default=1,
         help="worker processes for simulation cells (0 = one per CPU)",
     )
-    from repro.sim.engine import ENGINES
+    from repro.sim.engine import ENGINE_ALIASES, ENGINES
 
     parser.add_argument(
         "--engine",
-        choices=ENGINES,
+        choices=ENGINES + tuple(ENGINE_ALIASES),
+        metavar="{" + ",".join(ENGINES) + "}",
         default=None,
-        help="replay engine for the run — all are bit-identical "
-        "(also: REPRO_SIM_ENGINE; default: fast)",
+        help="replay engine for the run — both are bit-identical; the "
+        "deprecated name fast means vector "
+        "(also: REPRO_SIM_ENGINE; default: vector)",
     )
     checkpoint_group = parser.add_mutually_exclusive_group()
     checkpoint_group.add_argument(

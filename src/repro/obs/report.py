@@ -108,15 +108,19 @@ def headline_rates(counters: Dict[str, float]) -> List[str]:
             faults.append(f"{_fmt_count(value)} {label}")
     if faults:
         lines.append("fault recovery: " + ", ".join(faults))
-    # Engine mix per stage: accelerated share (fast + vector) over the
-    # reference loop, with the per-engine breakdown alongside.
+    # Engine mix per stage: the share served by any engine but the
+    # reference loop, with the per-engine breakdown alongside.  Engine
+    # names are read from the counters, so snapshots that record a
+    # retired engine name still summarise.
     for stage in ("private_replays", "llc_replays"):
+        prefix, suffix = "sim.engine.", "." + stage
         by_engine = {
-            eng: counters.get(f"sim.engine.{eng}.{stage}", 0)
-            for eng in ("fast", "vector", "reference")
+            name[len(prefix):-len(suffix)]: count
+            for name, count in sorted(counters.items())
+            if name.startswith(prefix) and name.endswith(suffix)
         }
         total = sum(by_engine.values())
-        accelerated = by_engine["fast"] + by_engine["vector"]
+        accelerated = total - by_engine.get("reference", 0)
         share = _ratio(accelerated, total)
         if share is not None:
             breakdown = " / ".join(

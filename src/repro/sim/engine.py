@@ -1,4 +1,4 @@
-"""Fast batched and vectorized cache-replay engines.
+"""Batched and vectorized cache-replay engines.
 
 The reference simulators (:mod:`repro.sim.hierarchy`,
 :mod:`repro.sim.llc`) spend ~95% of an experiment run in two pure-Python
@@ -7,25 +7,27 @@ access pays for numpy scalar indexing, a method dispatch, an
 :class:`~repro.sim.cache.AccessOutcome` allocation and several dataclass
 attribute updates — none of which change the simulated events.
 
-Three engines share one contract (bit-identical events):
+Two engines share one contract (bit-identical events):
 
 - ``reference`` — the dict-of-caches per-access loops, any replacement
-  policy; the semantic ground truth.
-- ``fast`` — the batched flat loops below (3–5x): plain Python dicts,
-  inlined coherence, vectorized preprocessing.
-- ``vector`` — whole-trace numpy LLC replay
-  (:func:`simulate_llc_vector`, ~10–18x over reference on the LLC
-  replay): accesses are grouped by set index once and resolved in
-  *rounds* — round ``t`` replays the ``t``-th access of every set
-  simultaneously with array-based tag matching and an age-based LRU
-  stack, so the Python-level loop runs ``max accesses-per-set`` times
-  instead of once per access.  The private hierarchy under ``vector``
-  routes to the ``fast`` loop (its L1/L2/coherence interplay is
-  control-flow-bound, not replay-bound), so ``vector`` is a strict
-  superset of ``fast`` in speed and identical in output.
+  policy; the semantic ground truth and the differential-test oracle.
+- ``vector`` (the default) — the private hierarchy replays through
+  :func:`filter_private_fast`, a batched flat loop (3–5x: its
+  L1/L2/coherence interplay is control-flow-bound, not replay-bound),
+  and the shared LLC replays the whole trace as numpy rounds
+  (:func:`simulate_llc_vector`, ~10–18x over reference): accesses are
+  grouped by set index once and resolved in *rounds* — round ``t``
+  replays the ``t``-th access of every set simultaneously with
+  array-based tag matching and an age-based LRU stack, so the
+  Python-level loop runs ``max accesses-per-set`` times instead of once
+  per access.
 
-The ``fast`` engine replays the same streams through the same LRU
-semantics but batched:
+``fast``, the name of a retired batched LLC loop, is still accepted as a
+deprecated alias: :func:`resolve_engine` maps it to ``vector``, so
+counters and manifests record ``vector``.
+
+The batched private loop replays the same streams through the same LRU
+semantics as the reference:
 
 - trace columns are converted to plain Python lists once
   (``ndarray.tolist`` is a single C call) and everything derivable ahead
@@ -47,19 +49,21 @@ randomized streams, including the prefetch ``fill`` and coherence
 ``invalidate`` paths).  Selection is via the ``engine=`` argument of
 :func:`repro.sim.hierarchy.filter_private` /
 :func:`repro.sim.llc.simulate_llc`, defaulting to the value of the
-``REPRO_SIM_ENGINE`` environment variable (``fast`` when unset).
+``REPRO_SIM_ENGINE`` environment variable (``vector`` when unset).
 
 Invariants
 ----------
 
-- **Bit-identical outputs.** For every trace and architecture, the fast
-  and reference engines produce equal :class:`~repro.sim.hierarchy.PrivateResult`
-  and :class:`~repro.sim.llc.LLCCounts` — same event counts, same LLC
-  stream, same directory statistics, in the same order.  Any divergence
-  is a bug; bump :data:`repro.sim.replay_cache.CACHE_VERSION` whenever
-  replay semantics intentionally change.
-- **LRU only.** The fast LLC path implements LRU; non-LRU policies are
-  always routed to the reference loop by the dispatcher.
+- **Bit-identical outputs.** For every trace and architecture, the
+  vector and reference engines produce equal
+  :class:`~repro.sim.hierarchy.PrivateResult` and
+  :class:`~repro.sim.llc.LLCCounts` — same event counts, same LLC
+  stream, same directory statistics, in the same order, for any block
+  id in the uint64 range.  Any divergence is a bug; bump
+  :data:`repro.sim.replay_cache.CACHE_VERSION` whenever replay semantics
+  intentionally change.
+- **LRU only.** The vector LLC path implements LRU; non-LRU policies
+  are always routed to the reference loop by the dispatcher.
 - **No per-access observability.** The engine loops carry no metrics
   hooks — instrumentation lives in the dispatchers
   (:func:`~repro.sim.hierarchy.filter_private`,
@@ -82,7 +86,10 @@ from repro.trace.access import BLOCK_BITS
 from repro.trace.stream import Trace
 
 #: Engine names accepted by the ``engine=`` switches.
-ENGINES = ("fast", "reference", "vector")
+ENGINES = ("reference", "vector")
+
+#: Deprecated engine names and the engine each resolves to.
+ENGINE_ALIASES = {"fast": "vector"}
 
 #: Environment variable overriding the default engine.
 ENGINE_ENV = "REPRO_SIM_ENGINE"
@@ -94,10 +101,12 @@ _MISS = object()
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve an ``engine=`` argument to a concrete engine name.
 
-    ``None`` falls back to ``$REPRO_SIM_ENGINE``, then to ``"fast"``.
+    ``None`` falls back to ``$REPRO_SIM_ENGINE``, then to ``"vector"``;
+    the deprecated ``"fast"`` resolves to ``"vector"``.
     """
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "fast"
+        engine = os.environ.get(ENGINE_ENV) or "vector"
+    engine = ENGINE_ALIASES.get(engine, engine)
     if engine not in ENGINES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; known: {', '.join(ENGINES)}"
@@ -135,93 +144,6 @@ def _per_core_positions(core_ids: np.ndarray, gaps: np.ndarray, n_cores: int):
     return positions, final
 
 
-def simulate_llc_fast(
-    stream,
-    capacity_bytes: int,
-    associativity: int = 16,
-    block_bytes: int = 64,
-    n_cores: int = 4,
-    mlp_window: int = 128,
-    mlp_ceiling: float = 6.0,
-):
-    """Batched LRU replay of an LLC stream.
-
-    Mirrors :func:`repro.sim.llc.simulate_llc` with ``policy="lru"``;
-    returns an identical :class:`~repro.sim.llc.LLCCounts`.
-    """
-    from repro.sim.llc import LLCCounts, estimate_mlp
-
-    n_sets = _check_geometry(capacity_bytes, block_bytes, associativity)
-    sets: List[dict] = [dict() for _ in range(n_sets)]
-    assoc = associativity
-    miss = _MISS
-
-    blocks, writes, cores, positions = stream.columns()
-    set_idx = (stream.blocks % np.uint64(n_sets)).tolist()
-
-    read_hits = read_misses = 0
-    write_hits = write_misses = 0
-    dirty_evictions = 0
-    per_core_hits = [0] * n_cores
-    per_core_misses = [0] * n_cores
-    miss_positions: List[List[int]] = [[] for _ in range(n_cores)]
-
-    for block, is_write, core, pos, index in zip(
-        blocks, writes, cores, positions, set_idx
-    ):
-        lines = sets[index]
-        dirty = lines.pop(block, miss)
-        if is_write:
-            if dirty is not miss:
-                # Hit: refresh to MRU, mark dirty.
-                lines[block] = True
-                write_hits += 1
-            else:
-                write_misses += 1
-                if len(lines) >= assoc:
-                    victim = next(iter(lines))
-                    if lines.pop(victim):
-                        dirty_evictions += 1
-                lines[block] = True
-        else:
-            if dirty is not miss:
-                lines[block] = dirty
-                read_hits += 1
-                per_core_hits[core] += 1
-            else:
-                read_misses += 1
-                per_core_misses[core] += 1
-                miss_positions[core].append(pos)
-                if len(lines) >= assoc:
-                    victim = next(iter(lines))
-                    if lines.pop(victim):
-                        dirty_evictions += 1
-                lines[block] = False
-
-    counts = LLCCounts(capacity_bytes=capacity_bytes, associativity=associativity)
-    counts.read_hits = read_hits
-    counts.read_misses = read_misses
-    counts.read_lookups = read_hits + read_misses
-    counts.write_hits = write_hits
-    counts.write_misses = write_misses
-    counts.write_accesses = write_hits + write_misses
-    counts.dirty_evictions = dirty_evictions
-    counts.per_core_read_hits = per_core_hits
-    counts.per_core_read_misses = per_core_misses
-    counts.per_core_mlp = [
-        estimate_mlp(np.array(p, dtype=np.uint64), mlp_window, mlp_ceiling)
-        for p in miss_positions
-    ]
-    return counts
-
-
-#: Empty-way tag sentinel for the vector engine's tag array.  Block
-#: addresses are byte addresses shifted right by ``BLOCK_BITS``, so a
-#: real block can never reach the top bit of a uint64; any stream that
-#: somehow does (hand-built arrays) is routed to the fast loop instead.
-_VECTOR_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 def simulate_llc_vector(
     stream,
     capacity_bytes: int,
@@ -234,8 +156,9 @@ def simulate_llc_vector(
     """Whole-trace vectorized LRU replay of an LLC stream.
 
     Mirrors :func:`repro.sim.llc.simulate_llc` with ``policy="lru"``;
-    returns an identical :class:`~repro.sim.llc.LLCCounts` to both
-    other engines (the property suite pins this).
+    returns an identical :class:`~repro.sim.llc.LLCCounts` to the
+    reference engine for any uint64 block ids (the property suite pins
+    this).
 
     Algorithm — *rounds lockstep over sets*:
 
@@ -247,18 +170,23 @@ def simulate_llc_vector(
        rank, the destination of the ``j``-th access of the ``i``-th
        busiest set is ``offsets[j] + i`` — pure arithmetic.
     3. Replay round by round on flat state arrays ``tags`` / ``dirty``
-       / ``age`` of shape ``(n_rows * assoc,)``.  A hit is a tag match
-       (each block occupies at most one way); the LRU victim is
-       ``argmin(age)`` — empty ways carry age 0 and fill lowest-index
-       first, exactly the dict engines' install order, and evicting an
-       empty way is indistinguishable from installing into it because
-       the sentinel way is never dirty.
+       / ``age`` of shape ``(n_rows * assoc,)``, all zero at the start.
+       The LRU victim is ``argmin(age)``: empty ways carry age 0 and
+       fill lowest-index first, exactly the reference engine's install
+       order, and evicting an empty way is indistinguishable from
+       installing into it because an empty way is never dirty.  Since
+       the LLC never invalidates, the filled ways of a row are always a
+       prefix of it, so the first tag match (``argmax``) reaches a
+       filled way holding the block before any empty way whose tag 0
+       happens to equal it; a hit is a tag match on a way with non-zero
+       age.  No tag value is reserved, so every uint64 block id is
+       valid.
     4. Scatter per-round hit/eviction flags back to stream order and
        derive every :class:`~repro.sim.llc.LLCCounts` field — including
        per-core splits and MLP miss positions, which depend only on
        stream-ordered outcome flags — with bincounts and masks.
 
-    The per-access work is ``O(assoc)`` like the dict engines, but the
+    The per-access work is ``O(assoc)`` like the reference loop, but the
     interpreter loop runs ``max accesses-per-set`` times (tens) instead
     of once per access (tens of thousands).
     """
@@ -269,20 +197,6 @@ def simulate_llc_vector(
     blocks = np.ascontiguousarray(stream.blocks, dtype=np.uint64)
     writes = np.ascontiguousarray(stream.writes, dtype=bool)
     n = len(blocks)
-
-    if n and int(blocks.max()) >= 1 << 63:
-        # A "block" colliding with the sentinel tag space cannot come
-        # from a real trace (addresses >> BLOCK_BITS); fall back to the
-        # bit-identical fast loop rather than mis-simulate.
-        return simulate_llc_fast(
-            stream,
-            capacity_bytes,
-            associativity=associativity,
-            block_bytes=block_bytes,
-            n_cores=n_cores,
-            mlp_window=mlp_window,
-            mlp_ceiling=mlp_ceiling,
-        )
 
     hit_out = np.zeros(n, dtype=bool)
     evict_out = np.zeros(n, dtype=bool)
@@ -342,7 +256,7 @@ def simulate_llc_vector(
         ws = writes[perm]
 
         # Flat per-way state, row-major (n_rows, assoc).
-        tags = np.full(n_rows * assoc, _VECTOR_SENTINEL)
+        tags = np.zeros(n_rows * assoc, dtype=np.uint64)
         dirty = np.zeros(n_rows * assoc, dtype=bool)
         age = np.zeros(n_rows * assoc, dtype=np.uint32)
         tags2 = tags.reshape(n_rows, assoc)
@@ -365,10 +279,10 @@ def simulate_llc_vector(
             lo, hi = int(offsets[t]), int(offsets[t + 1])
             b = bs[lo:hi]
             hitm = tags2[:k] == b[:, None]
-            way = hitm.argmax(axis=1)
-            hit = tags[row_base[:k] + way] == b
+            way = row_base[:k] + hitm.argmax(axis=1)
+            hit = (tags[way] == b) & (age[way] != 0)
             victim = age2[:k].argmin(axis=1)
-            flat = row_base[:k] + np.where(hit, way, victim)
+            flat = np.where(hit, way, row_base[:k] + victim)
             old_d = dirty[flat]
             hit_flat[lo:hi] = hit
             evict_flat[lo:hi] = ~hit & old_d

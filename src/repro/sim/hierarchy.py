@@ -57,24 +57,6 @@ class LLCStream:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def columns(self):
-        """Cached plain-list views of the four columns.
-
-        The batched engine replays one stream at several LLC capacities;
-        converting the arrays once (``ndarray.tolist`` is a single C
-        call) and reusing the lists saves a conversion per replay.
-        """
-        cached = getattr(self, "_columns", None)
-        if cached is None or len(cached[0]) != len(self):
-            cached = (
-                self.blocks.tolist(),
-                self.writes.tolist(),
-                self.cores.tolist(),
-                self.instr_positions.tolist(),
-            )
-            self._columns = cached
-        return cached
-
     @property
     def n_reads(self) -> int:
         """Demand reads reaching the LLC."""
@@ -116,25 +98,23 @@ def filter_private(
     shared across cores invalidate remote copies, and modified remote
     copies are written back through the LLC.
 
-    ``engine`` selects the replay implementation: ``"fast"`` (the batched
-    engine in :mod:`repro.sim.engine`, the default) or ``"reference"``
-    (the dict-of-caches loop below).  The ``"vector"`` engine only
-    vectorizes the shared-LLC replay, so here it routes to the batched
-    loop.  All produce identical results; ``None`` defers to
-    ``$REPRO_SIM_ENGINE``.
+    ``engine`` selects the replay implementation: ``"vector"`` (the
+    default, served here by the batched loop
+    :func:`repro.sim.engine.filter_private_fast`) or ``"reference"``
+    (the dict-of-caches loop below).  Both produce identical results;
+    ``None`` defers to ``$REPRO_SIM_ENGINE``.
 
     When run metrics are enabled (:mod:`repro.obs`), the replay is
     wrapped in a ``sim.private_replay`` span and the per-level event
     totals — accesses, L1/L2 hits and misses, emitted LLC stream traffic,
     coherence invalidations — are recorded, tagged with the resolved
-    engine name (``vector`` counts as ``vector`` even though the batched
-    loop serves it).
+    engine name.
     """
     from repro.sim.engine import filter_private_fast, resolve_engine
 
     eng = resolve_engine(engine)
     with _metrics.span("sim.private_replay"):
-        if eng in ("fast", "vector"):
+        if eng == "vector":
             result = filter_private_fast(trace, arch)
         else:
             result = _filter_private_reference(trace, arch)

@@ -118,35 +118,21 @@ def simulate_llc(
 
     ``policy`` selects the replacement policy (lru/random/srrip); the
     paper's configuration is LRU.  ``engine`` selects the replay
-    implementation (see :mod:`repro.sim.engine`); the batched fast and
-    vectorized engines implement LRU only, so other policies always use
-    the reference loop.
+    implementation (see :mod:`repro.sim.engine`): ``"vector"`` (the
+    default) or ``"reference"``.  The vector engine implements LRU only,
+    so other policies always use the reference loop.
 
     When run metrics are enabled (:mod:`repro.obs`), the replay is
     wrapped in a ``sim.llc_replay`` span and the event totals — lookups,
     hits/misses split by read/write, dirty writebacks to DRAM — are
     recorded, tagged with the engine that served the call.
     """
-    from repro.sim.engine import (
-        resolve_engine,
-        simulate_llc_fast,
-        simulate_llc_vector,
-    )
+    from repro.sim.engine import resolve_engine, simulate_llc_vector
 
     eng = resolve_engine(engine) if policy == "lru" else "reference"
     with _metrics.span("sim.llc_replay"):
         if eng == "vector":
             counts = simulate_llc_vector(
-                stream,
-                capacity_bytes,
-                associativity=associativity,
-                block_bytes=block_bytes,
-                n_cores=n_cores,
-                mlp_window=mlp_window,
-                mlp_ceiling=mlp_ceiling,
-            )
-        elif eng == "fast":
-            counts = simulate_llc_fast(
                 stream,
                 capacity_bytes,
                 associativity=associativity,

@@ -107,22 +107,62 @@ class TestEngineFlag:
         assert "engine: vector" in path.read_text()
 
     def test_engine_results_match_default(self, monkeypatch):
-        """Same numbers whichever engine the run picks."""
+        """Same numbers whichever engine the run picks.  Table V replays
+        every workload; the replay cache is off because the engine is
+        not part of its key, so the reference run really replays."""
         import io
+        import re
 
         from repro.sim.engine import ENGINE_ENV
+        from repro.sim.replay_cache import CACHE_ENABLE_ENV, reset_default_cache
 
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        default, vector = io.StringIO(), io.StringIO()
-        runner.run_all(scale=0.05, only="table2", stream=default)
-        runner.run_all(scale=0.05, only="table2", stream=vector, engine="vector")
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        reset_default_cache()
+        default, reference = io.StringIO(), io.StringIO()
+        try:
+            runner.run_all(scale=0.05, only="table5", stream=default)
+            runner.run_all(
+                scale=0.05, only="table5", stream=reference, engine="reference"
+            )
+        finally:
+            monkeypatch.delenv(ENGINE_ENV, raising=False)
+            reset_default_cache()
 
         def table(text):
-            return [l for l in text.splitlines() if "engine:" not in l]
+            return re.sub(r"\[[0-9.]+s\]", "", text)
 
-        assert table(vector.getvalue()) == table(default.getvalue())
+        assert "measured mpki" in default.getvalue()
+        assert table(reference.getvalue()) == table(default.getvalue())
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
             runner.main(["--only", "table2", "--engine", "turbo"])
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    """``python -m repro.experiments.runner`` must not find the runner
+    already imported by its package (runpy warns on stderr if so)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo / "src")
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "replay-cache")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro.experiments.runner",
+            "--scale", "0.05", "--only", "table2",
+        ],
+        env=env,
+        cwd=str(tmp_path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Table II" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

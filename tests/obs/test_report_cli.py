@@ -42,6 +42,21 @@ class TestRenderSummary:
         assert "4 fast" in text
         assert "aggregate LLC demand hit rate: 25.0%" in text
 
+    def test_engine_mix_reads_engine_names_from_counters(self):
+        registry = MetricsRegistry()
+        registry.counter_add("sim.engine.vector.llc_replays", 3)
+        registry.counter_add("sim.engine.reference.llc_replays", 1)
+        registry.counter_add("sim.engine.vector.private_replays", 2)
+        text = render_summary(registry.snapshot())
+        assert (
+            "llc replays served by accelerated engines: 75.0% "
+            "(1 reference / 3 vector)" in text
+        )
+        assert (
+            "private replays served by accelerated engines: 100.0% (2 vector)"
+            in text
+        )
+
     def test_sections_present(self):
         text = render_summary(self._snapshot())
         assert "per-worker cell timings:" in text

@@ -1,16 +1,15 @@
-"""Property tests: every accelerated engine is bit-identical to the
-reference.
+"""Property tests: the vector engine is bit-identical to the reference.
 
-The fast engine (:mod:`repro.sim.engine`) re-implements the private
-hierarchy and LLC replay as flat loops, and the vector engine replays
-the whole LLC trace as numpy array rounds; the correctness contract of
-both is *exact* event-count equality with the dict-of-caches reference
-path on every stream.  These tests drive all engines over randomized
-traces — single- and multi-threaded (exercising the directory's
-invalidate / downgrade / sharing-writeback paths), with and without the
-next-line prefetcher, and through memmap-backed spilled traces —
-against deliberately tiny cache geometries so evictions and coherence
-conflicts are frequent.
+The vector engine (:mod:`repro.sim.engine`) re-implements the private
+hierarchy as a batched flat loop and replays the whole LLC trace as
+numpy array rounds; its correctness contract is *exact* event-count
+equality with the dict-of-caches reference path on every stream.  These
+tests drive both engines over randomized traces — single- and
+multi-threaded (exercising the directory's invalidate / downgrade /
+sharing-writeback paths), with and without the next-line prefetcher,
+through memmap-backed spilled traces, and with LLC block ids from both
+ends of the uint64 range — against deliberately tiny cache geometries
+so evictions and coherence conflicts are frequent.
 """
 
 import dataclasses
@@ -70,16 +69,16 @@ ACCESSES = st.lists(
 )
 
 
-def assert_private_equal(fast, ref):
-    np.testing.assert_array_equal(fast.stream.blocks, ref.stream.blocks)
-    np.testing.assert_array_equal(fast.stream.writes, ref.stream.writes)
-    np.testing.assert_array_equal(fast.stream.cores, ref.stream.cores)
+def assert_private_equal(vector, ref):
+    np.testing.assert_array_equal(vector.stream.blocks, ref.stream.blocks)
+    np.testing.assert_array_equal(vector.stream.writes, ref.stream.writes)
+    np.testing.assert_array_equal(vector.stream.cores, ref.stream.cores)
     np.testing.assert_array_equal(
-        fast.stream.instr_positions, ref.stream.instr_positions
+        vector.stream.instr_positions, ref.stream.instr_positions
     )
-    assert fast.per_core == ref.per_core
-    assert fast.directory == ref.directory
-    assert fast.n_threads == ref.n_threads
+    assert vector.per_core == ref.per_core
+    assert vector.directory == ref.directory
+    assert vector.n_threads == ref.n_threads
 
 
 @given(accesses=ACCESSES)
@@ -88,7 +87,7 @@ def test_private_filter_single_thread_equivalence(accesses):
     trace = _trace(accesses, n_threads=1)
     arch = _tiny_arch(n_cores=1)
     assert_private_equal(
-        filter_private(trace, arch, engine="fast"),
+        filter_private(trace, arch, engine="vector"),
         filter_private(trace, arch, engine="reference"),
     )
 
@@ -100,9 +99,9 @@ def test_private_filter_coherence_equivalence(accesses, n_threads):
     and coherence writebacks must match event for event."""
     trace = _trace(accesses, n_threads=n_threads)
     arch = _tiny_arch(n_cores=4)
-    fast = filter_private(trace, arch, engine="fast")
+    vector = filter_private(trace, arch, engine="vector")
     ref = filter_private(trace, arch, engine="reference")
-    assert_private_equal(fast, ref)
+    assert_private_equal(vector, ref)
 
 
 @given(accesses=ACCESSES, n_threads=st.integers(min_value=1, max_value=4))
@@ -113,25 +112,35 @@ def test_private_filter_prefetch_equivalence(accesses, n_threads):
     trace = _trace(accesses, n_threads=n_threads)
     arch = _tiny_arch(n_cores=2, prefetch=True)
     assert_private_equal(
-        filter_private(trace, arch, engine="fast"),
+        filter_private(trace, arch, engine="vector"),
         filter_private(trace, arch, engine="reference"),
     )
+
+
+#: LLC block ids: small ones (0 is the tag every empty way holds) and
+#: ones from the top of the uint64 range, up to 2**64 - 1.
+LLC_BLOCKS = st.one_of(
+    st.integers(min_value=0, max_value=511),
+    st.integers(min_value=(1 << 63) - 64, max_value=(1 << 63) + 64),
+    st.integers(min_value=(1 << 64) - 128, max_value=(1 << 64) - 1),
+)
 
 
 @given(
     accesses=st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=511),
+            LLC_BLOCKS,
             st.booleans(),
             st.integers(min_value=0, max_value=3),
         ),
         min_size=1,
         max_size=400,
     ),
-    capacity_blocks=st.sampled_from((16, 64, 256)),
+    geometry=st.sampled_from(((16, 1), (16, 16), (64, 16), (256, 16))),
 )
 @settings(max_examples=60, deadline=None)
-def test_llc_replay_equivalence(accesses, capacity_blocks):
+def test_llc_replay_equivalence(accesses, geometry):
+    capacity_blocks, associativity = geometry
     stream = LLCStream(
         blocks=np.array([a for a, _, _ in accesses], dtype=np.uint64),
         writes=np.array([w for _, w, _ in accesses], dtype=bool),
@@ -142,14 +151,12 @@ def test_llc_replay_equivalence(accesses, capacity_blocks):
     )
     kwargs = dict(
         capacity_bytes=capacity_blocks * 64,
-        associativity=min(16, capacity_blocks),
+        associativity=associativity,
         block_bytes=64,
         n_cores=4,
     )
-    fast = simulate_llc(stream, engine="fast", **kwargs)
     vector = simulate_llc(stream, engine="vector", **kwargs)
     ref = simulate_llc(stream, engine="reference", **kwargs)
-    assert fast == ref
     assert vector == ref
 
 
@@ -159,20 +166,19 @@ def test_llc_replay_equivalence(accesses, capacity_blocks):
     prefetch=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_full_path_three_way_equivalence(accesses, n_threads, prefetch):
+def test_full_path_equivalence(accesses, n_threads, prefetch):
     """Whole pipeline under each engine: the private filter (coherence
-    invalidates, prefetch fills) feeds the LLC replay, and all three
-    engines must agree on the final counts."""
+    invalidates, prefetch fills) feeds the LLC replay, and both engines
+    must agree on the final counts."""
     trace = _trace(accesses, n_threads=n_threads)
     arch = _tiny_arch(n_cores=2, prefetch=prefetch)
     kwargs = dict(
         capacity_bytes=16 * 64, associativity=4, block_bytes=64, n_cores=2
     )
     results = {}
-    for engine in ("reference", "fast", "vector"):
+    for engine in ("reference", "vector"):
         private = filter_private(trace, arch, engine=engine)
         results[engine] = simulate_llc(private.stream, engine=engine, **kwargs)
-    assert results["fast"] == results["reference"]
     assert results["vector"] == results["reference"]
 
 
@@ -192,10 +198,9 @@ def test_memmap_trace_equivalence(accesses, n_threads):
     ref_counts = simulate_llc(baseline.stream, engine="reference", **kwargs)
     with tempfile.TemporaryDirectory(prefix="repro-equiv-") as spill_dir:
         mapped = trace.spill(spill_dir).load()
-        for engine in ("fast", "vector"):
-            private = filter_private(mapped, arch, engine=engine)
-            assert_private_equal(private, baseline)
-            assert simulate_llc(private.stream, engine=engine, **kwargs) == ref_counts
+        private = filter_private(mapped, arch, engine="vector")
+        assert_private_equal(private, baseline)
+        assert simulate_llc(private.stream, engine="vector", **kwargs) == ref_counts
 
 
 def test_unknown_engine_rejected():
@@ -213,8 +218,10 @@ def test_engine_env_var_controls_default(monkeypatch):
 
     monkeypatch.setenv(ENGINE_ENV, "reference")
     assert resolve_engine() == "reference"
-    assert resolve_engine("fast") == "fast"
+    assert resolve_engine("fast") == "vector"
+    monkeypatch.setenv(ENGINE_ENV, "fast")
+    assert resolve_engine() == "vector"
     monkeypatch.setenv(ENGINE_ENV, "vector")
     assert resolve_engine() == "vector"
     monkeypatch.delenv(ENGINE_ENV)
-    assert resolve_engine() == "fast"
+    assert resolve_engine() == "vector"

@@ -2,15 +2,16 @@
 
 The randomized bit-identity contract lives in
 ``tests/property/test_engine_equivalence.py``; these tests pin the
-vector engine's edges — empty streams, the high-address sentinel guard,
-non-LRU routing, and the provenance counters.
+vector engine's edges — empty streams, block ids at both ends of the
+uint64 range, non-LRU routing, the provenance counters — and one
+realistic workload replayed end to end under both engines.
 """
 
 import numpy as np
 import pytest
 
 from repro.obs.metrics import scoped_registry
-from repro.sim.engine import simulate_llc_fast, simulate_llc_vector
+from repro.sim.engine import simulate_llc_vector
 from repro.sim.hierarchy import LLCStream, filter_private
 from repro.sim.llc import simulate_llc
 from repro.trace.stream import Trace
@@ -49,7 +50,7 @@ KWARGS = dict(capacity_bytes=64 * 64, associativity=8, block_bytes=64, n_cores=4
 class TestEdges:
     def test_empty_stream(self):
         counts = simulate_llc_vector(_stream([]), **KWARGS)
-        assert counts == simulate_llc_fast(_stream([]), **KWARGS)
+        assert counts == simulate_llc(_stream([]), engine="reference", **KWARGS)
         assert counts.read_lookups == 0
         assert counts.write_misses == 0
 
@@ -64,22 +65,26 @@ class TestEdges:
         assert counts.read_misses == 200
         assert counts.read_hits == 0
 
-    def test_sentinel_guard_delegates(self):
-        """Block addresses at or above 2**63 collide with the empty-way
-        sentinel; the vector engine must hand such streams to the
-        batched loop and stay bit-identical."""
+    def test_uint64_extremes_match_reference(self):
+        """No tag value is reserved for empty ways: block 0 (the tag an
+        empty way holds) and ids at or above 2**63, up to 2**64 - 1,
+        replay exactly like the reference.  Block 8 fills way 0 of set
+        0 first, so the write to block 0 meets empty ways tagged 0 and
+        must still miss."""
         huge = _stream(
-            [(1 << 63) + 3, 5, (1 << 64) - 1, 5, (1 << 63) + 3],
-            writes=[False, True, False, False, True],
+            [(1 << 63) + 3, 8, 0, 5, (1 << 64) - 1, 5, 0, (1 << 63) + 3, 0],
+            writes=[False, False, True, False, False, False, False, True, False],
         )
-        assert simulate_llc_vector(huge, **KWARGS) == simulate_llc_fast(
-            huge, **KWARGS
-        )
+        counts = simulate_llc_vector(huge, **KWARGS)
+        assert counts == simulate_llc(huge, engine="reference", **KWARGS)
+        assert counts.write_misses == 1  # the first write to block 0
+        assert counts.read_hits == 3  # the second 5 and both re-reads of 0
+        assert counts.write_hits == 1  # the write to (1 << 63) + 3
 
-    def test_matches_fast_on_random_stream(self):
+    def test_matches_reference_on_random_stream(self):
         stream = _random_stream()
-        assert simulate_llc_vector(stream, **KWARGS) == simulate_llc_fast(
-            stream, **KWARGS
+        assert simulate_llc_vector(stream, **KWARGS) == simulate_llc(
+            stream, engine="reference", **KWARGS
         )
 
     def test_rejects_bad_geometry(self):
@@ -129,3 +134,33 @@ class TestDispatch:
         reference = filter_private(trace, arch, engine="reference")
         np.testing.assert_array_equal(vector.stream.blocks, reference.stream.blocks)
         assert vector.per_core == reference.per_core
+
+
+def test_default_engine_matches_reference_on_bzip2():
+    """A realistic workload through the private filter and the LLC: the
+    default engine must reproduce the reference stream and counts."""
+    from repro.nvsim.published import sram_baseline
+    from repro.sim.config import gainestown
+    from repro.workloads.generators import generate_trace
+
+    arch = gainestown()
+    trace = generate_trace("bzip2", n_accesses=40_000)
+    kwargs = dict(
+        capacity_bytes=sram_baseline().capacity_bytes,
+        associativity=arch.llc_associativity,
+        block_bytes=arch.llc_block_bytes,
+        n_cores=arch.n_cores,
+        mlp_window=arch.mlp_window_instructions,
+        mlp_ceiling=arch.max_mlp,
+    )
+    default = filter_private(trace, arch)
+    reference = filter_private(trace, arch, engine="reference")
+    for column in ("blocks", "writes", "cores", "instr_positions"):
+        np.testing.assert_array_equal(
+            getattr(default.stream, column), getattr(reference.stream, column)
+        )
+    assert default.per_core == reference.per_core
+    assert default.directory == reference.directory
+    assert simulate_llc(default.stream, **kwargs) == simulate_llc(
+        reference.stream, engine="reference", **kwargs
+    )

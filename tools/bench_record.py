@@ -2,7 +2,7 @@
 """Record engine benchmark snapshots as ``BENCH_<PR>.json``.
 
 Runs the engine-sensitive microbenchmarks (the same shapes as
-``benchmarks/test_bench_components.py``) under every replay engine,
+``benchmarks/test_bench_components.py``) under both replay engines,
 asserts the engines produce bit-identical results, and writes one JSON
 snapshot — wall-clock per (benchmark, engine), speedups vs the
 reference engine, and a host fingerprint so numbers from different
@@ -49,7 +49,7 @@ import numpy as np
 BENCH_SCHEMA = 1
 
 #: Engines benchmarked, reference first (the speedup denominator).
-BENCH_ENGINES = ("reference", "fast", "vector")
+BENCH_ENGINES = ("reference", "vector")
 
 
 def host_fingerprint() -> dict:
