@@ -376,17 +376,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         sys.stdout.write(client.result(job["id"])["render"])
         return 0
 
-    from repro.analytic import planner
+    from repro.experiments import dse
     from repro.experiments.common import ExperimentContext
     from repro.workloads.generators import DEFAULT_SEED
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     context = ExperimentContext(scale=args.scale, seed=seed)
     workloads = args.workloads.split(",") if args.workloads else None
-    outcome = planner.run_dse(
-        context, margin=args.margin, workloads=workloads
-    )
-    sys.stdout.write(planner.render(outcome))
+    sys.stdout.write(dse.render(dse.run(context, workloads=workloads)))
     return 0
 
 
@@ -613,23 +610,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plan",
-        help="run the analytical DSE planner (surrogate-pruned sweep; "
-        "see docs/DSE.md) locally, or --submit it to a service",
+        help="sweep the published-model grid and print its Pareto "
+        "frontier (the dse experiment, see EXPERIMENTS.md) locally, "
+        "or --submit it to a service",
     )
     p.add_argument("--scale", type=float, default=1.0,
                    help="trace-length scale factor in (0, 1]")
     p.add_argument("--seed", type=int, default=None,
                    help="workload generator seed")
-    p.add_argument("--margin", type=float, default=None,
-                   help="Pareto-pruning accuracy margin in [0, 1) "
-                   "(also: REPRO_DSE_MARGIN; default 0.005; local only)")
     p.add_argument("--workloads", default=None,
                    help="comma-separated workload names "
                    "(also: REPRO_DSE_WORKLOADS; default: the AI suite; "
                    "local only)")
     p.add_argument("--submit", action="store_true",
                    help="submit to a running service at the plan priority "
-                   "tier instead of planning locally")
+                   "tier instead of running locally")
     p.add_argument("--wait", action="store_true",
                    help="with --submit: poll until done and print the "
                    "rendered result")

@@ -129,11 +129,10 @@ class CompressionError(ReproError):
 
 
 class PlanError(ReproError):
-    """The DSE planner was misconfigured or its grid is unusable.
+    """The ``dse`` grid names a workload that does not exist.
 
-    Raised by :mod:`repro.analytic.planner` for an out-of-range
-    accuracy margin (``--dse-margin`` / ``REPRO_DSE_MARGIN``), an
-    unknown workload in ``REPRO_DSE_WORKLOADS``, or an empty grid.
+    Raised by :func:`repro.experiments.dse.resolve_workloads` for an
+    unknown workload in ``REPRO_DSE_WORKLOADS`` or ``plan --workloads``.
     """
 
     code = "PLAN"

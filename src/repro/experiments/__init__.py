@@ -15,6 +15,7 @@ module            regenerates
 ``techniques_study``  technique-group evaluation (extension)
 ``compression``   compacted-way compressed LLC study (extension)
 ``sensitivity``   robustness sweep of the headline conclusions
+``dse``           Pareto frontier of the published-model grid (extension)
 ``runner``        run-everything CLI (``repro-experiments``)
 ================  ============================================
 """
@@ -22,6 +23,7 @@ module            regenerates
 from repro.experiments import (
     compression,
     coresweep,
+    dse,
     lifetime,
     sensitivity,
     techniques_study,
@@ -38,6 +40,7 @@ from repro.experiments.common import ExperimentContext, TableWriter
 __all__ = [
     "compression",
     "coresweep",
+    "dse",
     "lifetime",
     "sensitivity",
     "techniques_study",

@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 from repro.experiments import (
     compression,
     coresweep,
+    dse,
     lifetime,
     sensitivity,
     techniques_study,
@@ -60,12 +61,12 @@ EXPERIMENTS = (
     "sensitivity",
 )
 
-#: The DSE planner surface (``--dse`` / ``--only dse``): not part of the
-#: default full run — it explores beyond the paper's grid — but
-#: dispatchable everywhere an experiment id is accepted.
+#: The design-space exploration (``--dse`` / ``--only dse``): not part
+#: of the default full run — it explores beyond the paper's figures —
+#: but dispatchable everywhere an experiment id is accepted.
 DSE_EXPERIMENT = "dse"
 
-#: Every dispatchable experiment id (the paper set plus the planner).
+#: Every dispatchable experiment id (the paper set plus ``dse``).
 ALL_EXPERIMENTS = EXPERIMENTS + (DSE_EXPERIMENT,)
 
 #: Default directory for manifest/metrics when ``--write`` gives no home.
@@ -141,15 +142,9 @@ def run_experiment(name: str, context: ExperimentContext, features=None):
             features,
         )
     if name == DSE_EXPERIMENT:
-        from repro.analytic import planner as dse_planner
-
-        outcome = dse_planner.run_dse(context)
-        # Stash per-cell surrogate-vs-simulated provenance on the
-        # context so run_all can record it in the run manifest.
-        context.dse_provenance = dse_planner.provenance_record(outcome)
         return (
-            "DSE planner (extension)",
-            dse_planner.render(outcome),
+            "Design-space exploration (extension)",
+            dse.render(dse.run(context)),
             features,
         )
     from repro.errors import ExperimentError
@@ -206,7 +201,6 @@ def run_all(
     validate: Optional[str] = None,
     engine: Optional[str] = None,
     dse: bool = False,
-    dse_margin: Optional[float] = None,
 ) -> None:
     """Run the requested experiments; print renders and optionally write
     a markdown report (``write_path``).
@@ -231,12 +225,9 @@ def run_all(
     exported to ``$REPRO_SIM_ENGINE`` so parallel workers replay with
     the same engine; ``None`` defers to the environment.
 
-    ``dse`` runs the analytical DSE planner (:mod:`repro.analytic`)
-    instead of the paper set — shorthand for ``only="dse"``;
-    ``dse_margin`` overrides the planner's Pareto-pruning accuracy
-    margin (also ``$REPRO_DSE_MARGIN``).  The planner's per-cell
-    surrogate-vs-simulated provenance is recorded in the run manifest
-    when metrics are on.
+    ``dse`` runs the design-space exploration
+    (:mod:`repro.experiments.dse`) instead of the paper set — shorthand
+    for ``only="dse"``.
     """
     from repro.report.builder import ReportBuilder
     from repro.sim.checkpoint import CheckpointJournal
@@ -256,12 +247,6 @@ def run_all(
                 f"--dse and --only {only} conflict; pass one of them"
             )
         only = DSE_EXPERIMENT
-    if dse_margin is not None:
-        from repro.analytic.planner import DSE_MARGIN_ENV, resolve_margin
-
-        # Validate eagerly, then export: the planner (and any worker)
-        # reads the environment at score time.
-        os.environ[DSE_MARGIN_ENV] = repr(resolve_margin(dse_margin))
 
     if stream is None:
         # Resolve at call time so test harnesses that swap sys.stdout
@@ -319,7 +304,7 @@ def run_all(
         title, text, features = run_experiment(name, context, features)
         return title, text
 
-    # The planner is opt-in: a full run covers the paper set only.
+    # ``dse`` is opt-in: a full run covers the paper set only.
     selected = [
         name
         for name in ALL_EXPERIMENTS
@@ -368,12 +353,6 @@ def run_all(
                     "cells_skipped": context.cells_skipped,
                     "cells_recorded": checkpoint.recorded,
                 }
-            dse_provenance = getattr(context, "dse_provenance", None)
-            if dse_provenance is not None:
-                # Per-cell surrogate-vs-simulated record: which cells
-                # the planner pruned, dispatched, and how close the
-                # surrogate came on the ones it simulated.
-                settings["dse"] = dse_provenance
             manifest_path, metrics_path = write_run_files(
                 out_dir, settings, registry, resume=resume_info
             )
@@ -446,16 +425,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--dse",
         action="store_true",
-        help="run the analytical DSE planner instead of the paper set "
-        "(shorthand for --only dse; see docs/DSE.md)",
-    )
-    parser.add_argument(
-        "--dse-margin",
-        type=float,
-        metavar="M",
-        default=None,
-        help="Pareto-pruning accuracy margin for --dse, in [0, 1) "
-        "(also: REPRO_DSE_MARGIN; default: 0.005)",
+        help="run the design-space exploration instead of the paper set "
+        "(shorthand for --only dse; see EXPERIMENTS.md)",
     )
     parser.add_argument(
         "--write",
@@ -558,7 +529,6 @@ def main(argv: Optional[list] = None) -> int:
             validate=args.validate,
             engine=args.engine,
             dse=args.dse,
-            dse_margin=args.dse_margin,
         )
     except PartialResultError as error:
         print(render_error(error), file=sys.stderr)

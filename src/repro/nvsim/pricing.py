@@ -1,11 +1,11 @@
 """Cell pricing: turn LLC counts into a timed, energised result.
 
 The single place where access counts meet an :class:`LLCModel`'s
-latencies, energies and leakage.  Both consumers share it, so a sweep
-cell is priced identically whether its counts came from a full replay
-(:func:`repro.sim.system.assemble_result` delegates here) or from the
-analytical surrogate (:mod:`repro.analytic` predicts counts from a
-reuse profile and prices them through the same hook).
+latencies, energies and leakage.  Both consumers share it, so a cell
+is priced identically whether its counts came from a plain LLC replay
+(:func:`repro.sim.system.assemble_result` delegates here) or from a
+compressed-LLC replay (:mod:`repro.experiments.compression` scales the
+write energy by the bytes actually written).
 
 Every priced result passes the output guard
 (:func:`repro.validate.guard.guard_result`) before it is returned.

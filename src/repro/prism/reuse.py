@@ -147,195 +147,6 @@ def reuse_profile(
     return ReuseProfile(distances=histogram, cold_accesses=cold, n_accesses=n)
 
 
-#: Version stamp of :class:`StreamReuseProfile`'s layout and semantics.
-#: Part of the replay-cache key (:meth:`repro.sim.replay_cache.ReplayCache.profile_key`)
-#: so a cached profile is never reused across algorithm changes.
-STREAM_PROFILE_VERSION = 1
-
-#: Stack-distance sentinel for cold (first-touch) accesses: larger than
-#: any real capacity in blocks, so ``distance >= capacity`` classifies
-#: colds as misses at every capacity.
-COLD_DISTANCE = np.int64(2**62)
-
-
-@dataclass(frozen=True)
-class StreamReuseProfile:
-    """Capacity-parameterised reuse summary of one LLC access stream.
-
-    One pass over the post-L2 stream (reads *and* writes share the LRU
-    stack) yields everything the analytical surrogate
-    (:mod:`repro.analytic`) needs to predict fully-associative LRU
-    counts at *any* capacity:
-
-    - ``read_dists`` / ``write_dists``: per-access stack distances in
-      stream order (``COLD_DISTANCE`` for first touches), so hits at
-      capacity ``B`` blocks are exactly ``distance < B``;
-    - ``read_cores`` / ``read_positions``: core id and instruction
-      position of every read, for per-core splits and MLP clustering;
-    - ``dirty_curve``: ``dirty_curve[B]`` is the exact number of dirty
-      evictions a fully-associative LRU cache of ``B`` blocks performs
-      on this stream (derived access-by-access, see ``docs/DSE.md``).
-    """
-
-    version: int
-    n_cores: int
-    read_dists: np.ndarray
-    read_cores: np.ndarray
-    read_positions: np.ndarray
-    write_dists: np.ndarray
-    dirty_curve: np.ndarray
-    unique_blocks: int
-
-    @property
-    def n_reads(self) -> int:
-        return len(self.read_dists)
-
-    @property
-    def n_writes(self) -> int:
-        return len(self.write_dists)
-
-    @property
-    def n_accesses(self) -> int:
-        return self.n_reads + self.n_writes
-
-    @property
-    def cold_reads(self) -> int:
-        return int((self.read_dists == COLD_DISTANCE).sum())
-
-    @property
-    def cold_writes(self) -> int:
-        return int((self.write_dists == COLD_DISTANCE).sum())
-
-    def read_hits_at(self, capacity_blocks: int) -> int:
-        """Reads hitting a fully-associative LRU cache of ``B`` blocks."""
-        if capacity_blocks <= 0:
-            return 0
-        return int((self.read_dists < capacity_blocks).sum())
-
-    def write_hits_at(self, capacity_blocks: int) -> int:
-        """Writes hitting a fully-associative LRU cache of ``B`` blocks."""
-        if capacity_blocks <= 0:
-            return 0
-        return int((self.write_dists < capacity_blocks).sum())
-
-    def dirty_evictions_at(self, capacity_blocks: int) -> int:
-        """Exact FA-LRU dirty-eviction count at ``B`` blocks."""
-        if capacity_blocks <= 0 or not len(self.dirty_curve):
-            return 0
-        index = min(capacity_blocks, len(self.dirty_curve) - 1)
-        return int(self.dirty_curve[index])
-
-    def per_core_read_hits(self, capacity_blocks: int) -> List[int]:
-        """Per-core read hits at ``B`` blocks (sums to ``read_hits_at``)."""
-        hit = self.read_dists < capacity_blocks
-        return np.bincount(
-            self.read_cores[hit], minlength=self.n_cores
-        ).tolist()
-
-    def per_core_miss_positions(self, capacity_blocks: int) -> List[np.ndarray]:
-        """Instruction positions of predicted read misses, per core."""
-        miss = self.read_dists >= capacity_blocks
-        return [
-            self.read_positions[miss & (self.read_cores == core)]
-            for core in range(self.n_cores)
-        ]
-
-    def miss_ratio(self, capacity_blocks: int) -> float:
-        """Idealised miss ratio over all accesses at ``B`` blocks."""
-        if not self.n_accesses:
-            return 0.0
-        hits = self.read_hits_at(capacity_blocks) + self.write_hits_at(
-            capacity_blocks
-        )
-        return (self.n_accesses - hits) / self.n_accesses
-
-
-def stream_reuse_profile(stream, n_cores: int) -> StreamReuseProfile:
-    """One-pass analytic profile of an LLC stream (Olken + dirty curve).
-
-    Accepts an :class:`~repro.sim.hierarchy.LLCStream` (or any object
-    with ``blocks``/``writes``/``cores``/``instr_positions`` arrays).
-    Beyond the classic stack-distance histogram, it derives the exact
-    fully-associative dirty-eviction curve: for each reuse access ``j``
-    at distance ``d_j`` to a block last written at ``m``, the eviction
-    preceding ``j`` carries a dirty line exactly for capacities
-    ``M_j < B <= d_j`` where ``M_j`` is the largest distance of the
-    block's accesses strictly after ``m``; accumulating those intervals
-    in a difference array gives ``dirty_curve`` in O(N log N) total.
-    Blocks left dirty at end-of-stream contribute only when the
-    forward distance (distinct blocks after their last access) actually
-    evicts them — mirroring the simulator, which never flushes.
-    """
-    blocks = np.asarray(stream.blocks, dtype=np.uint64)
-    writes = np.asarray(stream.writes, dtype=bool)
-    cores = np.asarray(stream.cores, dtype=np.int64)
-    positions = np.asarray(stream.instr_positions, dtype=np.uint64)
-    n = len(blocks)
-    unique_count = len(np.unique(blocks)) if n else 0
-
-    dists = np.empty(n, dtype=np.int64)
-    # Difference array over capacities 0..unique_count (+1 for the
-    # exclusive end of the last interval).
-    dirty_diff = np.zeros(unique_count + 2, dtype=np.int64)
-
-    tree = _Fenwick(n)
-    last_seen: Dict[int, int] = {}
-    # Per-block dirty state: max stack distance of the block's accesses
-    # strictly after its most recent write (absent = never written).
-    dist_since_write: Dict[int, int] = {}
-    for t in range(n):
-        block = int(blocks[t])
-        previous = last_seen.get(block)
-        if previous is None:
-            distance = None
-            dists[t] = COLD_DISTANCE
-        else:
-            distance = tree.range_sum(previous + 1, t - 1)
-            dists[t] = distance
-            since_write = dist_since_write.get(block)
-            if since_write is not None and since_write < distance:
-                # Dirty eviction precedes this access for every
-                # capacity in (since_write, distance].
-                dirty_diff[since_write + 1] += 1
-                dirty_diff[distance + 1] -= 1
-            tree.add(previous, -1)
-        tree.add(t, 1)
-        last_seen[block] = t
-        if writes[t]:
-            dist_since_write[block] = 0
-        elif distance is not None and block in dist_since_write:
-            if distance > dist_since_write[block]:
-                dist_since_write[block] = distance
-
-    # Tail: blocks dirty at end-of-stream are written back only if some
-    # later fill actually evicts them.  The forward distance (distinct
-    # blocks touched after the block's last access) decides that.
-    seen: set = set()
-    for t in range(n - 1, -1, -1):
-        block = int(blocks[t])
-        if block in seen:
-            continue
-        since_write = dist_since_write.get(block)
-        if since_write is not None:
-            forward = len(seen)
-            if since_write < forward:
-                dirty_diff[since_write + 1] += 1
-                dirty_diff[forward + 1] -= 1
-        seen.add(block)
-
-    reads = ~writes
-    return StreamReuseProfile(
-        version=STREAM_PROFILE_VERSION,
-        n_cores=n_cores,
-        read_dists=dists[reads],
-        read_cores=cores[reads],
-        read_positions=positions[reads],
-        write_dists=dists[writes],
-        dirty_curve=np.cumsum(dirty_diff),
-        unique_blocks=unique_count,
-    )
-
-
 def capacity_knee_blocks(profile: ReuseProfile, drop: float = 0.5) -> Optional[int]:
     """Smallest capacity recovering ``drop`` of the reducible misses.
 

@@ -200,7 +200,7 @@ class ServeClient:
     def plan(
         self, scale: float = 1.0, seed: Optional[int] = None
     ) -> Dict[str, Any]:
-        """``POST /plan`` — a DSE-planner job at the plan priority tier.
+        """``POST /plan`` — a ``dse`` job at the plan priority tier.
 
         Returns ``{"job": {...}, "deduped": bool}`` like :meth:`submit`;
         the server forces ``experiment="dse"`` and queues the job above

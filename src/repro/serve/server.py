@@ -16,7 +16,7 @@ Endpoints (all JSON; errors use the ``error[<code>]`` contract)::
     POST /jobs                 submit a job spec -> 202 {job, deduped}
                                (429 + Retry-After on backpressure,
                                 503 while draining)
-    POST /plan                 submit a DSE-planner job ({scale, seed})
+    POST /plan                 submit a dse job ({scale, seed})
                                at the plan priority tier -> 202
     GET  /jobs                 every job's status record
     GET  /jobs/<id>            one job's status record; with
@@ -509,13 +509,14 @@ class ExperimentServer:
         http._send_json(202, {"job": job.describe(), "deduped": deduped})
 
     def _plan(self, http: _Handler) -> None:
-        """``POST /plan``: a DSE-planner job at the plan priority tier.
+        """``POST /plan``: a ``dse`` job at the plan priority tier.
 
         The body carries only ``scale``/``seed`` — the experiment is
         forced to ``dse``, and the job rides above the user priority
-        band (:data:`~repro.serve.jobs.PLAN_PRIORITY`): the planner
-        dispatches a pruned fraction of its grid, so letting it jump
-        the queue costs little and unblocks design decisions early.
+        band (:data:`~repro.serve.jobs.PLAN_PRIORITY`): its grid is a
+        few workloads at one replay per distinct capacity, so letting
+        it jump the queue costs little and unblocks design decisions
+        early.
         """
         from repro.validate.schema import validate_keys
 

@@ -223,21 +223,6 @@ class ReplayCache(BlobStore):
         """Cache key for a private-level replay."""
         return "private-" + _key_digest(trace_fp, private_arch_key(arch))
 
-    def profile_key(
-        self, trace_fp: str, arch: ArchitectureConfig, version: int
-    ) -> str:
-        """Cache key for an analytic stream-reuse profile.
-
-        Keyed like :meth:`private_key` (the LLC stream derives
-        deterministically from trace + private levels), plus the
-        profile algorithm version
-        (:data:`repro.prism.reuse.STREAM_PROFILE_VERSION`) so cached
-        profiles never survive a surrogate-math change.
-        """
-        return "profile-" + _key_digest(
-            trace_fp, private_arch_key(arch), ("stream-profile", int(version))
-        )
-
     def llc_key(
         self, trace_fp: str, arch: ArchitectureConfig, capacity_bytes: int
     ) -> str:

@@ -49,7 +49,7 @@ def assemble_result(
     Every assembled result — serial, parallel-worker and resumed paths
     all converge here — is priced through the shared
     :func:`repro.nvsim.pricing.price_counts` hook (also used by the
-    analytical surrogate) and passes the output guard
+    compressed-LLC study) and passes the output guard
     (:func:`repro.validate.guard.guard_result`) before it is returned,
     so an implausible result can never reach the checkpoint journal,
     the replay cache or a rendered table.
@@ -122,7 +122,6 @@ class SimulationSession:
         self._llc_cache: Dict[Tuple[int, int], LLCCounts] = {}
         self._replay_cache = replay_cache if replay_cache is not None else default_cache()
         self._trace_fp: Optional[str] = None
-        self._reuse_profile = None
 
     @property
     def _fingerprint(self) -> str:
@@ -167,42 +166,6 @@ class SimulationSession:
                     meta={"engine": resolve_engine(None)},
                 )
         return self._private
-
-    def reuse_profile(self):
-        """Analytic stream-reuse profile of this session's LLC stream.
-
-        The input of the analytical surrogate (:mod:`repro.analytic`):
-        one pass over the technology-independent stream yields hit,
-        miss, write and dirty-eviction predictions at *any* capacity.
-        Computed once per session and disk-memoised alongside the
-        private replay (``profile-*`` entries, keyed like the replay
-        cache's private key plus the profile-algorithm version).
-        """
-        if getattr(self, "_reuse_profile", None) is None:
-            from repro.prism.reuse import (
-                STREAM_PROFILE_VERSION,
-                stream_reuse_profile,
-            )
-
-            cache = self._replay_cache
-            use_disk = cache.should_cache(self.trace)
-            key = None
-            if use_disk:
-                key = cache.profile_key(
-                    self._fingerprint, self.arch, STREAM_PROFILE_VERSION
-                )
-                cached = cache.get(key)
-                if cached is not None and getattr(cached, "version", None) == (
-                    STREAM_PROFILE_VERSION
-                ):
-                    self._reuse_profile = cached
-                    return self._reuse_profile
-            self._reuse_profile = stream_reuse_profile(
-                self.private.stream, self.arch.n_cores
-            )
-            if use_disk:
-                cache.put(key, self._reuse_profile, meta=self._engine_meta())
-        return self._reuse_profile
 
     def counts_for(self, llc_model: LLCModel) -> LLCCounts:
         """LLC counts for this model's geometry (cached by capacity)."""

@@ -1,0 +1,44 @@
+"""Tests for the ``dse`` experiment's Pareto machinery and workload axis."""
+
+import pytest
+
+from repro.errors import PlanError
+from repro.experiments.dse import (
+    DSE_WORKLOADS_ENV,
+    dominates,
+    pareto_frontier,
+    resolve_workloads,
+)
+from repro.sim.results import NormalizedResult
+
+
+def _point(name, speedup, energy):
+    return NormalizedResult("w", name, "c", speedup, energy, energy / speedup**2)
+
+
+class TestDominance:
+    def test_strict_dominance_requires_one_strict_inequality(self):
+        a = _point("a", 1.0, 0.5)
+        assert dominates(a, _point("b", 0.9, 0.6))
+        assert dominates(a, _point("b", 1.0, 0.6))   # tie on one axis
+        assert not dominates(a, _point("b", 1.0, 0.5))  # exact tie
+        assert not dominates(a, _point("b", 1.1, 0.4))  # dominated
+
+    def test_pareto_frontier_keeps_undominated_and_tied_points(self):
+        best = _point("best", 1.2, 0.4)
+        trade = _point("trade", 1.4, 0.6)
+        loser = _point("loser", 1.1, 0.5)
+        tie = _point("tie", 1.2, 0.4)
+        assert pareto_frontier([best, trade, loser, tie]) == [best, trade, tie]
+
+
+class TestWorkloads:
+    def test_resolve_workloads_default_env_and_validation(self, monkeypatch):
+        from repro.workloads.registry import ai_benchmarks
+
+        monkeypatch.delenv(DSE_WORKLOADS_ENV, raising=False)
+        assert resolve_workloads() == ai_benchmarks()
+        monkeypatch.setenv(DSE_WORKLOADS_ENV, "leela, x264")
+        assert resolve_workloads() == ["leela", "x264"]
+        with pytest.raises(PlanError, match="fluidanimate"):
+            resolve_workloads(["leela", "fluidanimate"])

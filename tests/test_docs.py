@@ -70,13 +70,3 @@ class TestConfigurationDoctests:
         assert results.attempted >= 5, "CONFIGURATION.md lost its examples"
         assert results.failed == 0
 
-
-class TestDSEDoctests:
-    def test_examples_execute(self):
-        results = doctest.testfile(
-            str(REPO_ROOT / "docs" / "DSE.md"),
-            module_relative=False,
-            optionflags=doctest.IGNORE_EXCEPTION_DETAIL,
-        )
-        assert results.attempted >= 10, "DSE.md lost its examples"
-        assert results.failed == 0

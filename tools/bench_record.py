@@ -247,12 +247,6 @@ def main(argv=None) -> int:
         "--pretty", action="store_true", help="indent the JSON output"
     )
     parser.add_argument(
-        "--dse", action="store_true",
-        help="also run tools/dse_smoke.py's planner-vs-exhaustive "
-        "measurement and embed its summary (savings ratio, surrogate "
-        "error) in the snapshot",
-    )
-    parser.add_argument(
         "--serve", action="store_true",
         help="record serve-fleet load scenarios instead of engine "
         "microbenchmarks (the BENCH_0008.json mode)",
@@ -302,18 +296,6 @@ def main(argv=None) -> int:
             print(text)
         return 0
     snapshot = record(args.reps)
-    if args.dse:
-        sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-        import dse_smoke
-
-        summary = dse_smoke.measure()
-        print(
-            f"dse: {summary['cells']} cells, "
-            f"{summary['savings_ratio']}x fewer simulations, "
-            f"frontier match: {summary['frontier_matches_exhaustive']}",
-            file=sys.stderr,
-        )
-        snapshot["dse"] = summary
     if args.compression:
         sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
         import compression_smoke

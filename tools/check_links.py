@@ -39,7 +39,6 @@ DEFAULT_DOC_SET = (
     "docs/ARCHITECTURE.md",
     "docs/COMPRESSION.md",
     "docs/CONFIGURATION.md",
-    "docs/DSE.md",
     "docs/SERVING.md",
     "docs/TUTORIAL.md",
 )

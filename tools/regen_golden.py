@@ -48,6 +48,7 @@ GOLDEN_EXPERIMENTS = (
     "sensitivity",
     "lifetime",
     "compression",
+    "dse",
 )
 
 SNAPSHOT_DIR = REPO / "tests" / "golden" / "snapshots"
