@@ -233,10 +233,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return _fleet_status(args)
     import signal as _signal
 
-    from repro.serve import Fleet, resolve_fleet_shards
+    from repro.serve import Fleet
 
     fleet = Fleet(
-        shards=resolve_fleet_shards(args.shards),
+        shards=args.shards,
         root=args.dir,
         workers=args.workers if args.workers is not None else 2,
         router_host=args.host or "127.0.0.1",
@@ -544,9 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--supervise", action="store_true",
                    help="restart crashed shards in place with exponential "
                    "backoff (self-healing fleet)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count (also: REPRO_SERVE_FLEET_SHARDS; "
-                   "default 2)")
+    p.add_argument("--shards", type=int, default=2,
+                   help="shard count (default 2)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker threads per shard (default 2)")
     p.add_argument("--dir", default=None,

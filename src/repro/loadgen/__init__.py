@@ -8,8 +8,8 @@ boots real shard processes per point (:mod:`repro.loadgen.launcher`);
 the report module folds request records into percentile latency,
 throughput, failure-rate and dedup summaries
 (:mod:`repro.loadgen.report`).  ``repro-cli loadgen`` is the entry
-point; ``tools/bench_record.py --serve`` writes the committed
-``BENCH_0008.json``.  See ``docs/SERVING.md``.
+point; with ``--shard-counts 1,2,4 --json`` it writes a fleet sweep
+like the committed ``BENCH_0008.json``.  See ``docs/SERVING.md``.
 """
 
 from repro.loadgen.arrivals import arrival_offsets

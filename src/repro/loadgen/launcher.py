@@ -13,7 +13,7 @@ boots a real subprocess :class:`~repro.serve.fleet.Fleet` (shared
 result store, router front end), runs the scenario's full rate sweep
 against the router, collects the router's aggregated ``/metrics``
 counters (executed / store-satisfied / deduped), and tears the fleet
-down — the measurement loop behind ``tools/bench_record.py --serve``
+down — the measurement loop behind ``repro-cli loadgen --shard-counts``
 and ``BENCH_0008.json``.
 
 Determinism: the request *content* and *schedule* derive entirely from

@@ -22,7 +22,8 @@ core's budget even at the widest fleet.
 The committed ``BENCH_0008.json`` records both modes: a paced scenario
 for the scaling curve and an unpaced (real-compute) scenario, each
 tagged with the host fingerprint so a one-core container's numbers are
-read as such.
+read as such.  ``repro-cli loadgen scaling --shard-counts 1,2,4`` (or
+``compute``) reruns either sweep.
 """
 
 from __future__ import annotations

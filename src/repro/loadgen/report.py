@@ -1,10 +1,9 @@
 """Folding load-run records into percentile/throughput reports.
 
 One report shape serves three consumers: the ``repro-cli loadgen``
-terminal rendering, the CI load-smoke artifact, and the committed
-``BENCH_0008.json`` benchmark record (written through
-``tools/bench_record.py --serve``, which adds the schema envelope and
-host fingerprint).
+terminal rendering, its ``--json`` output (uploaded as a CI
+artifact), and the committed ``BENCH_0008.json`` benchmark record,
+which embeds it under a schema envelope and host fingerprint.
 
 Percentiles are *exact* (sorted-sample linear interpolation, the same
 rule ``statistics.quantiles`` uses with ``method='inclusive'``) — no

@@ -4,8 +4,9 @@ A *scenario profile* is a small JSON (or YAML, when a parser is
 available) document describing the load to offer a serve fleet —
 job mix, duplicate rate, arrival process, rate sweep — rather than a
 script that hard-codes it.  The same profile drives a laptop smoke
-run, the CI load-smoke job and the committed ``BENCH_0008.json``
-record, so results stay comparable across hosts and sessions.
+run, the CI ``repro-cli loadgen`` steps and the committed
+``BENCH_0008.json`` record, so results stay comparable across hosts
+and sessions.
 
 Profile schema (all keys validated here, unknown keys rejected with
 did-you-mean suggestions)::

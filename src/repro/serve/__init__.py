@@ -36,12 +36,10 @@ from repro.serve.executor import (
     WorkerPool,
 )
 from repro.serve.fleet import (
-    FLEET_SHARDS_ENV,
     Fleet,
     FleetSupervisor,
     InProcessFleet,
     ShardProcess,
-    resolve_fleet_shards,
 )
 from repro.serve.jobs import (
     Job,
@@ -59,11 +57,9 @@ from repro.serve.queue import (
 )
 from repro.serve.ring import (
     DEFAULT_RING_REPLICAS,
-    RING_REPLICAS_ENV,
     HashRing,
     VersionedRing,
     moved_keys,
-    resolve_ring_replicas,
 )
 from repro.serve.router import (
     DEFAULT_EJECT_AFTER,
@@ -110,7 +106,6 @@ __all__ = [
     "DIR_ENV",
     "EJECT_AFTER_ENV",
     "ExperimentServer",
-    "FLEET_SHARDS_ENV",
     "FileResultStore",
     "Fleet",
     "FleetSupervisor",
@@ -129,7 +124,6 @@ __all__ = [
     "JobState",
     "PORT_ENV",
     "QUEUE_MAX_ENV",
-    "RING_REPLICAS_ENV",
     "ResultStore",
     "SHARDS_ENV",
     "STORE_DIR_ENV",
@@ -147,9 +141,7 @@ __all__ = [
     "log_computation",
     "moved_keys",
     "normalize_spec",
-    "resolve_fleet_shards",
     "resolve_heartbeat",
-    "resolve_ring_replicas",
     "resolve_shards",
     "resolve_store",
     "resolve_url",

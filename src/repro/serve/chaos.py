@@ -1,7 +1,7 @@
 """Chaos-harness seams: computation logging for loss accounting.
 
-The fleet chaos tests (``tests/serve/test_chaos.py``,
-``tools/chaos_smoke.py``) need to know *how many times each spec
+The fleet chaos tests (``tests/serve/test_chaos.py``) need to know
+*how many times each spec
 digest was actually computed* across every shard process — that is the
 "exactly one computation per digest" half of the zero-loss contract,
 and no single process can see it because computations happen in shard

@@ -7,7 +7,7 @@ Two launchers with the same shape:
   all pointed at one shared :class:`~repro.serve.store.FileResultStore`
   directory, fronted by an in-process
   :class:`~repro.serve.router.ShardRouter`.  This is what
-  ``repro-cli fleet``, the identity tests and the CI load-smoke job
+  ``repro-cli fleet``, ``repro-cli loadgen`` and the identity tests
   run: true process isolation, real SIGTERM drains, per-shard metrics.
 - :class:`InProcessFleet` — each shard is an
   :class:`~repro.serve.server.ExperimentServer` *in this process*.
@@ -52,9 +52,6 @@ from repro.serve.router import ShardRouter
 from repro.serve.server import ExperimentServer
 from repro.serve.store import STORE_DIR_ENV, FileResultStore
 from repro.sim.parallel import FaultPolicy
-
-#: Environment variable for the default fleet shard count.
-FLEET_SHARDS_ENV = "REPRO_SERVE_FLEET_SHARDS"
 
 #: Seconds to wait for a shard banner / drain before giving up.
 _STARTUP_TIMEOUT_S = 30.0
@@ -519,21 +516,3 @@ class InProcessFleet:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.stop()
         return False
-
-
-def resolve_fleet_shards(shards: Optional[int] = None) -> int:
-    """Shard count: explicit argument > environment > default (2)."""
-    if shards is None:
-        raw = os.environ.get(FLEET_SHARDS_ENV, "").strip()
-        if raw:
-            try:
-                shards = int(raw)
-            except ValueError:
-                raise ServeError(
-                    f"{FLEET_SHARDS_ENV} must be an integer, got {raw!r}"
-                )
-        else:
-            shards = 2
-    if shards < 1:
-        raise ServeError("fleet needs at least one shard")
-    return int(shards)

@@ -36,35 +36,14 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import os
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ServeError
 
-#: Environment variable overriding virtual nodes per shard.
-RING_REPLICAS_ENV = "REPRO_SERVE_RING_REPLICAS"
-
 #: Default virtual nodes per shard.  64 keeps the max/min shard share
-#: within ~2x of fair for small fleets; raise it for tighter balance.
+#: within ~2x of fair for small fleets; pass a larger ``replicas`` for
+#: tighter balance.
 DEFAULT_RING_REPLICAS = 64
-
-
-def resolve_ring_replicas(replicas=None) -> int:
-    """Virtual-node count: explicit argument > environment > default."""
-    if replicas is None:
-        raw = os.environ.get(RING_REPLICAS_ENV, "").strip()
-        if raw:
-            try:
-                replicas = int(raw)
-            except ValueError:
-                raise ServeError(
-                    f"{RING_REPLICAS_ENV} must be an integer, got {raw!r}"
-                )
-        else:
-            replicas = DEFAULT_RING_REPLICAS
-    if replicas < 1:
-        raise ServeError("ring replicas must be >= 1")
-    return int(replicas)
 
 
 def _point(label: str) -> int:
@@ -87,7 +66,11 @@ class HashRing:
             raise ServeError("hash ring needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ServeError("hash ring nodes must be unique")
-        self.replicas = resolve_ring_replicas(replicas)
+        self.replicas = (
+            DEFAULT_RING_REPLICAS if replicas is None else int(replicas)
+        )
+        if self.replicas < 1:
+            raise ServeError("ring replicas must be >= 1")
         self.nodes: Tuple[str, ...] = tuple(nodes)
         points: List[Tuple[int, str]] = []
         for node in self.nodes:

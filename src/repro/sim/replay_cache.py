@@ -5,8 +5,8 @@ The two replay stages are pure functions of their inputs: a
 contents and the private-level architecture (core count, L1/L2 geometry,
 prefetch flag), and an :class:`~repro.sim.llc.LLCCounts` additionally on
 the LLC geometry and MLP constants.  This module caches both on disk,
-keyed by a content fingerprint, so repeated experiment runs, the
-``benchmarks/`` suite and parallel workers all skip redundant replays.
+keyed by a content fingerprint, so repeated experiment runs, the test
+suite and parallel workers all skip redundant replays.
 
 Keys are *content-addressed*: the trace fingerprint hashes the raw
 column bytes (not the generator seed), so any trace — synthetic, loaded

@@ -37,6 +37,12 @@ class TestTechniquesStudy:
         assert e.treated.bypassed_writes > 0
         assert e.extra_dram_writes > 0
 
+    def test_hybrid_diverts_writes_everywhere(self, study):
+        # The SRAM ways absorb a meaningful share of NVM writes on
+        # every workload.
+        for hybrid in study.hybrids:
+            assert hybrid.nvm_write_reduction > 0.02
+
     def test_render(self, study):
         text = techniques_study.render(study)
         assert "early-write-termination" in text

@@ -8,7 +8,9 @@ subprocesses:
   fleet still loses zero accepted jobs, computes each distinct digest
   at most ``1 + workers-on-the-killed-shard`` times (exactly once for
   everything not in flight at the kill), and returns bytes identical
-  to the single-process engine.
+  to the single-process engine.  The ring version advances for the
+  ejection and the join, and recovery surfaces only typed errors,
+  never a raw 5xx.
 - **Hang past the heartbeat** — a SIGSTOPped shard is ejected by the
   router's failure detector, its ring segment remaps, and a SIGCONT
   brings it back via heartbeat rejoin.
@@ -35,7 +37,7 @@ import time
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import DegradedError, ServeError
 from repro.serve import Fleet, InProcessFleet, ServeClient, submit_with_backoff
 from repro.serve.chaos import CHAOS_LOG_ENV, read_log
 from repro.serve.executor import JOB_HOOK_ENV
@@ -69,23 +71,26 @@ def ground_truth():
     }
 
 
-def _recover(client: ServeClient, spec: dict, job_id: str) -> bytes:
+def _recover(
+    client: ServeClient, spec: dict, job_id: str, surfaced=None
+) -> bytes:
     """A job's result bytes, resubmitting through degraded windows.
 
     Zero-accepted-loss, operationally: an accepted id either resolves,
     or its *digest* resolves after a backed-off resubmission (loss-free
     because submissions dedup by digest and finished payloads live in
-    the shared store).
+    the shared store).  Each error swallowed on the way is appended to
+    ``surfaced`` when a list is given.
     """
     try:
         record = client.wait(job_id, timeout_s=120)
         if record["state"] == "done":
-            try:
-                return client.result_bytes(job_id)
-            except ServeError:
-                pass  # home died after finishing; fall through
-    except ServeError:
-        pass  # id lost with the killed shard, or degraded window
+            return client.result_bytes(job_id)
+    except ServeError as error:
+        # id lost with the killed shard, home died after finishing,
+        # or a degraded window
+        if surfaced is not None:
+            surfaced.append(error)
     response = submit_with_backoff(
         client, spec["experiment"], scale=spec["scale"],
         seed=spec["seed"], attempts=8,
@@ -113,6 +118,7 @@ class TestKillMidStorm:
             extra_env=extra_env, **FAST_HEARTBEAT,
         ) as fleet:
             client = ServeClient(fleet.url)
+            version0 = fleet.router.ring_version
             plan = [dict(s) for s in SPECS for _ in range(self.FAN_IN)]
             responses = [None] * len(plan)
             barrier = threading.Barrier(len(plan))
@@ -139,18 +145,38 @@ class TestKillMidStorm:
             # (6 jobs / 3 shards / 1 worker at 200 ms each), then grow
             # a replacement into the live ring.
             time.sleep(0.15)
+            victim_url = fleet.shards[0].url
             fleet.kill_shard(0, force=True)
             replacement = fleet.add_shard()
             assert replacement.url in fleet.router.ring
 
+            surfaced = []
             recovered = {
-                digest: _recover(client, spec, accepted[digest])
+                digest: _recover(client, spec, accepted[digest], surfaced)
                 for spec in SPECS
                 for digest in [_digest(spec)]
             }
 
             # Zero accepted-job loss, byte-identical to the engine.
             assert recovered == ground_truth
+
+            # Recovery surfaces only typed errors: a retryable DEGRADED
+            # (503 + Retry-After) or a 404 for an id lost with its
+            # shard, never a raw 5xx such as a bare 502.
+            raw_5xx = [
+                error for error in surfaced
+                if not isinstance(error, DegradedError)
+                and error.http_status >= 500
+            ]
+            assert not raw_5xx, raw_5xx
+
+            # The ring version advanced once for the replacement's join
+            # and once for the dead shard's ejection.
+            deadline = time.monotonic() + 20.0
+            while victim_url in fleet.router.ring:
+                assert time.monotonic() < deadline, "never ejected"
+                time.sleep(0.05)
+            assert fleet.router.ring_version >= version0 + 2
 
         # One computation per digest, with the only excess bounded by
         # what the killed shard had in flight at the kill: a digest

@@ -65,15 +65,6 @@ class TestLookupBasics:
         with pytest.raises(ServeError):
             HashRing(["a"], replicas=0)
 
-    def test_replicas_env_override(self, monkeypatch):
-        from repro.serve.ring import RING_REPLICAS_ENV
-
-        monkeypatch.setenv(RING_REPLICAS_ENV, "16")
-        assert HashRing(["a"]).replicas == 16
-        monkeypatch.setenv(RING_REPLICAS_ENV, "soup")
-        with pytest.raises(ServeError):
-            HashRing(["a"])
-
     def test_default_replicas(self):
         assert HashRing(["a"]).replicas == DEFAULT_RING_REPLICAS
 

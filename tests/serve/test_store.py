@@ -13,13 +13,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.store import (
     STORE_DIR_ENV,
     STORE_MAGIC,
-    STORE_MAX_MB_ENV,
     STORE_URL_ENV,
     FileResultStore,
     HTTPResultStore,
     check_digest,
     resolve_store,
-    store_max_bytes,
 )
 
 DIGEST = "ab" * 16
@@ -51,24 +49,6 @@ class TestFileStore:
         blob = (tmp_path / f"{DIGEST}.res").read_bytes()
         assert blob.startswith(STORE_MAGIC)
         assert blob.endswith(b"payload")
-
-    def test_corrupt_entry_quarantined_not_returned(self, tmp_path):
-        store = FileResultStore(tmp_path)
-        store.put(DIGEST, b"payload")
-        path = tmp_path / f"{DIGEST}.res"
-        path.write_bytes(path.read_bytes()[:-2] + b"xx")
-        with _metrics.scoped_registry() as registry:
-            assert store.get(DIGEST) is None
-        assert not path.exists(), "corrupt entry must be quarantined"
-        assert registry.snapshot()["counters"]["serve.store.corrupt"] == 1
-
-    def test_put_failure_degrades_without_raising(self, tmp_path):
-        blocked = tmp_path / "file-not-dir"
-        blocked.write_text("x")
-        store = FileResultStore(blocked / "store")
-        with _metrics.scoped_registry() as registry:
-            store.put(DIGEST, b"payload")  # must not raise
-        assert registry.snapshot()["counters"]["serve.store.errors"] == 1
 
     def test_counters(self, tmp_path):
         store = FileResultStore(tmp_path)
@@ -220,102 +200,3 @@ class TestHTTPStore:
             assert counters["serve.store.hits"] == 1
         finally:
             second.drain()
-
-
-def _digest(index: int) -> str:
-    return f"{index:032x}"
-
-
-def _fill(root, count: int, payload_bytes: int = 1000):
-    """Seed ``count`` entries with strictly increasing mtimes via an
-    unbounded writer (its live set is irrelevant to later instances)."""
-    import time as _time
-
-    writer = FileResultStore(root, max_bytes=None)
-    base = _time.time() - 1000.0
-    for index in range(count):
-        writer.put(_digest(index), b"x" * payload_bytes)
-        path = root / f"{_digest(index)}.res"
-        os.utime(path, times=(base + index, base + index))
-    return writer
-
-
-class TestStoreGC:
-    @pytest.mark.parametrize("raw,expected", [
-        ("", None), ("  ", None), ("nan-ish", None), ("0", None),
-        ("-3", None), ("2", 2 * 1024 * 1024), ("0.5", 512 * 1024),
-    ])
-    def test_store_max_bytes_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(STORE_MAX_MB_ENV, raw)
-        assert store_max_bytes() == expected
-
-    def test_store_max_bytes_unset(self, monkeypatch):
-        monkeypatch.delenv(STORE_MAX_MB_ENV, raising=False)
-        assert store_max_bytes() is None
-
-    def test_env_cap_picked_up_by_constructor(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_MAX_MB_ENV, "1")
-        assert FileResultStore(tmp_path).max_bytes == 1024 * 1024
-        assert FileResultStore(tmp_path, max_bytes=42).max_bytes == 42
-
-    def test_put_evicts_oldest_until_under_cap(self, tmp_path):
-        # Entries are ~1020 bytes packed; a 2.5 KB cap holds two.
-        _fill(tmp_path, 4)
-        store = FileResultStore(tmp_path, max_bytes=2500)
-        with _metrics.scoped_registry() as registry:
-            store.put(_digest(4), b"x" * 1000)
-            counters = registry.snapshot()["counters"]
-        # Oldest three evicted; the newest old entry and the fresh
-        # write survive.
-        survivors = sorted(p.name for p in tmp_path.glob("*.res"))
-        assert survivors == sorted(
-            [f"{_digest(3)}.res", f"{_digest(4)}.res"]
-        )
-        assert store.evictions == 3
-        assert counters.get("serve.store.evictions") == 3
-        assert counters.get("serve.store.evicted_bytes", 0) > 0
-        assert store.stats()["evictions"] == 3
-
-    def test_own_writes_are_never_evicted(self, tmp_path):
-        # A writer's own entries are all live: the cap is transiently
-        # exceeded rather than ever losing a payload it produced.
-        store = FileResultStore(tmp_path, max_bytes=1500)
-        for index in range(4):
-            store.put(_digest(index), b"x" * 1000)
-        assert len(list(tmp_path.glob("*.res"))) == 4
-        assert store.evictions == 0
-
-    def test_read_marks_live_and_retouches(self, tmp_path):
-        _fill(tmp_path, 3)
-        store = FileResultStore(tmp_path, max_bytes=2500)
-        # Reading the *oldest* entry protects it in two independent
-        # ways: it joins this store's live set, and its mtime is
-        # re-touched to now (LRU recency).
-        assert store.get(_digest(0)) == b"x" * 1000
-        store.put(_digest(3), b"x" * 1000)
-        names = {p.name for p in tmp_path.glob("*.res")}
-        assert f"{_digest(0)}.res" in names
-        assert f"{_digest(3)}.res" in names
-
-    def test_pinned_digest_never_evicted(self, tmp_path):
-        _fill(tmp_path, 4)
-        store = FileResultStore(tmp_path, max_bytes=1500)
-        store.pin(_digest(0))
-        try:
-            store.put(_digest(4), b"x" * 1000)
-            names = {p.name for p in tmp_path.glob("*.res")}
-            assert f"{_digest(0)}.res" in names  # oldest, but pinned
-            assert f"{_digest(4)}.res" in names  # just written (live)
-        finally:
-            store.unpin(_digest(0))
-
-    def test_pin_refcounts(self, tmp_path):
-        store = FileResultStore(tmp_path, max_bytes=10)
-        store.pin(DIGEST)
-        store.pin(DIGEST)
-        store.unpin(DIGEST)
-        assert store.stats()["pinned"] == 1
-        store.unpin(DIGEST)
-        assert store.stats()["pinned"] == 0
-        store.unpin(DIGEST)  # over-release is harmless
-        assert store.stats()["pinned"] == 0

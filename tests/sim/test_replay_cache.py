@@ -1,7 +1,6 @@
 """Tests for the persistent replay cache (:mod:`repro.sim.replay_cache`)."""
 
 import dataclasses
-import os
 import pickle
 
 import numpy as np
@@ -74,20 +73,6 @@ class TestStore:
         assert cache.get("absent") is None
         assert cache.misses == 1
 
-    @pytest.mark.parametrize(
-        "junk",
-        [
-            b"not a pickle",  # UnpicklingError
-            b"garbage\n",     # ValueError ('g' is the GET opcode)
-            b"",              # EOFError
-        ],
-    )
-    def test_corrupt_entry_is_a_miss(self, tmp_path, junk):
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        cache.put("k", [1, 2])
-        (tmp_path / "k.pkl").write_bytes(junk)
-        assert cache.get("k") is None
-
     def test_disabled_cache_stores_nothing(self, tmp_path):
         cache = ReplayCache(root=tmp_path, enabled=False)
         cache.put("k", 1)
@@ -109,16 +94,6 @@ class TestStore:
 
 
 class TestIntegrity:
-    def test_corruption_quarantines_entry(self, tmp_path):
-        """A damaged entry is a counted miss and is deleted so it can
-        never fail (or lie) twice."""
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        cache.put("k", [1, 2])
-        (tmp_path / "k.pkl").write_bytes(b"RPC2" + b"\x00" * 40)
-        assert cache.get("k") is None
-        assert cache.corrupt == 1
-        assert not (tmp_path / "k.pkl").exists()
-
     def test_entry_format_round_trips(self):
         from repro.sim.replay_cache import ENTRY_MAGIC, _unpack
         from repro.store import seal
@@ -177,96 +152,6 @@ class TestMeta:
         assert stems
         for stem in stems:
             assert cache.entry_meta(stem) == {"engine": "vector"}
-
-
-class TestEviction:
-    def _fill(self, cache, names, payload_bytes=2048):
-        for name in names:
-            cache.put(name, b"x" * payload_bytes)
-
-    def test_lru_eviction_under_cap(self, tmp_path):
-        """A fresh instance (empty live set) evicts oldest-first."""
-        writer = ReplayCache(root=tmp_path, enabled=True, max_bytes=None)
-        self._fill(writer, ["a", "b", "c"])
-        os.utime(tmp_path / "a.pkl", (1, 1))
-        os.utime(tmp_path / "b.pkl", (2, 2))
-        capped = ReplayCache(root=tmp_path, enabled=True, max_bytes=5000)
-        capped.put("d", b"x" * 2048)
-        remaining = {p.name for p in tmp_path.glob("*.pkl")}
-        assert "a.pkl" not in remaining  # oldest went first
-        assert "d.pkl" in remaining
-        assert capped.evictions >= 1
-
-    def test_live_entries_never_evicted(self, tmp_path):
-        """The cap may be transiently exceeded, but entries this
-        process wrote are never its own victims."""
-        cache = ReplayCache(root=tmp_path, enabled=True, max_bytes=3000)
-        self._fill(cache, ["a", "b", "c", "d"])
-        assert cache.evictions == 0
-        assert {p.stem for p in tmp_path.glob("*.pkl")} == {"a", "b", "c", "d"}
-
-    def test_hit_refreshes_recency(self, tmp_path):
-        writer = ReplayCache(root=tmp_path, enabled=True)
-        self._fill(writer, ["old", "hot"])
-        os.utime(tmp_path / "old.pkl", (10, 10))
-        os.utime(tmp_path / "hot.pkl", (5, 5))
-        reader = ReplayCache(root=tmp_path, enabled=True)
-        assert reader.get("hot") is not None  # re-touches mtime (and pins)
-        assert (tmp_path / "hot.pkl").stat().st_mtime > 10
-
-    def test_unbounded_without_cap(self, tmp_path):
-        cache = ReplayCache(root=tmp_path, enabled=True, max_bytes=None)
-        self._fill(cache, [f"k{i}" for i in range(8)])
-        assert cache.evictions == 0
-        assert cache.entries() == 8
-
-    def test_cap_parsing(self, monkeypatch):
-        from repro.sim.replay_cache import CACHE_MAX_MB_ENV, cache_max_bytes
-
-        monkeypatch.delenv(CACHE_MAX_MB_ENV, raising=False)
-        assert cache_max_bytes() is None
-        monkeypatch.setenv(CACHE_MAX_MB_ENV, "2")
-        assert cache_max_bytes() == 2 * 1024 * 1024
-        monkeypatch.setenv(CACHE_MAX_MB_ENV, "0.5")
-        assert cache_max_bytes() == 512 * 1024
-        for bad in ("", "nope", "-3", "0"):
-            monkeypatch.setenv(CACHE_MAX_MB_ENV, bad)
-            assert cache_max_bytes() is None
-
-
-class TestTmpSweep:
-    def test_stale_tmp_swept_on_open(self, tmp_path):
-        """A worker killed mid-store leaves a *.tmp orphan; the next
-        cache open removes it once it is clearly abandoned."""
-        tmp_path.mkdir(exist_ok=True)
-        stale = tmp_path / "orphan123.tmp"
-        stale.write_bytes(b"partial write")
-        os.utime(stale, (1, 1))  # ancient
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        assert not stale.exists()
-        assert cache.tmp_swept == 1
-
-    def test_young_tmp_survives(self, tmp_path):
-        """A fresh temp file may belong to a live concurrent writer."""
-        young = tmp_path / "inflight.tmp"
-        young.write_bytes(b"being written right now")
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        assert young.exists()
-        assert cache.tmp_swept == 0
-
-    def test_explicit_sweep_with_zero_age(self, tmp_path):
-        young = tmp_path / "inflight.tmp"
-        young.write_bytes(b"x")
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        assert cache.sweep_stale_tmp(max_age_s=0.0) == 1
-        assert not young.exists()
-
-    def test_entries_not_touched_by_sweep(self, tmp_path):
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        cache.put("keep", 1)
-        os.utime(tmp_path / "keep.pkl", (1, 1))
-        cache.sweep_stale_tmp(max_age_s=0.0)
-        assert cache.get("keep") == 1
 
 
 class TestEnvironment:

@@ -1,7 +1,8 @@
 """Documentation honesty checks: links resolve, examples run.
 
-Mirrors the CI ``docs`` job so a broken link or a stale example in
-``docs/CONFIGURATION.md`` fails locally too, not just on GitHub.
+The link checker runs over the default doc set, and the examples in
+``docs/CONFIGURATION.md`` and ``docs/COMPRESSION.md`` run under
+doctest with its default flags, as ``python -m doctest`` runs them.
 """
 
 import doctest
@@ -60,13 +61,21 @@ class TestLinkChecker:
         assert check_links.github_slug("Same", seen) == "same-1"
 
 
+def _doctest(name: str):
+    return doctest.testfile(
+        str(REPO_ROOT / "docs" / name), module_relative=False
+    )
+
+
 class TestConfigurationDoctests:
     def test_examples_execute(self):
-        results = doctest.testfile(
-            str(REPO_ROOT / "docs" / "CONFIGURATION.md"),
-            module_relative=False,
-            optionflags=doctest.IGNORE_EXCEPTION_DETAIL,
-        )
+        results = _doctest("CONFIGURATION.md")
         assert results.attempted >= 5, "CONFIGURATION.md lost its examples"
         assert results.failed == 0
 
+
+class TestCompressionDoctests:
+    def test_examples_execute(self):
+        results = _doctest("COMPRESSION.md")
+        assert results.attempted >= 5, "COMPRESSION.md lost its examples"
+        assert results.failed == 0

@@ -7,9 +7,27 @@ the *shape* of the paper's results, per DESIGN.md section 5.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro import nvsim, prism, sim, workloads
+from repro import nvsim, prism, sim, units, workloads
+from repro.cells import JAN, KANG, SRAM, XUE
+from repro.correlate import pearson
+from repro.nvsim import CacheDesign, generate_llc_model
+
+
+def _versus_baseline(session, models, baseline=None):
+    """Each named model's result on ``session``, normalized to the
+    baseline model (the published SRAM LLC unless given)."""
+    base = session.run(baseline or nvsim.sram_baseline())
+    return {
+        name: sim.normalize(session.run(model), base)
+        for name, model in models.items()
+    }
+
+
+def _published(*names):
+    return {name: nvsim.published_model(name) for name in names}
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +126,94 @@ class TestAblations:
             <= default.read_local_entropy
             <= fine.read_local_entropy
         )
+
+    def test_llc_writes_on_the_critical_path(self):
+        """Section V-A-7: the paper's simulator hides LLC write latency.
+        Hidden, even Zhang_R's 300 ns writes barely dent runtime;
+        exposed, they throttle the slow-write technologies."""
+        trace = workloads.generate_trace("deepsjeng", n_accesses=60_000)
+        models = _published("Xue_S", "Zhang_R")
+        hidden = _versus_baseline(sim.SimulationSession(trace), models)
+        exposed_arch = dataclasses.replace(
+            sim.gainestown(), llc_write_backpressure=1.0
+        )
+        exposed = _versus_baseline(
+            sim.SimulationSession(trace, arch=exposed_arch), models
+        )
+        assert hidden["Zhang_R"].speedup > 0.95
+        assert exposed["Zhang_R"].speedup < 0.8
+        assert exposed["Xue_S"].speedup > exposed["Zhang_R"].speedup
+
+    @pytest.mark.parametrize("source", ["published", "generated"])
+    def test_conclusions_survive_the_model_source(self, source):
+        """Swapping Table III for the analytical circuit models keeps
+        who wins on energy and the near-unity speedups."""
+        session = sim.SimulationSession(
+            workloads.generate_trace("bzip2", n_accesses=80_000)
+        )
+        if source == "published":
+            results = _versus_baseline(
+                session, _published("Kang_P", "Jan_S", "Xue_S")
+            )
+        else:
+            design = CacheDesign(capacity_bytes=2 * units.MB)
+            results = _versus_baseline(
+                session,
+                {
+                    cell.display_name: generate_llc_model(cell, design)
+                    for cell in (KANG, JAN, XUE)
+                },
+                baseline=generate_llc_model(SRAM, design),
+            )
+        assert results["Jan_S"].energy_ratio < 0.3
+        assert results["Kang_P"].energy_ratio > results["Xue_S"].energy_ratio
+        assert 0.9 < results["Xue_S"].speedup < 1.1
+
+    def test_figure4_correlation_survives_the_entropy_page_size(self):
+        """Figure 4's AI-scope link between write local entropy and
+        Jan_S energy holds at skip bits M = 6 and 12, not only at the
+        paper's M = 10."""
+        traces = [
+            workloads.generate_trace(name, n_accesses=60_000)
+            for name in ("deepsjeng", "leela", "exchange2")
+        ]
+        energies = np.array([
+            _versus_baseline(
+                sim.SimulationSession(trace), _published("Jan_S")
+            )["Jan_S"].energy_ratio
+            for trace in traces
+        ])
+
+        def strength(skip_bits):
+            entropies = np.array([
+                prism.extract_features(
+                    trace, skip_bits=skip_bits
+                ).write_local_entropy
+                for trace in traces
+            ])
+            return abs(pearson(entropies, energies))
+
+        assert strength(10) > 0.8
+        assert strength(6) > 0.6
+        assert strength(12) > 0.6
+
+    def test_energy_winners_survive_the_llc_replacement_policy(self):
+        """The NVM energy conclusions do not hinge on LRU, and random
+        replacement beats LRU on bzip2's cyclic sweep."""
+        trace = workloads.generate_trace("bzip2")  # full length: >1 sweep pass
+        mpki = {}
+        for policy in ("lru", "random", "srrip"):
+            arch = dataclasses.replace(
+                sim.gainestown(), llc_replacement=policy
+            )
+            session = sim.SimulationSession(trace, arch=arch)
+            results = _versus_baseline(session, _published("Jan_S", "Kang_P"))
+            assert results["Jan_S"].energy_ratio < 0.3, policy
+            assert (
+                results["Kang_P"].energy_ratio > results["Jan_S"].energy_ratio
+            ), policy
+            mpki[policy] = session.run(nvsim.sram_baseline()).mpki
+        assert mpki["random"] < mpki["lru"]
 
 
 class TestCrossModuleConsistency:
