@@ -23,7 +23,7 @@ Subcommands (each prints a small report to stdout):
 
 The global ``--metrics`` flag (before the subcommand) collects
 :mod:`repro.obs` telemetry for the invocation — replay events, cache
-hits, engine usage — and prints the summary to stderr afterwards.
+hits — and prints the summary to stderr afterwards.
 The global ``--validate`` flag (or ``REPRO_VALIDATE``) selects the
 input/output validation policy: ``strict`` (default), ``lenient`` or
 ``off`` — see :mod:`repro.validate`.

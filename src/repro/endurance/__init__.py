@@ -13,7 +13,7 @@ from repro.endurance.model import (
     EnduranceSpec,
     endurance_of,
 )
-from repro.endurance.wear import WearSummary, replay_with_wear, wear_from_counts
+from repro.endurance.wear import WearSummary, replay_with_wear
 
 __all__ = [
     "LifetimeEstimate",
@@ -24,5 +24,4 @@ __all__ = [
     "endurance_of",
     "WearSummary",
     "replay_with_wear",
-    "wear_from_counts",
 ]

@@ -37,7 +37,7 @@ class LifetimeEstimate:
     cell_class: CellClass
     window_s: float
     total_write_rate: float  # data-array writes per second
-    hottest_line_rate: float  # writes/second into the hottest frame
+    hottest_line_rate: float  # writes/second into the hottest line
     unleveled_years: Optional[float]
     leveled_years: Optional[float]
     #: Fraction of a frame's cells programmed per write (1.0 = every

@@ -10,32 +10,31 @@ the intra-set write-variation literature the paper cites [20], [38],
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.sim.cache import SetAssocCache
 from repro.sim.hierarchy import LLCStream
-from repro.sim.llc import LLCCounts
 
 
 @dataclass
 class WearSummary:
     """Distribution statistics of data-array write wear.
 
-    ``line`` granularity is a physical cache frame (set x way is
-    approximated by set-level accounting divided by associativity for
-    the leveled case; the tracker records exact per-set counts and the
-    maximum per-line count within each set).
+    Set counts are exact.  ``hottest_line_writes`` is counted per block
+    address (the replayed id, which a wear leveler remaps), not per
+    physical frame: a block re-installed in another way carries its
+    count along, and a frame that holds several blocks in turn splits
+    its writes among them.
     """
 
     n_sets: int
     associativity: int
     total_writes: int
     set_writes: np.ndarray  # writes landing in each set
-    hottest_line_writes: int  # max writes to a single frame
+    hottest_line_writes: int  # max writes to a single block address
 
     @property
     def mean_set_writes(self) -> float:
@@ -101,9 +100,3 @@ def replay_with_wear(
         hottest_line_writes=hottest,
     )
 
-
-def wear_from_counts(counts: LLCCounts) -> int:
-    """Total data-array writes implied by aggregate counts (fills plus
-    writeback traffic) — a fast proxy when the distribution is not
-    needed."""
-    return counts.data_writes

@@ -118,10 +118,10 @@ class CheckpointError(ReproError):
 class CompressionError(ReproError):
     """The compressed-LLC model was misconfigured.
 
-    Raised by :mod:`repro.techniques.compression` for an invalid
-    compacted-way tag factor (``REPRO_COMPRESS_TAG_FACTOR``), a
-    compressed-size function that returns sizes outside
-    ``(0, block_bytes]``, or an unusable compressibility distribution.
+    Raised by :mod:`repro.techniques.compression` for a compacted-way
+    tag factor below 1, a compressed-size function that returns sizes
+    outside ``(0, block_bytes]``, or an unusable compressibility
+    distribution.
     """
 
     code = "COMPRESS"

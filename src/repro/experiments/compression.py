@@ -115,6 +115,8 @@ def run(
                     context.arch.llc_associativity,
                     context.arch.llc_block_bytes,
                     context.arch.n_cores,
+                    context.arch.mlp_window_instructions,
+                    context.arch.max_mlp,
                 )
                 comp = guard_compression(
                     replay_with_technique(
@@ -124,6 +126,8 @@ def run(
                         context.arch.llc_associativity,
                         context.arch.llc_block_bytes,
                         context.arch.n_cores,
+                        context.arch.mlp_window_instructions,
+                        context.arch.max_mlp,
                     ),
                     subject=f"compressed replay {workload}",
                 )

@@ -3,13 +3,12 @@
 Regenerates every table and figure of the paper and prints them as
 text tables.  ``--scale`` shortens traces for quick runs; ``--only``
 restricts to a subset of experiments; ``--jobs`` fans simulation cells
-out over worker processes; ``--engine`` picks the (bit-identical)
-replay engine for the run and its workers.
+out over worker processes.
 
 Observability (:mod:`repro.obs`): ``--metrics`` collects run telemetry —
-per-experiment spans, replay-cache hit rates, per-worker cell timings,
-engine usage — and writes ``manifest.json`` + ``metrics.json`` beside
-the run's results (next to ``--write``'s report when given, else under
+per-experiment spans, replay-cache hit rates, per-worker cell timings —
+and writes ``manifest.json`` + ``metrics.json`` beside the run's
+results (next to ``--write``'s report when given, else under
 ``results/``); ``--trace-file`` additionally streams every completed
 span as JSON lines.  ``repro-experiments metrics-summary RESULTS_DIR``
 renders a saved pair back as a human-readable report.
@@ -162,7 +161,6 @@ def _run_settings(
     policy=None,
 ) -> dict:
     """The provenance settings recorded in the run manifest."""
-    from repro.sim.engine import resolve_engine
     from repro.sim.parallel import resolve_jobs
     from repro.sim.replay_cache import cache_enabled, default_cache_dir
     from repro.validate.policy import current_policy
@@ -172,7 +170,6 @@ def _run_settings(
         "seed": seed,
         "only": only,
         "jobs": resolve_jobs(jobs),
-        "engine": resolve_engine(None),
         "cache_dir": str(default_cache_dir()),
         "cache_enabled": cache_enabled(),
         "write_path": write_path,
@@ -199,7 +196,6 @@ def run_all(
     cell_timeout: Optional[float] = None,
     cell_retries: Optional[int] = None,
     validate: Optional[str] = None,
-    engine: Optional[str] = None,
     dse: bool = False,
 ) -> None:
     """Run the requested experiments; print renders and optionally write
@@ -220,24 +216,14 @@ def run_all(
     ``cell_timeout`` / ``cell_retries`` configure the sweep fault
     policy (:class:`~repro.sim.parallel.FaultPolicy`).
 
-    ``engine`` selects the replay engine for the whole run (every
-    engine is bit-identical; see :mod:`repro.sim.engine`).  It is
-    exported to ``$REPRO_SIM_ENGINE`` so parallel workers replay with
-    the same engine; ``None`` defers to the environment.
-
     ``dse`` runs the design-space exploration
     (:mod:`repro.experiments.dse`) instead of the paper set — shorthand
     for ``only="dse"``.
     """
     from repro.report.builder import ReportBuilder
     from repro.sim.checkpoint import CheckpointJournal
-    from repro.sim.engine import ENGINE_ENV, resolve_engine
     from repro.sim.parallel import FaultPolicy
     from repro.workloads.generators import DEFAULT_SEED
-
-    if engine is not None:
-        # Validate eagerly, then export: workers inherit the choice.
-        os.environ[ENGINE_ENV] = resolve_engine(engine)
 
     if dse:
         if only is not None and only != DSE_EXPERIMENT:
@@ -288,10 +274,7 @@ def run_all(
         title="NVM-LLC reproduction — experiment report",
         scale=scale,
         seed=DEFAULT_SEED,
-        provenance=[
-            f"engine: {settings['engine']}",
-            f"jobs: {settings['jobs']}",
-        ],
+        provenance=[f"jobs: {settings['jobs']}"],
     )
 
     def emit(title: str, text: str, elapsed: float) -> None:
@@ -440,17 +423,6 @@ def main(argv: Optional[list] = None) -> int:
         default=1,
         help="worker processes for simulation cells (0 = one per CPU)",
     )
-    from repro.sim.engine import ENGINE_ALIASES, ENGINES
-
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES + tuple(ENGINE_ALIASES),
-        metavar="{" + ",".join(ENGINES) + "}",
-        default=None,
-        help="replay engine for the run — both are bit-identical; the "
-        "deprecated name fast means vector "
-        "(also: REPRO_SIM_ENGINE; default: vector)",
-    )
     checkpoint_group = parser.add_mutually_exclusive_group()
     checkpoint_group.add_argument(
         "--run-dir",
@@ -527,7 +499,6 @@ def main(argv: Optional[list] = None) -> int:
             cell_timeout=args.cell_timeout,
             cell_retries=args.cell_retries,
             validate=args.validate,
-            engine=args.engine,
             dse=args.dse,
         )
     except PartialResultError as error:

@@ -8,7 +8,7 @@ imported from the layers it observes):
   helpers that no-op when no registry is installed;
 - :mod:`repro.obs.manifest` — ``manifest.json`` + ``metrics.json``
   writers/loaders giving every instrumented run a provenance record
-  (config digest, seed, engine/cache/jobs settings, package version,
+  (config digest, seed, cache/jobs settings, package version,
   per-stage timings);
 - :mod:`repro.obs.report` — the ``repro-experiments metrics-summary``
   renderer;
@@ -25,7 +25,7 @@ Switch collection on with ``repro-experiments --metrics`` (or
     obs.disable()
 
 Instrumented layers: :mod:`repro.sim.hierarchy` /
-:mod:`repro.sim.llc` (replay events per engine),
+:mod:`repro.sim.llc` (replay events),
 :mod:`repro.sim.replay_cache` (hit/miss/corrupt/bytes),
 :mod:`repro.sim.parallel` (per-worker cell timings merged across the
 pool boundary), :mod:`repro.experiments` (per-experiment spans) and

@@ -3,7 +3,7 @@
 A run that collects metrics drops two files next to its results:
 
 - ``manifest.json`` — *what ran*: package version, python/platform,
-  creation time, the run settings (scale, seed, engine, cache
+  creation time, the run settings (scale, seed, cache
   configuration, jobs, …), a stable :func:`config_digest` of those
   settings, and per-stage wall-clock timings derived from the top-level
   spans;

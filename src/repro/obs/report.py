@@ -3,7 +3,7 @@
 ``repro-experiments metrics-summary RESULTS_DIR`` ends up in
 :func:`render_summary`: given a metrics snapshot (and optionally its
 manifest) it prints the run's provenance, headline rates (replay-cache
-hit rate, engine share), per-stage/experiment spans, per-worker cell
+hit rate, LLC demand hit rate), per-stage/experiment spans, per-worker cell
 timings, the timer histograms, and the raw counters — everything needed
 to see where a sweep's wall-clock went without re-running it.
 
@@ -108,30 +108,6 @@ def headline_rates(counters: Dict[str, float]) -> List[str]:
             faults.append(f"{_fmt_count(value)} {label}")
     if faults:
         lines.append("fault recovery: " + ", ".join(faults))
-    # Engine mix per stage: the share served by any engine but the
-    # reference loop, with the per-engine breakdown alongside.  Engine
-    # names are read from the counters, so snapshots that record a
-    # retired engine name still summarise.
-    for stage in ("private_replays", "llc_replays"):
-        prefix, suffix = "sim.engine.", "." + stage
-        by_engine = {
-            name[len(prefix):-len(suffix)]: count
-            for name, count in sorted(counters.items())
-            if name.startswith(prefix) and name.endswith(suffix)
-        }
-        total = sum(by_engine.values())
-        accelerated = total - by_engine.get("reference", 0)
-        share = _ratio(accelerated, total)
-        if share is not None:
-            breakdown = " / ".join(
-                f"{_fmt_count(count)} {eng}"
-                for eng, count in by_engine.items()
-                if count
-            )
-            lines.append(
-                f"{stage.replace('_', ' ')} served by accelerated engines: "
-                f"{share:.1%} ({breakdown})"
-            )
     llc_reads = counters.get("sim.llc.read_lookups", 0)
     llc_read_hits = counters.get("sim.llc.read_hits", 0)
     hit_rate = _ratio(llc_read_hits, llc_reads)

@@ -22,7 +22,7 @@ class ReportBuilder:
     title: str
     scale: float = 1.0
     seed: int = 0
-    #: Extra provenance bullets for the header (engine, jobs, digests …).
+    #: Extra provenance bullets for the header (jobs, digests …).
     provenance: List[str] = field(default_factory=list)
     _sections: List[str] = field(default_factory=list)
 

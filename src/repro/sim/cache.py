@@ -9,12 +9,12 @@ The workhorse of the hierarchy simulation.  Implementation notes:
 - Addresses are *block* addresses (byte address >> 6); the cache never
   sees offsets.
 
-This class defines the replacement semantics every engine must match
-bit-for-bit (see :mod:`repro.sim.engine`): set index is ``block %
-n_sets``; the LRU victim is the least-recently *touched* line (empty
-ways fill before any eviction); a hit refreshes recency and keeps the
-dirty flag sticky (``dirty or is_write``); a miss installs the block
-with the access's write flag.  The vector engine reproduces exactly
+This class defines the replacement semantics the production replay
+loops must match bit-for-bit (see :mod:`repro.sim.engine`): set index
+is ``block % n_sets``; the LRU victim is the least-recently *touched*
+line (empty ways fill before any eviction); a hit refreshes recency and
+keeps the dirty flag sticky (``dirty or is_write``); a miss installs the
+block with the access's write flag.  The vector LLC rounds reproduce exactly
 this with per-way age counters instead of dict order.
 """
 

@@ -1,30 +1,26 @@
-"""Batched and vectorized cache-replay engines.
+"""The production replay loops: a batched private filter and vector LLC rounds.
 
-The reference simulators (:mod:`repro.sim.hierarchy`,
-:mod:`repro.sim.llc`) spend ~95% of an experiment run in two pure-Python
-per-access loops built on :class:`~repro.sim.cache.SetAssocCache`.  Each
-access pays for numpy scalar indexing, a method dispatch, an
+The reference simulators (:func:`repro.sim.hierarchy.filter_private_reference`,
+:func:`repro.sim.llc.simulate_llc_reference`) are pure-Python per-access
+loops built on :class:`~repro.sim.cache.SetAssocCache`.  Each access pays
+for numpy scalar indexing, a method dispatch, an
 :class:`~repro.sim.cache.AccessOutcome` allocation and several dataclass
-attribute updates — none of which change the simulated events.
+attribute updates — none of which change the simulated events.  They
+stay as the semantic ground truth and the differential-test oracle;
+every run replays through this module instead:
 
-Two engines share one contract (bit-identical events):
-
-- ``reference`` — the dict-of-caches per-access loops, any replacement
-  policy; the semantic ground truth and the differential-test oracle.
-- ``vector`` (the default) — the private hierarchy replays through
-  :func:`filter_private_fast`, a batched flat loop (3–5x: its
-  L1/L2/coherence interplay is control-flow-bound, not replay-bound),
-  and the shared LLC replays the whole trace as numpy rounds
-  (:func:`simulate_llc_vector`, ~10–18x over reference): accesses are
-  grouped by set index once and resolved in *rounds* — round ``t``
-  replays the ``t``-th access of every set simultaneously with
-  array-based tag matching and an age-based LRU stack, so the
+- the private hierarchy through :func:`filter_private_fast`, a batched
+  flat loop (3–5x: its L1/L2/coherence interplay is control-flow-bound,
+  not replay-bound);
+- the shared LLC, under LRU, as numpy rounds over the whole trace
+  (:func:`simulate_llc_vector`, ~10–18x over the reference loop):
+  accesses are grouped by set index once and resolved in *rounds* —
+  round ``t`` replays the ``t``-th access of every set simultaneously
+  with array-based tag matching and an age-based LRU stack, so the
   Python-level loop runs ``max accesses-per-set`` times instead of once
-  per access.
-
-``fast``, the name of a retired batched LLC loop, is still accepted as a
-deprecated alias: :func:`resolve_engine` maps it to ``vector``, so
-counters and manifests record ``vector``.
+  per access.  :func:`repro.sim.llc.simulate_llc` sends every other
+  replacement policy to the reference loop; ``policy`` is the only
+  thing that selects a replay path.
 
 The batched private loop replays the same streams through the same LRU
 semantics as the reference:
@@ -41,31 +37,24 @@ semantics as the reference:
   path otherwise), and the single-threaded loop carries no coherence
   checks at all.
 
-The engines are *bit-identical* by construction: every branch mirrors a
-branch of ``SetAssocCache.access``/``fill``/``invalidate`` and
-``FullMapDirectory.on_fill``/``on_evict`` (the property suite in
-``tests/property/test_engine_equivalence.py`` enforces this on
-randomized streams, including the prefetch ``fill`` and coherence
-``invalidate`` paths).  Selection is via the ``engine=`` argument of
-:func:`repro.sim.hierarchy.filter_private` /
-:func:`repro.sim.llc.simulate_llc`, defaulting to the value of the
-``REPRO_SIM_ENGINE`` environment variable (``vector`` when unset).
-
 Invariants
 ----------
 
-- **Bit-identical outputs.** For every trace and architecture, the
-  vector and reference engines produce equal
+- **Bit-identical outputs.** For every trace and architecture, these
+  loops and the reference loops produce equal
   :class:`~repro.sim.hierarchy.PrivateResult` and
   :class:`~repro.sim.llc.LLCCounts` — same event counts, same LLC
   stream, same directory statistics, in the same order, for any block
-  id in the uint64 range.  Any divergence is a bug; bump
+  id in the uint64 range.  Every branch mirrors a branch of
+  ``SetAssocCache.access``/``fill``/``invalidate`` and
+  ``FullMapDirectory.on_fill``/``on_evict``;
+  ``tests/property/test_replay_conformance.py`` enforces it on
+  adversarial streams.  Any divergence is a bug; bump
   :data:`repro.sim.replay_cache.CACHE_VERSION` whenever replay semantics
   intentionally change.
-- **LRU only.** The vector LLC path implements LRU; non-LRU policies
-  are always routed to the reference loop by the dispatcher.
-- **No per-access observability.** The engine loops carry no metrics
-  hooks — instrumentation lives in the dispatchers
+- **LRU only.** The vector LLC rounds implement LRU.
+- **No per-access observability.** The loops carry no metrics hooks —
+  instrumentation lives in the callers
   (:func:`~repro.sim.hierarchy.filter_private`,
   :func:`~repro.sim.llc.simulate_llc`), which record the already-computed
   totals after the loop, so enabling :mod:`repro.obs` never slows the
@@ -74,8 +63,7 @@ Invariants
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -85,33 +73,17 @@ from repro.sim.directory import FullMapDirectory
 from repro.trace.access import BLOCK_BITS
 from repro.trace.stream import Trace
 
-#: Engine names accepted by the ``engine=`` switches.
-ENGINES = ("reference", "vector")
-
-#: Deprecated engine names and the engine each resolves to.
-ENGINE_ALIASES = {"fast": "vector"}
-
-#: Environment variable overriding the default engine.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-
 #: Sentinel distinguishing "absent" from a stored False dirty flag.
 _MISS = object()
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an ``engine=`` argument to a concrete engine name.
+def resolve_engine(engine: None = None) -> str:
+    """The replay engine's name for provenance: always ``"vector"``.
 
-    ``None`` falls back to ``$REPRO_SIM_ENGINE``, then to ``"vector"``;
-    the deprecated ``"fast"`` resolves to ``"vector"``.
+    Every run takes the same loops, so there is nothing to resolve;
+    benchmark host fingerprints still record the name.
     """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "vector"
-    engine = ENGINE_ALIASES.get(engine, engine)
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; known: {', '.join(ENGINES)}"
-        )
-    return engine
+    return "vector"
 
 
 def _check_geometry(capacity_bytes: int, block_bytes: int, associativity: int) -> int:
@@ -155,10 +127,10 @@ def simulate_llc_vector(
 ):
     """Whole-trace vectorized LRU replay of an LLC stream.
 
-    Mirrors :func:`repro.sim.llc.simulate_llc` with ``policy="lru"``;
-    returns an identical :class:`~repro.sim.llc.LLCCounts` to the
-    reference engine for any uint64 block ids (the property suite pins
-    this).
+    Mirrors :func:`repro.sim.llc.simulate_llc_reference` with
+    ``policy="lru"``: returns an identical
+    :class:`~repro.sim.llc.LLCCounts` for any uint64 block ids (the
+    conformance suite pins this).
 
     Algorithm — *rounds lockstep over sets*:
 
@@ -172,7 +144,7 @@ def simulate_llc_vector(
     3. Replay round by round on flat state arrays ``tags`` / ``dirty``
        / ``age`` of shape ``(n_rows * assoc,)``, all zero at the start.
        The LRU victim is ``argmin(age)``: empty ways carry age 0 and
-       fill lowest-index first, exactly the reference engine's install
+       fill lowest-index first, exactly the reference loop's install
        order, and evicting an empty way is indistinguishable from
        installing into it because an empty way is never dirty.  Since
        the LLC never invalidates, the filled ways of a row are always a
@@ -190,7 +162,7 @@ def simulate_llc_vector(
     interpreter loop runs ``max accesses-per-set`` times (tens) instead
     of once per access (tens of thousands).
     """
-    from repro.sim.llc import LLCCounts, estimate_mlp
+    from repro.sim.llc import LLCCounts, per_core_mlp
 
     n_sets = _check_geometry(capacity_bytes, block_bytes, associativity)
     assoc = associativity
@@ -297,7 +269,6 @@ def simulate_llc_vector(
     read_hit = hit_out & reads
     read_miss = ~hit_out & reads
     cores = np.asarray(stream.cores, dtype=np.int64)
-    positions = np.asarray(stream.instr_positions)
 
     counts = LLCCounts(capacity_bytes=capacity_bytes, associativity=associativity)
     counts.read_hits = int(read_hit.sum())
@@ -313,22 +284,18 @@ def simulate_llc_vector(
     counts.per_core_read_misses = np.bincount(
         cores[read_miss], minlength=n_cores
     ).tolist()
-    counts.per_core_mlp = [
-        estimate_mlp(
-            positions[read_miss & (cores == c)].astype(np.uint64),
-            mlp_window,
-            mlp_ceiling,
-        )
-        for c in range(n_cores)
-    ]
+    counts.per_core_mlp = per_core_mlp(
+        stream, read_miss, n_cores, mlp_window, mlp_ceiling
+    )
     return counts
 
 
 def filter_private_fast(trace: Trace, arch: ArchitectureConfig):
     """Batched replay of a trace through the per-core L1D/L2 levels.
 
-    Mirrors :func:`repro.sim.hierarchy.filter_private` event-for-event:
-    identical LLC stream, per-core counters and directory statistics.
+    Mirrors :func:`repro.sim.hierarchy.filter_private_reference`
+    event-for-event: identical LLC stream, per-core counters and
+    directory statistics.
     """
     from repro.sim.hierarchy import CoreCounters, LLCStream, PrivateResult
 

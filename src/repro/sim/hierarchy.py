@@ -13,12 +13,11 @@ every LLC technology and configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.obs import metrics as _metrics
 from repro.sim.cache import SetAssocCache
 from repro.sim.config import ArchitectureConfig
@@ -88,38 +87,26 @@ class PrivateResult:
         return sum(c.accesses for c in self.per_core)
 
 
-def filter_private(
-    trace: Trace, arch: ArchitectureConfig, engine: Optional[str] = None
-) -> PrivateResult:
+def filter_private(trace: Trace, arch: ArchitectureConfig) -> PrivateResult:
     """Replay a trace through per-core L1D/L2 and emit the LLC stream.
 
     Threads map to cores by id modulo ``arch.n_cores``.  Multi-threaded
     traces additionally exercise the full-map directory: stores to blocks
     shared across cores invalidate remote copies, and modified remote
-    copies are written back through the LLC.
-
-    ``engine`` selects the replay implementation: ``"vector"`` (the
-    default, served here by the batched loop
-    :func:`repro.sim.engine.filter_private_fast`) or ``"reference"``
-    (the dict-of-caches loop below).  Both produce identical results;
-    ``None`` defers to ``$REPRO_SIM_ENGINE``.
+    copies are written back through the LLC.  The batched loop
+    :func:`repro.sim.engine.filter_private_fast` serves every call;
+    :func:`filter_private_reference` is its oracle.
 
     When run metrics are enabled (:mod:`repro.obs`), the replay is
     wrapped in a ``sim.private_replay`` span and the per-level event
     totals — accesses, L1/L2 hits and misses, emitted LLC stream traffic,
-    coherence invalidations — are recorded, tagged with the resolved
-    engine name.
+    coherence invalidations — are recorded.
     """
-    from repro.sim.engine import filter_private_fast, resolve_engine
+    from repro.sim.engine import filter_private_fast
 
-    eng = resolve_engine(engine)
     with _metrics.span("sim.private_replay"):
-        if eng == "vector":
-            result = filter_private_fast(trace, arch)
-        else:
-            result = _filter_private_reference(trace, arch)
+        result = filter_private_fast(trace, arch)
     if _metrics.enabled():
-        _metrics.counter_add(f"sim.engine.{eng}.private_replays")
         _metrics.counter_add("sim.private.accesses", len(trace))
         _metrics.counter_add(
             "sim.l1.hits", sum(c.l1_hits for c in result.per_core)
@@ -141,8 +128,11 @@ def filter_private(
     return result
 
 
-def _filter_private_reference(trace: Trace, arch: ArchitectureConfig) -> PrivateResult:
-    """The reference dict-of-caches private-level replay."""
+def filter_private_reference(
+    trace: Trace, arch: ArchitectureConfig
+) -> PrivateResult:
+    """The dict-of-caches private-level replay: the semantic ground
+    truth :func:`filter_private` must match event for event."""
     n_cores = arch.n_cores
     l1 = [
         SetAssocCache(arch.l1d.capacity_bytes, arch.l1d.block_bytes, arch.l1d.associativity)

@@ -17,13 +17,12 @@ not once per miss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.obs import metrics as _metrics
-from repro.sim.cache import SetAssocCache
 from repro.sim.hierarchy import LLCStream
 from repro.sim.replacement import make_cache
 
@@ -103,6 +102,22 @@ def estimate_mlp(
     return float(min(ceiling, max(1.0, n / clusters)))
 
 
+def per_core_mlp(
+    stream: LLCStream, read_miss: np.ndarray, n_cores: int,
+    window: int, ceiling: float,
+) -> List[float]:
+    """:func:`estimate_mlp` per core from a stream-order read-miss mask."""
+    cores = np.asarray(stream.cores, dtype=np.int64)
+    positions = np.asarray(stream.instr_positions)
+    return [
+        estimate_mlp(
+            positions[read_miss & (cores == c)].astype(np.uint64),
+            window, ceiling,
+        )
+        for c in range(n_cores)
+    ]
+
+
 def simulate_llc(
     stream: LLCStream,
     capacity_bytes: int,
@@ -112,48 +127,37 @@ def simulate_llc(
     mlp_window: int = 128,
     mlp_ceiling: float = 6.0,
     policy: str = "lru",
-    engine: Optional[str] = None,
 ) -> LLCCounts:
     """Replay the LLC stream through one shared cache geometry.
 
     ``policy`` selects the replacement policy (lru/random/srrip); the
-    paper's configuration is LRU.  ``engine`` selects the replay
-    implementation (see :mod:`repro.sim.engine`): ``"vector"`` (the
-    default) or ``"reference"``.  The vector engine implements LRU only,
-    so other policies always use the reference loop.
+    paper's configuration is LRU, which replays as vector rounds
+    (:func:`repro.sim.engine.simulate_llc_vector`).  Other policies take
+    the per-access loop, :func:`simulate_llc_reference`, which is also
+    the LRU rounds' oracle.
 
     When run metrics are enabled (:mod:`repro.obs`), the replay is
     wrapped in a ``sim.llc_replay`` span and the event totals — lookups,
     hits/misses split by read/write, dirty writebacks to DRAM — are
-    recorded, tagged with the engine that served the call.
+    recorded.
     """
-    from repro.sim.engine import resolve_engine, simulate_llc_vector
+    from repro.sim.engine import simulate_llc_vector
 
-    eng = resolve_engine(engine) if policy == "lru" else "reference"
+    geometry = dict(
+        associativity=associativity,
+        block_bytes=block_bytes,
+        n_cores=n_cores,
+        mlp_window=mlp_window,
+        mlp_ceiling=mlp_ceiling,
+    )
     with _metrics.span("sim.llc_replay"):
-        if eng == "vector":
-            counts = simulate_llc_vector(
-                stream,
-                capacity_bytes,
-                associativity=associativity,
-                block_bytes=block_bytes,
-                n_cores=n_cores,
-                mlp_window=mlp_window,
-                mlp_ceiling=mlp_ceiling,
-            )
+        if policy == "lru":
+            counts = simulate_llc_vector(stream, capacity_bytes, **geometry)
         else:
-            counts = _simulate_llc_reference(
-                stream,
-                capacity_bytes,
-                associativity=associativity,
-                block_bytes=block_bytes,
-                n_cores=n_cores,
-                mlp_window=mlp_window,
-                mlp_ceiling=mlp_ceiling,
-                policy=policy,
+            counts = simulate_llc_reference(
+                stream, capacity_bytes, policy=policy, **geometry
             )
     if _metrics.enabled():
-        _metrics.counter_add(f"sim.engine.{eng}.llc_replays")
         _metrics.counter_add("sim.llc.accesses", len(stream))
         _metrics.counter_add("sim.llc.read_lookups", counts.read_lookups)
         _metrics.counter_add("sim.llc.read_hits", counts.read_hits)
@@ -164,17 +168,18 @@ def simulate_llc(
     return counts
 
 
-def _simulate_llc_reference(
+def simulate_llc_reference(
     stream: LLCStream,
     capacity_bytes: int,
-    associativity: int,
-    block_bytes: int,
-    n_cores: int,
-    mlp_window: int,
-    mlp_ceiling: float,
-    policy: str,
+    associativity: int = 16,
+    block_bytes: int = 64,
+    n_cores: int = 4,
+    mlp_window: int = 128,
+    mlp_ceiling: float = 6.0,
+    policy: str = "lru",
 ) -> LLCCounts:
-    """The reference per-access LLC replay (any replacement policy)."""
+    """The per-access LLC replay (any replacement policy): the semantic
+    ground truth :func:`simulate_llc` must match on every field."""
     cache = make_cache(capacity_bytes, block_bytes, associativity, policy)
     counts = LLCCounts(capacity_bytes=capacity_bytes, associativity=associativity)
     read_hits = [0] * n_cores

@@ -12,7 +12,7 @@ Keys are *content-addressed*: the trace fingerprint hashes the raw
 column bytes (not the generator seed), so any trace — synthetic, loaded
 from a file, or hand-built — caches correctly, and regenerating the same
 (workload, seed, length) trace in another process produces the same key.
-The engine version is part of every key; bump :data:`CACHE_VERSION`
+The cache version is part of every key; bump :data:`CACHE_VERSION`
 whenever replay semantics change to invalidate stale entries.
 
 Configuration (environment):
@@ -28,10 +28,9 @@ atomic writes, quarantine, the live-set LRU cap, the temp sweep and the
 failure policy: a write that fails (full disk, unwritable
 ``REPRO_CACHE_DIR``) is counted in ``replay_cache.errors``, warned
 about once, and the run carries on exactly as with a working cache.
-This module adds the keys, the pickle codec and the provenance
-envelope.  Traces shorter than ``min_accesses`` are not cached:
-unit-test and hypothesis traces would otherwise litter the cache with
-thousands of tiny files.
+This module adds the keys and the pickle codec.  Traces shorter than
+``min_accesses`` are not cached: unit-test and hypothesis traces would
+otherwise litter the cache with thousands of tiny files.
 
 Invariants
 ----------
@@ -54,7 +53,7 @@ import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.sim.config import ArchitectureConfig
 from repro.store import BlobStore, env_max_bytes, unseal
@@ -80,25 +79,18 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 #: Traces shorter than this are never cached (tests, tiny tools).
 DEFAULT_MIN_ACCESSES = 10_000
 
-#: Marker key of the optional metadata envelope around a stored value.
-#: Every engine produces bit-identical replay objects (pinned by the
-#: equivalence suite), so metadata is provenance only — it never enters
-#: the cache key and :data:`CACHE_VERSION` is unaffected by it.
+#: Marker key of the provenance envelope earlier versions wrapped some
+#: entries in (``{META_KEY: {...}, "value": value}``).  Nothing writes
+#: it any more; :meth:`ReplayCache.get` still unwraps it, so those
+#: entries stay valid without a :data:`CACHE_VERSION` bump.
 META_KEY = "__replay_cache_meta__"
 
 
-def _wrap(value: Any, meta: Optional[dict]) -> Any:
-    """Envelope a value with provenance metadata (no-op without meta)."""
-    if not meta:
-        return value
-    return {META_KEY: dict(meta), "value": value}
-
-
-def _split(obj: Any) -> Tuple[Any, dict]:
-    """Undo :func:`_wrap`; pre-metadata entries yield empty metadata."""
+def _unwrap(obj: Any) -> Any:
+    """The stored value, without an older entry's provenance envelope."""
     if isinstance(obj, dict) and META_KEY in obj:
-        return obj["value"], obj[META_KEY]
-    return obj, {}
+        return obj["value"]
+    return obj
 
 
 def default_cache_dir() -> Path:
@@ -240,34 +232,12 @@ class ReplayCache(BlobStore):
         if not self.enabled:
             return None
         stored = self.read(key, pickle.loads)
-        return None if stored is None else _split(stored)[0]
+        return None if stored is None else _unwrap(stored)
 
-    def put(self, key: str, value: Any, meta: Optional[dict] = None) -> None:
-        """Store a value (atomic, concurrent-writer safe, size-capped).
-
-        ``meta`` attaches provenance (e.g. the producing engine) in an
-        envelope around the value; it is invisible to :meth:`get` —
-        which unwraps — and readable via :meth:`entry_meta`.
-        """
+    def put(self, key: str, value: Any) -> None:
+        """Store a value (atomic, concurrent-writer safe, size-capped)."""
         if self.enabled:
-            self.write(key, pickle.dumps(
-                _wrap(value, meta), protocol=pickle.HIGHEST_PROTOCOL
-            ))
-
-    def entry_meta(self, key: str) -> Optional[dict]:
-        """Provenance metadata of a stored entry, or None if absent.
-
-        Pre-metadata entries (or entries stored without ``meta``) report
-        ``{}``.  Reading metadata is side-effect free: no hit/miss
-        counting, no recency touch.
-        """
-        if not self.enabled:
-            return None
-        try:
-            _, meta = _split(_unpack(self._path(key).read_bytes()))
-        except Exception:
-            return None
-        return meta
+            self.write(key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
     def stats(self) -> dict:
         """The store snapshot plus the enabled flag, as ``repro-cli

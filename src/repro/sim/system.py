@@ -131,19 +131,6 @@ class SimulationSession:
             self._trace_fp = trace_fingerprint(self.trace)
         return self._trace_fp
 
-    def _engine_meta(self) -> dict:
-        """Provenance recorded with LLC cache stores: the engine that
-        served the replay (non-LRU policies always use the reference
-        loop).  Every engine's output is bit-identical, so this never
-        affects keys or hits — it only documents who computed the
-        entry."""
-        from repro.sim.engine import resolve_engine
-
-        eng = resolve_engine(None)
-        if self.arch.llc_replacement != "lru":
-            eng = "reference"
-        return {"engine": eng}
-
     @property
     def private(self) -> PrivateResult:
         """The private-level replay (computed once, disk-memoised)."""
@@ -158,13 +145,7 @@ class SimulationSession:
                     return self._private
             self._private = filter_private(self.trace, self.arch)
             if use_disk:
-                from repro.sim.engine import resolve_engine
-
-                cache.put(
-                    key,
-                    self._private,
-                    meta={"engine": resolve_engine(None)},
-                )
+                cache.put(key, self._private)
         return self._private
 
     def counts_for(self, llc_model: LLCModel) -> LLCCounts:
@@ -190,7 +171,7 @@ class SimulationSession:
             )
             self._llc_cache[key] = counts
             if use_disk:
-                cache.put(disk_key, counts, meta=self._engine_meta())
+                cache.put(disk_key, counts)
         return self._llc_cache[key]
 
     def run(

@@ -12,11 +12,9 @@ which changes *effective capacity* as well as per-write cost.
 from repro.techniques.base import Technique
 from repro.techniques.compression import (
     DEFAULT_TAG_FACTOR,
-    TAG_FACTOR_ENV,
     CompactedOutcome,
     CompactedWayCache,
     CompressedLLC,
-    resolve_tag_factor,
 )
 from repro.techniques.early_write_termination import (
     DEFAULT_REDUNDANT_FRACTION,
@@ -40,11 +38,9 @@ from repro.techniques.write_bypass import ReuseWriteBypass
 __all__ = [
     "Technique",
     "DEFAULT_TAG_FACTOR",
-    "TAG_FACTOR_ENV",
     "CompactedOutcome",
     "CompactedWayCache",
     "CompressedLLC",
-    "resolve_tag_factor",
     "DEFAULT_REDUNDANT_FRACTION",
     "EarlyWriteTermination",
     "TechniqueEvaluation",

@@ -24,16 +24,12 @@ technique replay engine:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CompressionError
 from repro.techniques.base import Technique
 from repro.techniques.early_write_termination import EarlyWriteTermination
-
-#: Environment override for the compacted-way tag provisioning factor.
-TAG_FACTOR_ENV = "REPRO_COMPRESS_TAG_FACTOR"
 
 #: Default tag provisioning: twice the physical ways, L2C2's choice.
 DEFAULT_TAG_FACTOR = 2
@@ -43,23 +39,12 @@ DEFAULT_TAG_FACTOR = 2
 MAX_RATIO = 8.0
 
 
-def resolve_tag_factor(explicit: Optional[int] = None) -> int:
-    """The compacted-way tag factor: argument, else env, else default."""
-    if explicit is None:
-        raw = os.environ.get(TAG_FACTOR_ENV, "").strip()
-        if not raw:
-            return DEFAULT_TAG_FACTOR
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise CompressionError(
-                f"{TAG_FACTOR_ENV} must be an integer, got {raw!r}"
-            )
-    if explicit < 1:
+def _check_tag_factor(tag_factor: int) -> int:
+    if tag_factor < 1:
         raise CompressionError(
-            f"tag factor must be at least 1, got {explicit}"
+            f"tag factor must be at least 1, got {tag_factor}"
         )
-    return explicit
+    return tag_factor
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,7 @@ class CompactedWayCache:
         capacity_bytes: int,
         block_bytes: int,
         associativity: int,
-        tag_factor: Optional[int] = None,
+        tag_factor: int = DEFAULT_TAG_FACTOR,
     ) -> None:
         if capacity_bytes % (block_bytes * associativity):
             raise CompressionError("capacity must be a whole number of sets")
@@ -110,7 +95,7 @@ class CompactedWayCache:
         self.n_sets = capacity_bytes // (block_bytes * associativity)
         if self.n_sets <= 0:
             raise CompressionError("cache must have at least one set")
-        self.tag_factor = resolve_tag_factor(tag_factor)
+        self.tag_factor = _check_tag_factor(tag_factor)
         self.byte_budget = associativity * block_bytes
         self.tag_budget = self.tag_factor * associativity
         # Per set: insertion-ordered dict, tag -> [size_bytes, dirty].
@@ -186,7 +171,7 @@ class CompressedLLC(Technique):
         :meth:`uniform` for a constant size (tests; ``uniform(64)`` is
         the ratio-1.0 baseline).
     tag_factor:
-        Compacted tag provisioning (default 2x, ``REPRO_COMPRESS_TAG_FACTOR``).
+        Compacted tag provisioning (default 2x: L2C2's choice).
     redundant_fraction:
         When given, compose with early write termination at this
         redundant-bit fraction: the per-byte write energy drops by the
@@ -202,12 +187,12 @@ class CompressedLLC(Technique):
     def __init__(
         self,
         size_fn: Callable[[int], int],
-        tag_factor: Optional[int] = None,
+        tag_factor: int = DEFAULT_TAG_FACTOR,
         redundant_fraction: Optional[float] = None,
         leveling_period: Optional[int] = None,
     ) -> None:
         self._size_fn = size_fn
-        self.tag_factor = resolve_tag_factor(tag_factor)
+        self.tag_factor = _check_tag_factor(tag_factor)
         self._ewt = (
             EarlyWriteTermination(redundant_fraction)
             if redundant_fraction is not None

@@ -112,6 +112,8 @@ def evaluate_technique(
         arch.llc_associativity,
         arch.llc_block_bytes,
         arch.n_cores,
+        arch.mlp_window_instructions,
+        arch.max_mlp,
     )
     treated = replay_with_technique(
         private.stream,
@@ -120,6 +122,8 @@ def evaluate_technique(
         arch.llc_associativity,
         arch.llc_block_bytes,
         arch.n_cores,
+        arch.mlp_window_instructions,
+        arch.max_mlp,
     )
 
     # Energy follows bytes actually programmed: write_bytes/block_bytes

@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sim.cache import SetAssocCache
 from repro.sim.hierarchy import LLCStream
-from repro.sim.llc import LLCCounts
+from repro.sim.llc import LLCCounts, per_core_mlp
 from repro.endurance.wear import WearSummary
 from repro.techniques.base import Technique
 
@@ -92,6 +92,8 @@ def replay_with_technique(
     associativity: int = 16,
     block_bytes: int = 64,
     n_cores: int = 4,
+    mlp_window: int = 128,
+    mlp_ceiling: float = 6.0,
 ) -> TechniqueOutcome:
     """Replay an LLC stream under a management technique.
 
@@ -104,6 +106,10 @@ def replay_with_technique(
     (compacted-way compression does); caches declaring ``SIZE_AWARE``
     receive each access's compressed line size and may evict several
     dirty victims on one miss.
+
+    Per-core MLP is estimated from the read misses' instruction
+    positions exactly as :func:`repro.sim.llc.simulate_llc` does, with
+    the same ``mlp_window`` and ``mlp_ceiling``.
     """
     cache = technique.make_cache(capacity_bytes, block_bytes, associativity)
     if cache is None:
@@ -120,6 +126,7 @@ def replay_with_technique(
 
     read_hits = [0] * n_cores
     read_misses = [0] * n_cores
+    read_miss = np.zeros(len(stream), dtype=bool)
 
     blocks = stream.blocks
     writes = stream.writes
@@ -175,6 +182,7 @@ def replay_with_technique(
             else:
                 counts.read_misses += 1
                 read_misses[core] += 1
+                read_miss[i] = True
                 # The demand fill programs the array too.
                 technique.observe_write(block)
                 total_writes += 1
@@ -186,7 +194,9 @@ def replay_with_technique(
 
     counts.per_core_read_hits = read_hits
     counts.per_core_read_misses = read_misses
-    counts.per_core_mlp = [1.0] * n_cores
+    counts.per_core_mlp = per_core_mlp(
+        stream, read_miss, n_cores, mlp_window, mlp_ceiling
+    )
 
     wear = WearSummary(
         n_sets=n_sets,

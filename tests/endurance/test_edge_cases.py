@@ -18,29 +18,18 @@ from repro.cells.base import CellClass
 from repro.endurance.lifetime import estimate_lifetime
 from repro.endurance.wear import WearSummary
 from repro.errors import SimulationError
-from repro.sim.hierarchy import LLCStream
 from repro.techniques.base import Technique
 from repro.techniques.compression import CompressedLLC
 from repro.techniques.replay import replay_with_technique
+from tests.streams import llc_stream
 
 CAPACITY = 4 * 4 * 64  # 4 sets x 4 ways
 ASSOC = 4
 
 
-def _stream(pairs) -> LLCStream:
-    n = len(pairs)
-    return LLCStream(
-        blocks=np.array([p[0] for p in pairs], dtype=np.int64),
-        writes=np.array([p[1] for p in pairs], dtype=bool),
-        cores=np.zeros(n, dtype=np.int64),
-        instr_positions=np.arange(n, dtype=np.int64),
-    )
-
-
 def _replay(pairs, technique):
-    return replay_with_technique(
-        _stream(pairs), technique, CAPACITY, ASSOC, 64, n_cores=1
-    )
+    stream = llc_stream([p[0] for p in pairs], [p[1] for p in pairs])
+    return replay_with_technique(stream, technique, CAPACITY, ASSOC, 64, n_cores=1)
 
 
 class TestZeroWriteWindow:

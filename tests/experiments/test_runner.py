@@ -83,63 +83,6 @@ class TestMain:
         assert "Traceback" not in runs[1].err
 
 
-class TestEngineFlag:
-    def test_engine_flag_exported_for_workers(self, capfd, monkeypatch, tmp_path):
-        """--engine must land in the environment (workers inherit it)
-        and be recorded in the report provenance."""
-        import os
-
-        from repro.sim.engine import ENGINE_ENV
-
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        path = tmp_path / "report.md"
-        assert (
-            runner.main(
-                [
-                    "--scale", "0.05", "--only", "table2",
-                    "--engine", "vector", "--write", str(path),
-                ]
-            )
-            == 0
-        )
-        assert os.environ[ENGINE_ENV] == "vector"
-        capfd.readouterr()
-        assert "engine: vector" in path.read_text()
-
-    def test_engine_results_match_default(self, monkeypatch):
-        """Same numbers whichever engine the run picks.  Table V replays
-        every workload; the replay cache is off because the engine is
-        not part of its key, so the reference run really replays."""
-        import io
-        import re
-
-        from repro.sim.engine import ENGINE_ENV
-        from repro.sim.replay_cache import CACHE_ENABLE_ENV, reset_default_cache
-
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
-        reset_default_cache()
-        default, reference = io.StringIO(), io.StringIO()
-        try:
-            runner.run_all(scale=0.05, only="table5", stream=default)
-            runner.run_all(
-                scale=0.05, only="table5", stream=reference, engine="reference"
-            )
-        finally:
-            monkeypatch.delenv(ENGINE_ENV, raising=False)
-            reset_default_cache()
-
-        def table(text):
-            return re.sub(r"\[[0-9.]+s\]", "", text)
-
-        assert "measured mpki" in default.getvalue()
-        assert table(reference.getvalue()) == table(default.getvalue())
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            runner.main(["--only", "table2", "--engine", "turbo"])
-
-
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):
     """``python -m repro.experiments.runner`` must not find the runner
     already imported by its package (runpy warns on stderr if so)."""

@@ -26,7 +26,6 @@ class TestRenderSummary:
         registry = MetricsRegistry()
         registry.counter_add("replay_cache.hits", 3)
         registry.counter_add("replay_cache.misses", 1)
-        registry.counter_add("sim.engine.fast.llc_replays", 4)
         registry.counter_add("sim.llc.read_lookups", 1000)
         registry.counter_add("sim.llc.read_hits", 250)
         registry.timer_record("parallel.worker.1234.cell", 0.05)
@@ -38,24 +37,7 @@ class TestRenderSummary:
     def test_headline_rates(self):
         text = render_summary(self._snapshot())
         assert "replay-cache hit rate: 75.0% (3 hits / 1 misses)" in text
-        assert "llc replays served by accelerated engines: 100.0%" in text
-        assert "4 fast" in text
         assert "aggregate LLC demand hit rate: 25.0%" in text
-
-    def test_engine_mix_reads_engine_names_from_counters(self):
-        registry = MetricsRegistry()
-        registry.counter_add("sim.engine.vector.llc_replays", 3)
-        registry.counter_add("sim.engine.reference.llc_replays", 1)
-        registry.counter_add("sim.engine.vector.private_replays", 2)
-        text = render_summary(registry.snapshot())
-        assert (
-            "llc replays served by accelerated engines: 75.0% "
-            "(1 reference / 3 vector)" in text
-        )
-        assert (
-            "private replays served by accelerated engines: 100.0% (2 vector)"
-            in text
-        )
 
     def test_sections_present(self):
         text = render_summary(self._snapshot())

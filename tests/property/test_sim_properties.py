@@ -7,19 +7,9 @@ from hypothesis import given, settings
 from repro import units
 from repro.prism.reuse import reuse_profile
 from repro.sim.cache import SetAssocCache
-from repro.sim.hierarchy import LLCStream
 from repro.sim.llc import simulate_llc
 from repro.techniques.hybrid import HybridLLC
-
-
-def _stream(blocks, writes):
-    n = len(blocks)
-    return LLCStream(
-        blocks=np.asarray(blocks, dtype=np.uint64),
-        writes=np.asarray(writes, dtype=bool),
-        cores=np.zeros(n, dtype=np.uint16),
-        instr_positions=np.arange(n, dtype=np.uint64),
-    )
+from tests.streams import llc_stream
 
 
 STREAMS = st.lists(
@@ -34,7 +24,7 @@ STREAMS = st.lists(
 def test_llc_counts_partition(accesses):
     blocks = [a for a, _ in accesses]
     writes = [w for _, w in accesses]
-    counts = simulate_llc(_stream(blocks, writes), 64 * units.KB)
+    counts = simulate_llc(llc_stream(blocks, writes), 64 * units.KB)
     assert counts.read_hits + counts.read_misses == counts.read_lookups
     assert counts.write_hits + counts.write_misses == counts.write_accesses
     assert counts.read_lookups + counts.write_accesses == len(accesses)
@@ -48,9 +38,9 @@ def test_llc_misses_monotone_in_capacity(accesses):
     inclusion holds) never increases demand misses."""
     blocks = [a for a, _ in accesses]
     writes = [w for _, w in accesses]
-    small = simulate_llc(_stream(blocks, writes), 32 * 64,
+    small = simulate_llc(llc_stream(blocks, writes), 32 * 64,
                          associativity=32, block_bytes=64)
-    large = simulate_llc(_stream(blocks, writes), 64 * 64,
+    large = simulate_llc(llc_stream(blocks, writes), 64 * 64,
                          associativity=64, block_bytes=64)
     assert large.read_misses <= small.read_misses
 
@@ -94,6 +84,6 @@ def test_wear_conservation(accesses):
 
     blocks = [a for a, _ in accesses]
     writes = [w for _, w in accesses]
-    wear = replay_with_wear(_stream(blocks, writes), 64 * units.KB)
+    wear = replay_with_wear(llc_stream(blocks, writes), 64 * units.KB)
     assert wear.set_writes.sum() == wear.total_writes
     assert wear.hottest_line_writes <= wear.total_writes

@@ -64,19 +64,14 @@ class TestEvictionChains:
 
 class TestTechniqueRemapCorrectness:
     def test_rotation_preserves_total_traffic(self):
-        from repro.sim.hierarchy import LLCStream
         from repro.techniques.base import Technique
         from repro.techniques.replay import replay_with_technique
         from repro.techniques.wear_leveling import SetRotationLeveling
+        from tests.streams import llc_stream
 
         rng = np.random.default_rng(2)
-        blocks = rng.integers(0, 4096, size=3000).astype(np.uint64)
-        writes = rng.random(3000) < 0.3
-        stream = LLCStream(
-            blocks=blocks,
-            writes=writes,
-            cores=np.zeros(3000, dtype=np.uint16),
-            instr_positions=np.arange(3000, dtype=np.uint64),
+        stream = llc_stream(
+            rng.integers(0, 4096, size=3000), writes=rng.random(3000) < 0.3
         )
         base = replay_with_technique(stream, Technique(), 256 * 1024)
         rotated = replay_with_technique(

@@ -4,25 +4,13 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.sim.hierarchy import LLCStream
 from repro.sim.llc import LLCCounts, estimate_mlp, simulate_llc
-
-
-def _stream(blocks, writes=None, cores=None, positions=None):
-    n = len(blocks)
-    return LLCStream(
-        blocks=np.array(blocks, dtype=np.uint64),
-        writes=np.array(writes if writes is not None else [False] * n),
-        cores=np.array(cores if cores is not None else [0] * n, dtype=np.uint16),
-        instr_positions=np.array(
-            positions if positions is not None else range(n), dtype=np.uint64
-        ),
-    )
+from tests.streams import llc_stream
 
 
 class TestLLCReplay:
     def test_cold_then_hot(self):
-        counts = simulate_llc(_stream([1, 2, 3, 1, 2, 3]), 64 * units.KB)
+        counts = simulate_llc(llc_stream([1, 2, 3, 1, 2, 3]), 64 * units.KB)
         assert counts.read_misses == 3
         assert counts.read_hits == 3
 
@@ -30,16 +18,16 @@ class TestLLCReplay:
         # Cyclic sweep over 2x capacity: zero hits; at 4x capacity LLC the
         # same stream hits on the second pass.
         blocks = list(range(64)) * 3
-        thrash = simulate_llc(_stream(blocks), capacity_bytes=32 * 64,
+        thrash = simulate_llc(llc_stream(blocks), capacity_bytes=32 * 64,
                               associativity=4, block_bytes=64)
-        roomy = simulate_llc(_stream(blocks), capacity_bytes=128 * 64,
+        roomy = simulate_llc(llc_stream(blocks), capacity_bytes=128 * 64,
                              associativity=4, block_bytes=64)
         assert thrash.read_hits == 0
         assert roomy.read_hits == 128
 
     def test_writeback_writes_counted(self):
         counts = simulate_llc(
-            _stream([1, 2], writes=[True, True]), 64 * units.KB
+            llc_stream([1, 2], writes=[True, True]), 64 * units.KB
         )
         assert counts.write_accesses == 2
         assert counts.write_misses == 2
@@ -47,13 +35,13 @@ class TestLLCReplay:
 
     def test_fills_property(self):
         counts = simulate_llc(
-            _stream([1, 2, 3], writes=[False, False, True]), 64 * units.KB
+            llc_stream([1, 2, 3], writes=[False, False, True]), 64 * units.KB
         )
         assert counts.fills == counts.read_misses + counts.write_misses == 3
 
     def test_data_writes_includes_fills(self):
         counts = simulate_llc(
-            _stream([1, 2, 3], writes=[False, False, True]), 64 * units.KB
+            llc_stream([1, 2, 3], writes=[False, False, True]), 64 * units.KB
         )
         assert counts.data_writes == counts.write_accesses + counts.read_misses
 
@@ -61,7 +49,7 @@ class TestLLCReplay:
         # Fill a tiny LLC with dirty lines, then push them out.
         blocks = list(range(100))
         counts = simulate_llc(
-            _stream(blocks, writes=[True] * 100),
+            llc_stream(blocks, writes=[True] * 100),
             capacity_bytes=16 * 64,
             associativity=4,
         )
@@ -70,23 +58,23 @@ class TestLLCReplay:
 
     def test_dram_reads_are_demand_misses_only(self):
         counts = simulate_llc(
-            _stream([1, 2, 3], writes=[False, True, True]), 64 * units.KB
+            llc_stream([1, 2, 3], writes=[False, True, True]), 64 * units.KB
         )
         assert counts.dram_reads == 1
 
     def test_per_core_split(self):
         counts = simulate_llc(
-            _stream([1, 2, 3, 4], cores=[0, 1, 0, 1]), 64 * units.KB,
+            llc_stream([1, 2, 3, 4], cores=[0, 1, 0, 1]), 64 * units.KB,
             n_cores=2,
         )
         assert counts.per_core_read_misses == [2, 2]
 
     def test_mpki(self):
-        counts = simulate_llc(_stream([1, 2, 3]), 64 * units.KB)
+        counts = simulate_llc(llc_stream([1, 2, 3]), 64 * units.KB)
         assert counts.mpki(3000) == pytest.approx(1.0)
 
     def test_miss_rate(self):
-        counts = simulate_llc(_stream([1, 1, 1, 2]), 64 * units.KB)
+        counts = simulate_llc(llc_stream([1, 1, 1, 2]), 64 * units.KB)
         assert counts.miss_rate == pytest.approx(0.5)
 
 

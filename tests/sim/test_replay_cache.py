@@ -108,50 +108,12 @@ class TestIntegrity:
 
 
 class TestMeta:
-    def test_meta_round_trip(self, tmp_path):
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        cache.put("k", {"x": 1}, meta={"engine": "vector"})
-        assert cache.get("k") == {"x": 1}
-        assert cache.entry_meta("k") == {"engine": "vector"}
-
-    def test_legacy_entry_reports_empty_meta(self, tmp_path):
-        """Entries stored before (or without) metadata read back
-        unchanged and report ``{}`` — no cache-version bump."""
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        cache.put("old", [1, 2, 3])
-        assert cache.get("old") == [1, 2, 3]
-        assert cache.entry_meta("old") == {}
-
     def test_dict_values_survive_without_meta(self, tmp_path):
-        """A plain dict value must not be mistaken for the envelope."""
+        """A plain dict value must not be mistaken for the provenance
+        envelope older entries carry."""
         cache = ReplayCache(root=tmp_path, enabled=True)
         cache.put("d", {"value": 9, "other": 1})
         assert cache.get("d") == {"value": 9, "other": 1}
-
-    def test_missing_entry_meta_is_none(self, tmp_path):
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        assert cache.entry_meta("absent") is None
-
-    def test_entry_meta_is_side_effect_free(self, tmp_path):
-        cache = ReplayCache(root=tmp_path, enabled=True)
-        cache.put("k", 1, meta={"engine": "fast"})
-        hits, misses = cache.hits, cache.misses
-        cache.entry_meta("k")
-        cache.entry_meta("absent")
-        assert (cache.hits, cache.misses) == (hits, misses)
-
-    def test_session_records_resolved_engine(self, tmp_path, monkeypatch):
-        from repro.nvsim.published import sram_baseline
-        from repro.sim.engine import ENGINE_ENV
-        from repro.sim.system import SimulationSession
-
-        monkeypatch.setenv(ENGINE_ENV, "vector")
-        cache = ReplayCache(root=tmp_path, enabled=True, min_accesses=10)
-        SimulationSession(_trace(n=200), replay_cache=cache).run(sram_baseline())
-        stems = [p.stem for p in tmp_path.glob("*.pkl")]
-        assert stems
-        for stem in stems:
-            assert cache.entry_meta(stem) == {"engine": "vector"}
 
 
 class TestEnvironment:

@@ -114,9 +114,7 @@ class TestFormat:
             (tmp_path / f"{key}.pkl").write_bytes(_container(b"RPC2", payload))
         cache = ReplayCache(root=tmp_path, enabled=True)
         assert cache.get(_key(1)) == value
-        assert cache.entry_meta(_key(1)) == {}
         assert cache.get(_key(2)) == value
-        assert cache.entry_meta(_key(2)) == {"engine": "vector"}
 
     def test_existing_result_entries_read_back_unchanged(self, tmp_path):
         (tmp_path / f"{KEY}.res").write_bytes(_container(b"RSV1", b'{"x":1}'))

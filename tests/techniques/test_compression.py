@@ -9,38 +9,27 @@ from repro.errors import CompressionError, render_error
 from repro.nvsim.published import published_model
 from repro.techniques.compression import (
     DEFAULT_TAG_FACTOR,
-    TAG_FACTOR_ENV,
     CompactedWayCache,
     CompressedLLC,
-    resolve_tag_factor,
 )
 from repro.techniques.evaluate import evaluate_technique
 from repro.workloads.generators import generate_trace, line_compressed_sizes
 
 
 class TestResolveTagFactor:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(TAG_FACTOR_ENV, raising=False)
-        assert resolve_tag_factor() == DEFAULT_TAG_FACTOR
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(TAG_FACTOR_ENV, "7")
-        assert resolve_tag_factor(3) == 3
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TAG_FACTOR_ENV, "4")
-        assert resolve_tag_factor() == 4
-
-    def test_env_not_integer(self, monkeypatch):
-        monkeypatch.setenv(TAG_FACTOR_ENV, "two")
-        with pytest.raises(CompressionError) as exc:
-            resolve_tag_factor()
-        assert render_error(exc.value).startswith("error[COMPRESS]")
-        assert exc.value.exit_code == 2
+    def test_default(self):
+        assert CompressedLLC.uniform(64).tag_factor == DEFAULT_TAG_FACTOR == 2
+        assert CompactedWayCache(1024, 64, 4).tag_budget == 2 * 4
 
     def test_below_one_rejected(self):
-        with pytest.raises(CompressionError):
-            resolve_tag_factor(0)
+        for build in (
+            lambda: CompactedWayCache(1024, 64, 4, tag_factor=0),
+            lambda: CompressedLLC.uniform(64, tag_factor=0),
+        ):
+            with pytest.raises(CompressionError) as exc:
+                build()
+            assert render_error(exc.value).startswith("error[COMPRESS]")
+            assert exc.value.exit_code == 2
 
 
 class TestCompactedWayCache:

@@ -1,10 +1,10 @@
 """Property-based invariants of the compressed-LLC family.
 
-Four laws the compacted-way design must obey for *every* access stream
-and size distribution:
+Laws the compacted-way design must obey for *every* access stream and
+size distribution (numbered as in ``docs/COMPRESSION.md``; law 1,
+ratio 1.0 replays exactly like the uncompressed baseline, is a
+relation of ``tests/property/test_replay_conformance.py``):
 
-1. compression ratio 1.0 is byte-identical to the uncompressed
-   baseline — the published results are unperturbed by construction;
 2. effective capacity and hit counts are monotone non-decreasing in
    compressibility (smaller lines never evict what bigger lines kept);
 3. compressed write energy never exceeds uncompressed for the same
@@ -27,10 +27,10 @@ from repro.endurance.lifetime import estimate_lifetime
 from repro.endurance.wear import WearSummary
 from repro.experiments import compression
 from repro.experiments.common import ExperimentContext
-from repro.sim.hierarchy import LLCStream
 from repro.techniques.base import Technique
 from repro.techniques.compression import CompressedLLC
 from repro.techniques.replay import replay_with_technique
+from tests.streams import llc_stream
 
 #: Small geometry so short random streams actually contend: 4 sets x
 #: 4 ways of 64 B.
@@ -46,36 +46,9 @@ ACCESS = st.tuples(
 SIZES = st.sampled_from([8, 16, 24, 32, 40, 48, 56, 64])
 
 
-def _stream(accesses) -> LLCStream:
-    n = len(accesses)
-    return LLCStream(
-        blocks=np.array([a[0] for a in accesses], dtype=np.int64),
-        writes=np.array([a[1] for a in accesses], dtype=bool),
-        cores=np.zeros(n, dtype=np.int64),
-        instr_positions=np.arange(n, dtype=np.int64),
-    )
-
-
 def _replay(accesses, technique):
-    return replay_with_technique(
-        _stream(accesses), technique, CAPACITY, ASSOC, 64, n_cores=1
-    )
-
-
-@given(accesses=st.lists(ACCESS, max_size=300))
-@settings(max_examples=60, deadline=None)
-def test_ratio_one_is_byte_identical_to_baseline(accesses):
-    """uniform(64) must reproduce the bare-Technique replay exactly."""
-    base = _replay(accesses, Technique())
-    comp = _replay(accesses, CompressedLLC.uniform(64))
-    assert comp.counts == base.counts
-    assert comp.wear.total_writes == base.wear.total_writes
-    assert (comp.wear.set_writes == base.wear.set_writes).all()
-    assert comp.wear.hottest_line_writes == base.wear.hottest_line_writes
-    assert comp.write_bytes == base.write_bytes
-    assert comp.write_bytes == base.wear.total_writes * 64
-    assert comp.compressed_writes == 0
-    assert comp.uncompressed_writes == comp.wear.total_writes
+    stream = llc_stream([a[0] for a in accesses], [a[1] for a in accesses])
+    return replay_with_technique(stream, technique, CAPACITY, ASSOC, 64, n_cores=1)
 
 
 @given(

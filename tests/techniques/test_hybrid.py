@@ -6,18 +6,8 @@ import pytest
 from repro import units
 from repro.errors import ConfigurationError
 from repro.nvsim.published import published_model
-from repro.sim.hierarchy import LLCStream
 from repro.techniques.hybrid import HybridLLC, evaluate_hybrid
-
-
-def _stream(blocks, writes):
-    n = len(blocks)
-    return LLCStream(
-        blocks=np.array(blocks, dtype=np.uint64),
-        writes=np.array(writes, dtype=bool),
-        cores=np.zeros(n, dtype=np.uint16),
-        instr_positions=np.arange(n, dtype=np.uint64),
-    )
+from tests.streams import llc_stream
 
 
 class TestHybridLLC:
@@ -73,7 +63,7 @@ class TestEvaluateHybrid:
         rng = np.random.default_rng(8)
         blocks = rng.integers(0, 1 << 15, size=20_000)
         writes = rng.random(20_000) < 0.4
-        return _stream(blocks, writes)
+        return llc_stream(blocks, writes)
 
     def test_reduces_nvm_writes(self, stream):
         evaluation = evaluate_hybrid(

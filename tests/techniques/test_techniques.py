@@ -1,26 +1,15 @@
 """Tests for the LLC management techniques."""
 
-import numpy as np
 import pytest
 
 from repro import units
 from repro.errors import ConfigurationError
-from repro.sim.hierarchy import LLCStream
 from repro.techniques.base import Technique
 from repro.techniques.early_write_termination import EarlyWriteTermination
 from repro.techniques.replay import replay_with_technique
 from repro.techniques.wear_leveling import SetRotationLeveling
 from repro.techniques.write_bypass import ReuseWriteBypass
-
-
-def _stream(blocks, writes):
-    n = len(blocks)
-    return LLCStream(
-        blocks=np.array(blocks, dtype=np.uint64),
-        writes=np.array(writes, dtype=bool),
-        cores=np.zeros(n, dtype=np.uint16),
-        instr_positions=np.arange(n, dtype=np.uint64),
-    )
+from tests.streams import llc_stream
 
 
 class TestBaselineTechnique:
@@ -30,19 +19,6 @@ class TestBaselineTechnique:
         assert not technique.should_bypass_write(123)
         assert technique.write_energy_factor() == 1.0
         assert technique.write_latency_factor() == 1.0
-
-    def test_baseline_replay_matches_plain_llc(self):
-        from repro.sim.llc import simulate_llc
-
-        rng = np.random.default_rng(3)
-        blocks = rng.integers(0, 8192, size=3000)
-        writes = rng.random(3000) < 0.3
-        stream = _stream(blocks, writes)
-        plain = simulate_llc(stream, 256 * units.KB, 16, 64, 1)
-        technique = replay_with_technique(stream, Technique(), 256 * units.KB)
-        assert technique.counts.read_hits == plain.read_hits
-        assert technique.counts.read_misses == plain.read_misses
-        assert technique.counts.write_accesses == plain.write_accesses
 
 
 class TestSetRotationLeveling:
@@ -61,7 +37,7 @@ class TestSetRotationLeveling:
 
     def test_spreads_hot_set_wear(self):
         # A single write-hot block, long stream, aggressive rotation.
-        stream = _stream([7] * 3000, [True] * 3000)
+        stream = llc_stream([7] * 3000, [True] * 3000)
         base = replay_with_technique(stream, Technique(), 64 * units.KB)
         leveled = replay_with_technique(
             stream, SetRotationLeveling(period=100), 64 * units.KB
@@ -73,7 +49,7 @@ class TestSetRotationLeveling:
 
 class TestReuseWriteBypass:
     def test_bypasses_unread_blocks(self):
-        stream = _stream([1, 2, 3], [True, True, True])
+        stream = llc_stream([1, 2, 3], [True, True, True])
         outcome = replay_with_technique(
             stream, ReuseWriteBypass(filter_blocks=16), 64 * units.KB
         )
@@ -83,7 +59,7 @@ class TestReuseWriteBypass:
         assert outcome.counts.dirty_evictions == 3
 
     def test_keeps_recently_read_blocks(self):
-        stream = _stream([1, 1], [False, True])
+        stream = llc_stream([1, 1], [False, True])
         outcome = replay_with_technique(
             stream, ReuseWriteBypass(filter_blocks=16), 64 * units.KB
         )
@@ -119,16 +95,3 @@ class TestEarlyWriteTermination:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigurationError):
             EarlyWriteTermination(redundant_fraction=1.5)
-
-    def test_does_not_change_counts(self):
-        rng = np.random.default_rng(4)
-        blocks = rng.integers(0, 2048, size=1000)
-        writes = rng.random(1000) < 0.4
-        stream = _stream(blocks, writes)
-        base = replay_with_technique(stream, Technique(), 128 * units.KB)
-        ewt = replay_with_technique(
-            stream, EarlyWriteTermination(), 128 * units.KB
-        )
-        assert ewt.counts.read_hits == base.counts.read_hits
-        assert ewt.wear.total_writes == base.wear.total_writes
-        assert ewt.write_energy_factor < base.write_energy_factor

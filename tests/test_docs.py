@@ -1,11 +1,14 @@
-"""Documentation honesty checks: links resolve, examples run.
+"""Documentation honesty checks: links resolve, examples run, knobs listed.
 
 The link checker runs over the default doc set, and the examples in
 ``docs/CONFIGURATION.md`` and ``docs/COMPRESSION.md`` run under
 doctest with its default flags, as ``python -m doctest`` runs them.
+The environment table of ``docs/CONFIGURATION.md`` names exactly the
+``REPRO_*`` variables the package reads.
 """
 
 import doctest
+import re
 import sys
 from pathlib import Path
 
@@ -72,6 +75,21 @@ class TestConfigurationDoctests:
         results = _doctest("CONFIGURATION.md")
         assert results.attempted >= 5, "CONFIGURATION.md lost its examples"
         assert results.failed == 0
+
+
+class TestConfigurationKnobTable:
+    def test_table_is_exactly_the_variables_in_source(self):
+        knob = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+        in_source = {
+            name
+            for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+            for name in knob.findall(path.read_text())
+        }
+        text = (REPO_ROOT / "docs" / "CONFIGURATION.md").read_text()
+        table = text.split("## Environment variables", 1)[1].split("\n#", 1)[0]
+        in_table = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", table, re.M))
+        assert sorted(in_source - in_table) == [], "undocumented knobs"
+        assert sorted(in_table - in_source) == [], "documented knobs nothing reads"
 
 
 class TestCompressionDoctests:

@@ -33,9 +33,7 @@ GOLDEN_SCALE = 0.05
 #: The pinned workload seed.
 GOLDEN_SEED = DEFAULT_SEED
 
-#: Experiments pinned by the golden suite.  ``techniques`` is excluded:
-#: it is by far the slowest experiment and its numbers are already
-#: covered by dedicated unit tests.
+#: Experiments pinned by the golden suite.
 GOLDEN_EXPERIMENTS = (
     "table2",
     "table3",
@@ -47,6 +45,7 @@ GOLDEN_EXPERIMENTS = (
     "coresweep",
     "sensitivity",
     "lifetime",
+    "techniques",
     "compression",
     "dse",
 )
