@@ -16,8 +16,7 @@ Subcommands (each prints a small report to stdout):
 - ``fleet``        — launch N shards + shared store + router in one go
 - ``loadgen``      — offer a declarative load scenario to a target
   (:mod:`repro.loadgen`), optionally sweeping shard counts
-- ``submit``       — submit a job to a running service (``--shards``
-  routes client-side over the consistent-hash ring)
+- ``submit``       — submit a job to a running service or fleet router
 - ``status``       — poll the service (one job, or every job + health)
 - ``fetch``        — fetch a finished job's result payload
 
@@ -306,13 +305,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(loadgen.render_fleet(report))
         return 0
-    shards = args.shards.split(",") if args.shards else None
     summaries = []
     for qps in scenario.qps:
         import time as _time
 
         start = _time.monotonic()
-        records = loadgen.offer(scenario, qps, url=args.url, shards=shards)
+        records = loadgen.offer(scenario, qps, url=args.url)
         run = loadgen.RateRun(qps, records, _time.monotonic() - start)
         summaries.append(loadgen.summarize_rate(run))
     if args.json:
@@ -328,12 +326,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.serve import ServeClient, ShardedClient, submit_with_backoff
+    from repro.serve import ServeClient, submit_with_backoff
 
-    if args.shards:
-        client = ShardedClient(args.shards.split(","))
-    else:
-        client = ServeClient(args.url)
+    client = ServeClient(args.url)
     response = submit_with_backoff(
         client, args.experiment, scale=args.scale, seed=args.seed,
         priority=args.priority, attempts=max(1, args.retries + 1),
@@ -567,9 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--url", default=None,
                    help="target base URL — a daemon or a router "
                    "(also: REPRO_SERVE_URL)")
-    p.add_argument("--shards", default=None,
-                   help="comma-separated shard URLs for client-side "
-                   "routing instead of --url")
     p.add_argument("--shard-counts", default=None,
                    help="comma-separated shard counts (e.g. 1,2,4): boot a "
                    "fresh fleet per count and sweep the scenario's rates")
@@ -584,11 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="service base URL (also: REPRO_SERVE_URL; "
                        "default http://127.0.0.1:8765)")
 
-    p = sub.add_parser("submit", help="submit a job to a running service")
-    p.add_argument("--shards", default=None,
-                   help="comma-separated shard URLs: route client-side over "
-                   "the consistent-hash ring instead of --url "
-                   "(also: REPRO_SERVE_SHARDS)")
+    p = sub.add_parser(
+        "submit", help="submit a job to a running service or fleet router"
+    )
     p.add_argument("--experiment", required=True,
                    help="experiment id (e.g. table2, figure1, coresweep)")
     p.add_argument("--scale", type=float, default=1.0,

@@ -2,11 +2,11 @@
 
 The launcher turns a :class:`~repro.loadgen.scenario.Scenario` into an
 *open-loop* request timeline (arrival offsets x a deterministic job
-mix with duplicate injection) and offers it to a target — one daemon,
-a router URL, or a shard list via client-side routing — from a bounded
-pool of client threads.  Every request's fate is a
-:class:`RequestRecord`; :mod:`repro.loadgen.report` folds records into
-percentile/throughput summaries.
+mix with duplicate injection) and offers it to one target URL — a
+daemon, or a fleet's router — from a bounded pool of client threads.
+Every request's fate is a :class:`RequestRecord`;
+:mod:`repro.loadgen.report` folds records into percentile/throughput
+summaries.
 
 :func:`sweep_shards` is the fleet harness: for each shard count it
 boots a real subprocess :class:`~repro.serve.fleet.Fleet` (shared
@@ -39,7 +39,7 @@ from repro.errors import (
 from repro.loadgen.arrivals import arrival_offsets
 from repro.loadgen.pacing import SERVICE_MS_ENV
 from repro.loadgen.scenario import Scenario
-from repro.serve.client import ServeClient, ShardedClient
+from repro.serve.client import ServeClient
 
 #: Request terminal states a record may carry.
 REQUEST_STATES = ("done", "failed", "rejected", "timeout", "error")
@@ -209,17 +209,14 @@ def offer(
     scenario: Scenario,
     qps: float,
     url: Optional[str] = None,
-    shards: Optional[Sequence[str]] = None,
     fleet=None,
 ) -> List[RequestRecord]:
     """Offer one rate of the scenario; returns every request's record.
 
-    ``shards`` selects client-side ring routing
-    (:class:`~repro.serve.client.ShardedClient`); otherwise ``url``
-    names a daemon or router.  Open loop: a request fires at its
-    scheduled offset whenever a client thread is free — saturation
-    shows up as ``late_s``/rejections rather than silently closing the
-    loop.
+    ``url`` names a daemon or a fleet's router.  Open loop: a request
+    fires at its scheduled offset whenever a client thread is free —
+    saturation shows up as ``late_s``/rejections rather than silently
+    closing the loop.
 
     A scenario with ``churn`` events needs ``fleet`` — a handle with
     ``kill_shard``/``restart_shard``/``add_shard``/``remove_shard``
@@ -238,10 +235,7 @@ def offer(
             "it through a fleet-booting driver (--shard-counts or the "
             "chaos harness), not a bare --url"
         )
-    if shards:
-        client = ShardedClient(list(shards), timeout_s=scenario.timeout_s)
-    else:
-        client = ServeClient(url, timeout_s=scenario.timeout_s)
+    client = ServeClient(url, timeout_s=scenario.timeout_s)
     start = time.monotonic()
     churn: Optional[ChurnDriver] = None
     if scenario.churn and fleet is not None:

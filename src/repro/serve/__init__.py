@@ -9,23 +9,22 @@ queued-job journal (:mod:`repro.serve.journal`), and stdlib HTTP
 endpoints plus a urllib client (:mod:`repro.serve.server`,
 :mod:`repro.serve.client`).  See ``docs/SERVING.md``.
 
-Fleet mode shards the service across N instances: jobs route by spec
-digest over a consistent-hash ring (:mod:`repro.serve.ring`) — via the
-multiplexed :class:`~repro.serve.router.ShardRouter` front end or
-client-side :class:`~repro.serve.client.ShardedClient` — and shards
-share finished payloads through a content-addressed result store
-(:mod:`repro.serve.store`), so dedup and byte-identity hold fleet-wide.
-:mod:`repro.serve.fleet` launches the whole topology.
+Fleet mode shards the service across N instances behind one front
+end, the multiplexed :class:`~repro.serve.router.ShardRouter`: jobs
+route by spec digest over a consistent-hash ring
+(:mod:`repro.serve.ring`), and shards share finished payloads through
+one content-addressed result-store directory
+(:class:`~repro.serve.store.FileResultStore`), so dedup and
+byte-identity hold fleet-wide.  Only workers write the store; no HTTP
+endpoint accepts store bytes.  :mod:`repro.serve.fleet` launches the
+whole topology.
 """
 
 from repro.serve.chaos import CHAOS_LOG_ENV, log_computation
 from repro.serve.client import (
     DEFAULT_URL,
-    SHARDS_ENV,
     URL_ENV,
     ServeClient,
-    ShardedClient,
-    resolve_shards,
     resolve_url,
     submit_with_backoff,
 )
@@ -65,11 +64,9 @@ from repro.serve.router import (
     DEFAULT_EJECT_AFTER,
     DEFAULT_HEARTBEAT_S,
     DEFAULT_HEARTBEAT_TIMEOUT_S,
-    EJECT_AFTER_ENV,
-    HEARTBEAT_S_ENV,
-    HEARTBEAT_TIMEOUT_ENV,
+    SHARDS_ENV,
     ShardRouter,
-    resolve_heartbeat,
+    resolve_shards,
 )
 from repro.serve.server import (
     DEFAULT_HOST,
@@ -83,10 +80,7 @@ from repro.serve.server import (
 from repro.serve.store import (
     STORE_DIR_ENV,
     STORE_MAX_MB_ENV,
-    STORE_URL_ENV,
     FileResultStore,
-    HTTPResultStore,
-    ResultStore,
     resolve_store,
     store_max_bytes,
 )
@@ -104,15 +98,11 @@ __all__ = [
     "DEFAULT_URL",
     "DEFAULT_WORKERS",
     "DIR_ENV",
-    "EJECT_AFTER_ENV",
     "ExperimentServer",
     "FileResultStore",
     "Fleet",
     "FleetSupervisor",
-    "HEARTBEAT_S_ENV",
-    "HEARTBEAT_TIMEOUT_ENV",
     "HOST_ENV",
-    "HTTPResultStore",
     "HashRing",
     "InProcessFleet",
     "JOB_HOOK_ENV",
@@ -124,15 +114,12 @@ __all__ = [
     "JobState",
     "PORT_ENV",
     "QUEUE_MAX_ENV",
-    "ResultStore",
     "SHARDS_ENV",
     "STORE_DIR_ENV",
     "STORE_MAX_MB_ENV",
-    "STORE_URL_ENV",
     "ServeClient",
     "ShardProcess",
     "ShardRouter",
-    "ShardedClient",
     "URL_ENV",
     "VersionedRing",
     "WORKERS_ENV",
@@ -141,7 +128,6 @@ __all__ = [
     "log_computation",
     "moved_keys",
     "normalize_spec",
-    "resolve_heartbeat",
     "resolve_shards",
     "resolve_store",
     "resolve_url",

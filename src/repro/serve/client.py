@@ -1,27 +1,22 @@
 """Client for the experiment service: urllib over the JSON API.
 
-:class:`ServeClient` is what ``repro-cli submit|status|fetch`` (and the
-tests, and the CI smoke job) speak through.  Error responses are mapped
-back into the structured error hierarchy: a 429 becomes a
-:class:`~repro.errors.QueueFullError` carrying the server's
-``Retry-After`` hint, a router 503 with code ``DEGRADED`` becomes a
-:class:`~repro.errors.DegradedError` (retryable — see
-:func:`submit_with_backoff`), anything else with a JSON error body becomes a
-:class:`~repro.errors.ServeError` whose ``code`` is the server-side
-error code — so a caller sees the same ``error[<code>]`` rendering
-whether the failure happened locally or across the wire.
+:class:`ServeClient` is what ``repro-cli submit|status|fetch`` and the
+serve tests (``tests/serve/test_load.py``, the fleet cases of
+``tests/test_cli.py``) speak through, to one daemon or to a fleet's
+:class:`~repro.serve.router.ShardRouter` — the same API either way.
+Error responses are mapped back into the structured error hierarchy:
+a 429 becomes a :class:`~repro.errors.QueueFullError` carrying the
+server's ``Retry-After`` hint, a router 503 with code ``DEGRADED``
+becomes a :class:`~repro.errors.DegradedError` (retryable — see
+:func:`submit_with_backoff`), anything else with a JSON error body
+becomes a :class:`~repro.errors.ServeError` whose ``code`` is the
+server-side error code — so a caller sees the same ``error[<code>]``
+rendering whether the failure happened locally or across the wire.
 
 Waiting is long-poll, not sleep-poll: :meth:`ServeClient.wait` issues
 ``GET /jobs/<id>?wait=terminal&timeout_s=N`` rounds, each parked on the
 server's state-transition condition, so a finished job is observed
 within one wire round-trip instead of a poll interval.
-
-:class:`ShardedClient` is client-side fleet routing: it holds one
-:class:`~repro.serve.ring.HashRing` over the shard base URLs and sends
-each submission to the shard owning its
-:func:`~repro.serve.jobs.spec_digest` — the same placement the router
-process computes, so a fleet can be driven with or without a router in
-front.
 """
 
 from __future__ import annotations
@@ -38,10 +33,6 @@ from repro.errors import DegradedError, QueueFullError, ServeError
 #: Environment variable naming the service base URL.
 URL_ENV = "REPRO_SERVE_URL"
 
-#: Environment variable listing shard base URLs (comma-separated) for
-#: client-side routing when no router process fronts the fleet.
-SHARDS_ENV = "REPRO_SERVE_SHARDS"
-
 #: Default base URL (the daemon's default bind address).
 DEFAULT_URL = "http://127.0.0.1:8765"
 
@@ -57,14 +48,6 @@ def resolve_url(url: Optional[str] = None) -> str:
     if url is None:
         url = os.environ.get(URL_ENV, "").strip() or DEFAULT_URL
     return url.rstrip("/")
-
-
-def resolve_shards(shards=None) -> List[str]:
-    """Shard URL list: explicit argument > ``REPRO_SERVE_SHARDS`` > []."""
-    if shards is None:
-        raw = os.environ.get(SHARDS_ENV, "").strip()
-        shards = [part for part in raw.split(",") if part.strip()]
-    return [url.strip().rstrip("/") for url in shards]
 
 
 class ServeClient:
@@ -289,36 +272,6 @@ class ServeClient:
         """``GET /store/<digest>`` — raw stored payload bytes."""
         return self._request("GET", f"/store/{digest}")
 
-    def store_put(self, digest: str, payload: bytes) -> Dict[str, Any]:
-        """``PUT /store/<digest>`` — publish payload bytes."""
-        request = urllib.request.Request(
-            f"{self.url}/store/{digest}", data=payload, method="PUT"
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as error:
-            raise self._to_error(error)
-        except urllib.error.URLError as error:
-            if isinstance(error.reason, TimeoutError):
-                raise ServeError(
-                    f"no response from {self.url} within "
-                    f"{self.timeout_s:g}s",
-                    http_status=504,
-                )
-            raise ServeError(
-                f"cannot reach experiment service at {self.url}: "
-                f"{error.reason}",
-                http_status=503,
-            )
-        except TimeoutError:
-            raise ServeError(
-                f"no response from {self.url} within {self.timeout_s:g}s",
-                http_status=504,
-            )
-
 
 def submit_with_backoff(
     client: ServeClient,
@@ -350,132 +303,3 @@ def submit_with_backoff(
                 raise
             sleep(min(max(error.retry_after_s, 0.05), 30.0))
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-class ShardedClient:
-    """Client-side fleet routing over a consistent-hash ring.
-
-    Submissions are routed to the shard owning the spec's digest —
-    identical placement to the router process, so dedup and the result
-    store behave the same whichever front end is in use.  Job lookups
-    remember which shard accepted which id and fall back to asking
-    every shard (a restarted fleet member answers 404 for ids it never
-    saw; only the owner answers).
-    """
-
-    def __init__(self, shards=None, timeout_s: float = 30.0) -> None:
-        from repro.serve.ring import HashRing
-
-        urls = resolve_shards(shards)
-        if not urls:
-            raise ServeError(
-                f"no shards configured; pass a list or set {SHARDS_ENV}"
-            )
-        self.clients = {
-            url: ServeClient(url, timeout_s=timeout_s) for url in urls
-        }
-        self.ring = HashRing(urls)
-        self._job_homes: Dict[str, str] = {}
-
-    # -- placement --------------------------------------------------------
-
-    def shard_for_spec(self, body: Dict[str, Any]) -> str:
-        """The shard URL owning a submission body's spec digest."""
-        from repro.serve.jobs import normalize_spec, spec_digest
-
-        spec = normalize_spec(
-            {k: v for k, v in body.items() if k != "priority"}
-        )
-        return self.ring.node_for(spec_digest(spec))
-
-    def _home(self, job_id: str) -> ServeClient:
-        url = self._job_homes.get(job_id)
-        if url is not None:
-            return self.clients[url]
-        last_error: Optional[ServeError] = None
-        for url, client in self.clients.items():
-            try:
-                client.status(job_id)
-            except ServeError as error:
-                last_error = error
-                continue
-            self._job_homes[job_id] = url
-            return client
-        raise last_error if last_error is not None else ServeError(
-            f"unknown job id {job_id!r}", http_status=404
-        )
-
-    # -- API (mirrors ServeClient) ----------------------------------------
-
-    def submit(
-        self,
-        experiment: str,
-        scale: float = 1.0,
-        seed: Optional[int] = None,
-        priority: int = 0,
-    ) -> Dict[str, Any]:
-        body: Dict[str, Any] = {"experiment": experiment, "scale": scale}
-        if seed is not None:
-            body["seed"] = seed
-        url = self.shard_for_spec(body)
-        if priority:
-            body["priority"] = priority
-        out = self._post_to(url, "/jobs", body)
-        return out
-
-    def plan(
-        self, scale: float = 1.0, seed: Optional[int] = None
-    ) -> Dict[str, Any]:
-        body: Dict[str, Any] = {"scale": scale, "experiment": "dse"}
-        if seed is not None:
-            body["seed"] = seed
-        url = self.shard_for_spec(body)
-        del body["experiment"]  # the /plan endpoint forbids the key
-        return self._post_to(url, "/plan", body)
-
-    def _post_to(
-        self, url: str, path: str, body: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        out = self.clients[url]._json("POST", path, body)
-        out["shard"] = url
-        self._job_homes[out["job"]["id"]] = url
-        return out
-
-    def status(self, job_id: str) -> Dict[str, Any]:
-        return self._home(job_id).status(job_id)
-
-    def wait(self, job_id: str, timeout_s: float = 300.0) -> Dict[str, Any]:
-        return self._home(job_id).wait(job_id, timeout_s=timeout_s)
-
-    def result_bytes(self, job_id: str) -> bytes:
-        return self._home(job_id).result_bytes(job_id)
-
-    def result(self, job_id: str) -> Dict[str, Any]:
-        return json.loads(self.result_bytes(job_id))
-
-    def cancel(self, job_id: str) -> Dict[str, Any]:
-        return self._home(job_id).cancel(job_id)
-
-    def list_jobs(self) -> List[Dict[str, Any]]:
-        """Every shard's jobs, tagged with their shard URL."""
-        out: List[Dict[str, Any]] = []
-        for url, client in self.clients.items():
-            for record in client.list_jobs():
-                record = dict(record, shard=url)
-                out.append(record)
-        return out
-
-    def health(self) -> Dict[str, Any]:
-        """Fleet health: per-shard records plus an aggregate status."""
-        shards: Dict[str, Any] = {}
-        status = "ok"
-        for url, client in self.clients.items():
-            try:
-                shards[url] = client.health()
-                if shards[url].get("status") != "ok":
-                    status = "degraded"
-            except ServeError as error:
-                shards[url] = {"status": "unreachable", "error": str(error)}
-                status = "degraded"
-        return {"status": status, "shards": shards,
-                "ring": self.ring.describe()}

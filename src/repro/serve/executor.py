@@ -15,7 +15,7 @@ queue under one lock.  ``REPRO_SERVE_WORKERS`` (or the ``workers``
 argument) bounds concurrency; the default of 2 keeps a small host
 responsive while still overlapping a long job with short ones.
 
-With a shared :class:`~repro.serve.store.ResultStore` attached, a
+With a shared :class:`~repro.serve.store.FileResultStore` attached, a
 worker probes the store before executing — a hit (another shard, or a
 previous life of this one, already computed the digest) finishes the
 job with the stored canonical bytes, which is the fleet's
@@ -41,7 +41,7 @@ from repro.errors import ExperimentError
 from repro.obs import metrics as _metrics
 from repro.serve.jobs import JobSpec, execute_spec
 from repro.serve.queue import JobQueue
-from repro.serve.store import ResultStore
+from repro.serve.store import FileResultStore
 from repro.sim.parallel import FaultPolicy, call_with_retries
 
 #: Environment variable bounding the worker thread count.
@@ -95,7 +95,7 @@ class WorkerPool:
         workers: Optional[int] = None,
         policy: Optional[FaultPolicy] = None,
         state_dir: Optional[str] = None,
-        store: Optional[ResultStore] = None,
+        store: Optional[FileResultStore] = None,
     ) -> None:
         self.queue = queue
         self.workers = resolve_workers(workers)

@@ -48,7 +48,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ServeError
 from repro.obs import metrics as _metrics
-from repro.serve.router import ShardRouter
+from repro.serve.router import (
+    DEFAULT_EJECT_AFTER,
+    DEFAULT_HEARTBEAT_S,
+    DEFAULT_HEARTBEAT_TIMEOUT_S,
+    ShardRouter,
+)
 from repro.serve.server import ExperimentServer
 from repro.serve.store import STORE_DIR_ENV, FileResultStore
 from repro.sim.parallel import FaultPolicy
@@ -56,6 +61,9 @@ from repro.sim.parallel import FaultPolicy
 #: Seconds to wait for a shard banner / drain before giving up.
 _STARTUP_TIMEOUT_S = 30.0
 _DRAIN_TIMEOUT_S = 60.0
+
+#: Seconds an exited shard's log copier may take to reach EOF.
+_LOG_JOIN_TIMEOUT_S = 5.0
 
 
 def _repo_pythonpath() -> str:
@@ -68,7 +76,16 @@ def _repo_pythonpath() -> str:
 
 
 class ShardProcess:
-    """One ``repro-cli serve`` child process."""
+    """One ``repro-cli serve`` child process.
+
+    The child's stdout and stderr share one pipe.  After the startup
+    banner a daemon thread copies that pipe to ``shard.log`` in the
+    state directory (appending across restarts), so a chatty shard —
+    ``REPRO_SERVE_LOG`` access lines, tracebacks of clients that hung
+    up — never fills the pipe and blocks on its own output.  The
+    thread owns the pipe: it closes it at EOF, after the process
+    exits.
+    """
 
     def __init__(
         self,
@@ -87,6 +104,12 @@ class ShardProcess:
         self.extra_env = dict(extra_env or {})
         self.process: Optional[subprocess.Popen] = None
         self.url: Optional[str] = None
+        self._log_copier: Optional[threading.Thread] = None
+
+    @property
+    def log_path(self) -> Path:
+        """Where the copier appends the shard's stdout and stderr."""
+        return self.state_dir / "shard.log"
 
     def start(self) -> "ShardProcess":
         """Spawn the daemon and parse its base URL from the banner.
@@ -97,9 +120,8 @@ class ShardProcess:
         if self.process is not None:
             if self.process.poll() is None:
                 raise ServeError(f"shard {self.index} already running")
-            if self.process.stdout is not None:
-                self.process.stdout.close()
             self.process = None
+            self._join_log_copier()
         self.state_dir.mkdir(parents=True, exist_ok=True)
         env = dict(os.environ)
         env.update(self.extra_env)
@@ -116,17 +138,29 @@ class ShardProcess:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            errors="replace",
             env=env,
         )
-        self.url = self._await_banner()
+        banner: List[str] = []
+        try:
+            self.url = self._await_banner(banner)
+        finally:
+            # Started on failure too: the copier drains a shard that
+            # printed no banner and closes the pipe of one that died.
+            self._log_copier = threading.Thread(
+                target=_copy_log,
+                args=(self.process.stdout, banner, self.log_path),
+                name=f"shard-{self.index}-log",
+                daemon=True,
+            )
+            self._log_copier.start()
         # Remember the bound port so a restart lands on the same URL
         # (ring placement must survive the bounce).
         self.port = int(self.url.rsplit(":", 1)[1])
         return self
 
-    def _await_banner(self) -> str:
+    def _await_banner(self, banner: List[str]) -> str:
         assert self.process is not None and self.process.stdout is not None
-        banner: List[str] = []
         deadline = time.monotonic() + _STARTUP_TIMEOUT_S
         while time.monotonic() < deadline:
             if self.process.poll() is not None:
@@ -158,9 +192,14 @@ class ShardProcess:
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=10.0)
-        if process.stdout is not None:
-            process.stdout.close()
+        self._join_log_copier()
         return process.returncode or 0
+
+    def _join_log_copier(self) -> None:
+        """Wait for an exited shard's log copier to reach EOF."""
+        if self._log_copier is not None:
+            self._log_copier.join(timeout=_LOG_JOIN_TIMEOUT_S)
+            self._log_copier = None
 
     def kill(self) -> None:
         """SIGKILL the shard — no drain, no journal flush beyond what
@@ -174,8 +213,6 @@ class ShardProcess:
             return
         self.process.kill()
         self.process.wait(timeout=10.0)
-        if self.process.stdout is not None:
-            self.process.stdout.close()
 
     @property
     def alive(self) -> bool:
@@ -185,6 +222,24 @@ class ShardProcess:
     def crashed(self) -> bool:
         """The process exited without :meth:`terminate` reaping it."""
         return self.process is not None and self.process.poll() is not None
+
+
+def _copy_log(pipe, head: List[str], path: Path) -> None:
+    """Append ``head`` and then the pipe's lines to ``path`` until EOF.
+
+    Closes the pipe at EOF; if the log cannot be opened the pipe is
+    still drained, so the shard never blocks on a full pipe.
+    """
+    try:
+        with open(path, "a", buffering=1) as log:
+            log.writelines(head)
+            for line in pipe:
+                log.write(line)
+    except OSError:
+        for _line in pipe:
+            pass
+    finally:
+        pipe.close()
 
 
 class Fleet:
@@ -200,9 +255,9 @@ class Fleet:
         extra_env: Optional[Dict[str, str]] = None,
         supervise: bool = False,
         policy: Optional[FaultPolicy] = None,
-        heartbeat_s: Optional[float] = None,
-        heartbeat_timeout_s: Optional[float] = None,
-        eject_after: Optional[int] = None,
+        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+        heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
+        eject_after: int = DEFAULT_EJECT_AFTER,
     ) -> None:
         if shards < 1:
             raise ServeError("fleet needs at least one shard")
@@ -433,9 +488,9 @@ class InProcessFleet:
         shards: int = 2,
         root: Optional[str] = None,
         workers: int = 1,
-        heartbeat_s: Optional[float] = None,
-        heartbeat_timeout_s: Optional[float] = None,
-        eject_after: Optional[int] = None,
+        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+        heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
+        eject_after: int = DEFAULT_EJECT_AFTER,
     ) -> None:
         if shards < 1:
             raise ServeError("fleet needs at least one shard")

@@ -28,8 +28,8 @@ join/leave produces a new (ring, version+1) pair, so the router can
 tell clients — and its own bookkeeping — exactly which membership
 epoch a routing decision belongs to.
 
-Everything here is stdlib (:mod:`hashlib` + :mod:`bisect`): the router
-process and client-side routing both stay dependency-free.
+Everything here is stdlib (:mod:`hashlib` + :mod:`bisect`), so the
+router stays dependency-free.
 """
 
 from __future__ import annotations

@@ -1,25 +1,26 @@
 """Multiplexed fleet front end: one event loop routing to N shards.
 
-The :class:`ShardRouter` is the process clients talk to when the serve
-fleet has more than one shard.  It terminates client HTTP on a single
-:mod:`asyncio` event loop — a parked long-poll client costs one socket
-and a coroutine frame, not a thread, so thousands of concurrent
-waiters multiplex onto the loop — and forwards each request to the
-shard chosen by the consistent-hash
+The :class:`ShardRouter` is the serve fleet's one front end: every
+fleet launcher puts it in front of shards that share one result-store
+directory, and clients talk to it, not to the shards.  It terminates
+client HTTP on a single :mod:`asyncio` event loop — a parked long-poll
+client costs one socket and a coroutine frame, not a thread, so
+thousands of concurrent waiters multiplex onto the loop — and forwards
+each request to the shard chosen by the consistent-hash
 :class:`~repro.serve.ring.VersionedRing` over
 :func:`~repro.serve.jobs.spec_digest`.
 
 Because the ring keys on the *same* digest the per-shard queue dedups
-on and the shared :class:`~repro.serve.store.ResultStore` is keyed by,
-placement composes with in-shard dedup into fleet-wide dedup, and a
-routed ``/jobs/<id>/result`` response is proxied byte-for-byte — the
+on and the shared :class:`~repro.serve.store.FileResultStore` is keyed
+by, placement composes with in-shard dedup into fleet-wide dedup, and
+a routed ``/jobs/<id>/result`` response is proxied byte-for-byte — the
 byte-identity contract survives the extra hop (pinned by
-``tests/serve/test_identity.py``).
+``tests/serve/test_identity.py``).  The router has no ``/store``
+route: store bytes enter the store only from a shard's workers.
 
 Routing rules::
 
     POST /jobs, /plan      by spec digest -> owning shard
-    GET/PUT /store/<d>     by digest -> owning shard
     GET  /jobs/<id>[...]   by remembered id->shard home, else asking
                            every shard (only the owner knows the id)
     GET  /jobs             fan-out, concatenated, shard-tagged
@@ -43,10 +44,10 @@ Failure model
 -------------
 
 Membership is *dynamic*: the router tracks a versioned ring plus a
-per-shard health record, heartbeats every member's ``/healthz`` on a
-configurable period (``REPRO_SERVE_HEARTBEAT_S``), and after
-``REPRO_SERVE_EJECT_AFTER`` consecutive failures ejects the dead
-shard — its arcs remap minimally onto the survivors, and the shared
+per-shard health record, heartbeats every member's ``/healthz`` every
+``heartbeat_s`` seconds (default :data:`DEFAULT_HEARTBEAT_S`), and
+after ``eject_after`` consecutive failures ejects the dead shard —
+its arcs remap minimally onto the survivors, and the shared
 content-addressed store means remapped digests that already completed
 are served from the store instead of recomputed.  A recovered (or
 supervisor-restarted) shard rejoins automatically on its first
@@ -54,9 +55,10 @@ successful heartbeat.
 
 While a segment is uncovered — the owning shard is down but not yet
 ejected, or a job's home died with the job's id — the router never
-returns a silent 502: it either serves result bytes from the shared
-store (``serve.router.store_served``) or raises the structured,
-retryable :class:`~repro.errors.DegradedError` (HTTP 503 +
+returns a silent 502: it either serves a finished job's result bytes
+from the shared store through a live member's read-only
+``GET /store/<digest>`` (``serve.router.store_served``) or raises the
+structured, retryable :class:`~repro.errors.DegradedError` (HTTP 503 +
 ``Retry-After``), which ``repro-cli submit`` and the load harness back
 off on.  The router itself holds no job state worth preserving, so it
 has no journal — restart it freely, the shards are the truth.
@@ -83,51 +85,27 @@ UPSTREAM_TIMEOUT_S = 30.0
 #: Cap on a client request body the router will buffer.
 _MAX_BODY = 8 * 1024 * 1024
 
-#: Environment variable for the heartbeat period in seconds (0
-#: disables the monitor; failures are then only noticed by traffic).
-HEARTBEAT_S_ENV = "REPRO_SERVE_HEARTBEAT_S"
+#: Environment variable listing shard base URLs (comma-separated): the
+#: default for ``repro-cli router --shards``.
+SHARDS_ENV = "REPRO_SERVE_SHARDS"
 
-#: Environment variable for one heartbeat probe's timeout in seconds.
-HEARTBEAT_TIMEOUT_ENV = "REPRO_SERVE_HEARTBEAT_TIMEOUT_S"
-
-#: Environment variable for the consecutive-failure ejection threshold.
-EJECT_AFTER_ENV = "REPRO_SERVE_EJECT_AFTER"
-
+#: Heartbeat period in seconds (0 disables the monitor; failures are
+#: then only noticed by traffic).
 DEFAULT_HEARTBEAT_S = 2.0
+
+#: One heartbeat probe's timeout in seconds.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 1.0
+
+#: Consecutive failures before a member is ejected from the ring.
 DEFAULT_EJECT_AFTER = 3
 
 
-def _env_number(name: str, default, minimum, integer: bool = False):
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw) if integer else float(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be a number, got {raw!r}")
-    if value < minimum:
-        raise ServeError(f"{name} must be >= {minimum:g}, got {raw}")
-    return value
-
-
-def resolve_heartbeat(
-    heartbeat_s: Optional[float] = None,
-    timeout_s: Optional[float] = None,
-    eject_after: Optional[int] = None,
-) -> Tuple[float, float, int]:
-    """Failure-detection knobs: explicit argument > environment > default."""
-    if heartbeat_s is None:
-        heartbeat_s = _env_number(HEARTBEAT_S_ENV, DEFAULT_HEARTBEAT_S, 0.0)
-    if timeout_s is None:
-        timeout_s = _env_number(
-            HEARTBEAT_TIMEOUT_ENV, DEFAULT_HEARTBEAT_TIMEOUT_S, 0.05
-        )
-    if eject_after is None:
-        eject_after = _env_number(
-            EJECT_AFTER_ENV, DEFAULT_EJECT_AFTER, 1, integer=True
-        )
-    return float(heartbeat_s), float(timeout_s), int(eject_after)
+def resolve_shards(shards=None) -> List[str]:
+    """Shard URL list: explicit argument > ``REPRO_SERVE_SHARDS`` > []."""
+    if shards is None:
+        raw = os.environ.get(SHARDS_ENV, "").strip()
+        shards = [part for part in raw.split(",") if part.strip()]
+    return [url.strip().rstrip("/") for url in shards]
 
 
 def _error_response(error: ReproError) -> "_Response":
@@ -199,9 +177,9 @@ class ShardRouter:
         port: int = 0,
         replicas: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        heartbeat_s: Optional[float] = None,
-        heartbeat_timeout_s: Optional[float] = None,
-        eject_after: Optional[int] = None,
+        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+        heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
+        eject_after: int = DEFAULT_EJECT_AFTER,
     ) -> None:
         urls = [url.strip().rstrip("/") for url in shards if url.strip()]
         if not urls:
@@ -213,10 +191,9 @@ class ShardRouter:
         self.host = host
         self.port = port
         self.registry = registry if registry is not None else MetricsRegistry()
-        (self.heartbeat_s, self.heartbeat_timeout_s,
-         self.eject_after) = resolve_heartbeat(
-            heartbeat_s, heartbeat_timeout_s, eject_after
-        )
+        self.heartbeat_s = heartbeat_s
+        self.heartbeat_timeout_s = heartbeat_timeout_s
+        self.eject_after = eject_after
         self._job_homes: Dict[str, str] = {}
         self._job_digests: Dict[str, str] = {}
         self._waits: Dict[Tuple[str, str], asyncio.Task] = {}
@@ -671,8 +648,6 @@ class ShardRouter:
             return await self._route_submission(path, body)
         if method == "GET" and path == "/jobs":
             return await self._list_jobs()
-        if len(parts) == 2 and parts[0] == "store":
-            return await self._route_store(method, parts[1], body)
         if len(parts) >= 2 and parts[0] == "jobs":
             return await self._route_job(
                 method, parts, query_string, body
@@ -696,35 +671,6 @@ class ShardRouter:
             forget=bool(payload.get("forget", False)),
         )
         return _Response(200, json.dumps(out, sort_keys=True).encode())
-
-    async def _route_store(
-        self, method: str, digest: str, body: bytes
-    ) -> _Response:
-        shard = self._ring.node_for(digest)
-        self._count_shard(shard, "routed")
-        try:
-            return await self._upstream(
-                shard, method, f"/store/{digest}", body,
-                content_type="application/octet-stream",
-            )
-        except DegradedError:
-            # The owner is down but the store is shared: any live
-            # member can serve (or accept) the digest's bytes.
-            for url in self.shards:
-                if url == shard:
-                    continue
-                try:
-                    response = await self._upstream(
-                        url, method, f"/store/{digest}", body,
-                        content_type="application/octet-stream",
-                        note=False,
-                    )
-                except ServeError:
-                    continue
-                if response.status < 500:
-                    self.registry.counter_add("serve.router.store_served")
-                    return response
-            raise
 
     async def _route_submission(self, path: str, body: bytes) -> _Response:
         try:

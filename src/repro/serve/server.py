@@ -28,8 +28,8 @@ Endpoints (all JSON; errors use the ``error[<code>]`` contract)::
                                pending, 500 for failed, 410 cancelled)
     POST /jobs/<id>/cancel     cancel a still-queued job (409 later)
     GET  /store/<digest>       raw stored result bytes from the shared
-                               result store (404 miss, 503 if no store)
-    PUT  /store/<digest>       publish result bytes into the store
+                               result store (404 miss, 503 if no store);
+                               read-only — only workers write the store
 
 Lifecycle: :meth:`ExperimentServer.start` binds, restores any journaled
 queued jobs from a previous drain, and spawns workers;
@@ -62,12 +62,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.executor import WorkerPool
 from repro.serve.journal import JobJournal
 from repro.serve.jobs import PLAN_PRIORITY, JobState, normalize_spec
-from repro.serve.queue import (
-    DEFAULT_MAX_QUEUED,
-    DEFAULT_RETRY_AFTER_S,
-    JobQueue,
-)
-from repro.serve.store import ResultStore, resolve_store
+from repro.serve.queue import DEFAULT_MAX_QUEUED, JobQueue
+from repro.serve.store import FileResultStore, resolve_store
 from repro.sim.parallel import FaultPolicy
 
 #: Environment variables configuring the daemon (flags win over these).
@@ -75,7 +71,6 @@ HOST_ENV = "REPRO_SERVE_HOST"
 PORT_ENV = "REPRO_SERVE_PORT"
 QUEUE_MAX_ENV = "REPRO_SERVE_QUEUE_MAX"
 DIR_ENV = "REPRO_SERVE_DIR"
-RETRY_AFTER_ENV = "REPRO_SERVE_RETRY_AFTER"
 
 #: Defaults when neither argument nor environment decide.
 DEFAULT_HOST = "127.0.0.1"
@@ -91,15 +86,14 @@ def _env_str(name: str, default: str) -> str:
     return raw if raw else default
 
 
-def _env_number(name: str, default: float, integer: bool = False):
+def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        return int(raw) if integer else float(raw)
+        return int(raw)
     except ValueError:
-        kind = "an integer" if integer else "a number"
-        raise ExperimentError(f"{name} must be {kind}, got {raw!r}")
+        raise ExperimentError(f"{name} must be an integer, got {raw!r}")
 
 
 class _ServeHTTPServer(ThreadingHTTPServer):
@@ -193,9 +187,6 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         self._route("POST")
 
-    def do_PUT(self) -> None:  # noqa: N802
-        self._route("PUT")
-
 
 class ExperimentServer:
     """The long-running experiment service (see module docstring)."""
@@ -207,36 +198,24 @@ class ExperimentServer:
         workers: Optional[int] = None,
         max_queued: Optional[int] = None,
         state_dir: Optional[str] = None,
-        retry_after_s: Optional[float] = None,
         policy: Optional[FaultPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
         store_dir: Optional[str] = None,
-        store_url: Optional[str] = None,
-        store: Optional[ResultStore] = None,
+        store: Optional[FileResultStore] = None,
     ) -> None:
         self.host = host if host is not None else _env_str(HOST_ENV, DEFAULT_HOST)
         self.port = (
-            port
-            if port is not None
-            else int(_env_number(PORT_ENV, DEFAULT_PORT, integer=True))
+            port if port is not None else _env_int(PORT_ENV, DEFAULT_PORT)
         )
         if max_queued is None:
-            max_queued = int(
-                _env_number(QUEUE_MAX_ENV, DEFAULT_MAX_QUEUED, integer=True)
-            )
-        if retry_after_s is None:
-            retry_after_s = float(
-                _env_number(RETRY_AFTER_ENV, DEFAULT_RETRY_AFTER_S)
-            )
+            max_queued = _env_int(QUEUE_MAX_ENV, DEFAULT_MAX_QUEUED)
         self.state_dir = (
             state_dir
             if state_dir is not None
             else (os.environ.get(DIR_ENV, "").strip() or None)
         )
-        self.store = (
-            store if store is not None else resolve_store(store_dir, store_url)
-        )
-        self.queue = JobQueue(max_queued=max_queued, retry_after_s=retry_after_s)
+        self.store = store if store is not None else resolve_store(store_dir)
+        self.queue = JobQueue(max_queued=max_queued)
         self.pool = WorkerPool(
             self.queue, workers=workers, policy=policy,
             state_dir=self.state_dir, store=self.store,
@@ -415,13 +394,9 @@ class ExperimentServer:
             http._send_json(200, {"jobs": self.queue.describe()})
             return True
         parts = path.strip("/").split("/")
-        if len(parts) == 2 and parts[0] == "store":
-            if method == "GET":
-                self._store_get(http, parts[1])
-                return True
-            if method == "PUT":
-                self._store_put(http, parts[1])
-                return True
+        if method == "GET" and len(parts) == 2 and parts[0] == "store":
+            self._store_get(http, parts[1])
+            return True
         if len(parts) >= 2 and parts[0] == "jobs":
             job_id = parts[1]
             if method == "GET" and len(parts) == 2:
@@ -481,16 +456,6 @@ class ExperimentServer:
                 f"no stored result for digest {digest!r}", http_status=404
             )
         http._send(200, payload, content_type="application/octet-stream")
-
-    def _store_put(self, http: _Handler, digest: str) -> None:
-        if self.store is None:
-            raise ServeError("no result store configured", http_status=503)
-        length = int(http.headers.get("Content-Length") or 0)
-        payload = http.rfile.read(length) if length else b""
-        if not payload:
-            raise ServeError("store payload must be non-empty")
-        self.store.put(digest, payload)
-        http._send_json(200, {"stored": digest, "bytes": len(payload)})
 
     def _submit(self, http: _Handler) -> None:
         body = http._read_body()

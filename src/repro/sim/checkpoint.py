@@ -30,8 +30,10 @@ Durability model
 
 Serialization round-trips exactly: JSON preserves Python floats
 bit-for-bit (``repr``-based), so a resumed run's output is
-byte-identical to an uninterrupted one — the CI kill-and-resume smoke
-job diffs the two.
+byte-identical to an uninterrupted one —
+``test_sigkill_mid_run_then_resume_matches_uninterrupted`` in
+``tests/faults/test_kill_resume.py`` SIGKILLs a checkpointed run,
+resumes it and compares the two reports.
 """
 
 from __future__ import annotations

@@ -62,7 +62,10 @@ Invariants
 - Results come back in input order regardless of completion order, so a
   parallel run is *output-identical* to a serial one — and, via the
   checkpoint journal, a resumed run is output-identical to an
-  uninterrupted one (the CI smoke jobs diff all three).
+  uninterrupted one (pinned by ``test_parallel_matches_serial`` in
+  ``tests/sim/test_parallel.py`` and by
+  ``test_sigkill_mid_run_then_resume_matches_uninterrupted`` in
+  ``tests/faults/test_kill_resume.py``).
 - Only :class:`SweepCell` keys cross the boundary outbound and only
   :class:`~repro.sim.results.SimResult` objects (plus, when metrics are
   on, a plain-dict metrics snapshot) come back — never traces or

@@ -1,4 +1,4 @@
-"""The launcher against live servers (single daemon, shards, fleet).
+"""The launcher against live servers (single daemon, fleet router).
 
 Marked ``serial``: real daemons and thread pools.
 """
@@ -61,11 +61,9 @@ class TestOffer:
         assert summary["failure_rate"] == 0.0
         assert summary["latency_s"]["p99"] > 0.0
 
-    def test_client_side_ring_routing_over_shards(self, tmp_path):
+    def test_offer_through_a_fleet_router(self, tmp_path):
         with InProcessFleet(shards=2, root=str(tmp_path)) as fleet:
-            records = offer(
-                scenario(), 8.0, shards=fleet.shard_urls
-            )
+            records = offer(scenario(), 8.0, url=fleet.url)
             assert {r.state for r in records} == {"done"}
 
     def test_rejections_recorded_not_raised(self, tmp_path):

@@ -11,9 +11,10 @@ The two properties the fleet design leans on:
   global reshuffle.
 
 Plus determinism (two rings from the same nodes agree everywhere —
-required for the router and ShardedClient to compute identical
-placement in different processes) and the constructor's rejection of
-degenerate inputs.
+required so a restarted router places every digest where its
+predecessor did, and so a test can recompute the router's placement
+in its own process) and the constructor's rejection of degenerate
+inputs.
 """
 
 from __future__ import annotations

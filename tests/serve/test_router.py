@@ -14,11 +14,15 @@ from __future__ import annotations
 import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.errors import DegradedError, ServeError
 from repro.serve import InProcessFleet, ServeClient
+from repro.serve.chaos import CHAOS_LOG_ENV, read_log
+from repro.serve.executor import JOB_HOOK_ENV
 from repro.serve.ring import HashRing
 from repro.serve.router import ShardRouter
 
@@ -92,12 +96,36 @@ class TestRouting:
             for server in fleet.servers:
                 server.queue.resume_dispatch()
 
-    def test_store_endpoint_routed_by_digest(self, fleet, router_client):
-        digest = "fe" * 16
-        router_client.store_put(digest, b'{"routed":1}')
-        assert router_client.store_get(digest) == b'{"routed":1}'
-        # it exists exactly once, in the shared store
-        assert fleet.store.get(digest) == b'{"routed":1}'
+    def test_forged_store_writes_are_refused(
+        self, fleet, router_client, tmp_path, monkeypatch
+    ):
+        """No HTTP client can plant result bytes: the fleet answers a
+        spec only with bytes a worker computed for it."""
+        from repro.serve.jobs import (
+            JobSpec, execute_spec, normalize_spec, spec_digest,
+        )
+
+        spec = {"experiment": "table2", "scale": 0.02, "seed": 28}
+        digest = spec_digest(normalize_spec(spec))
+        forged = b'{"forged": true}'
+        # The router has no /store route; a shard serves GET only, so
+        # the stdlib answers PUT as an unsupported method.
+        assert _put_status(f"{fleet.url}/store/{digest}", forged) == 404
+        for url in fleet.shard_urls:
+            assert _put_status(f"{url}/store/{digest}", forged) == 501
+        assert fleet.store.get(digest) is None
+
+        ledger = tmp_path / "computed.log"
+        monkeypatch.setenv(JOB_HOOK_ENV, "repro.serve.chaos:log_computation")
+        monkeypatch.setenv(CHAOS_LOG_ENV, str(ledger))
+        job = router_client.submit(**spec)["job"]
+        assert router_client.wait(job["id"], timeout_s=120)["state"] == "done"
+        served = router_client.result_bytes(job["id"])
+        assert served == execute_spec(JobSpec("table2", 0.02, 28))
+        assert read_log(str(ledger))[digest] == 1
+        # The owner's read-only GET /store now returns the computed bytes.
+        owner = HashRing(fleet.shard_urls).node_for(digest)
+        assert ServeClient(owner).store_get(digest) == served
 
 
 class TestAggregation:
@@ -267,6 +295,23 @@ class TestDegradedFleet:
                 record = client.wait(response["job"]["id"], timeout_s=60)
                 assert record["state"] == "done"
 
+    def test_finished_result_served_from_store_when_home_is_down(self):
+        # Heartbeats off: the drained home stays in the ring, so the
+        # result fetch reaches the router's store fallback.
+        with InProcessFleet(shards=2, workers=1, heartbeat_s=0) as fleet:
+            client = ServeClient(fleet.url)
+            job = client.submit("table2", scale=0.02, seed=29)["job"]
+            assert client.wait(job["id"], timeout_s=120)["state"] == "done"
+            payload = client.result_bytes(job["id"])
+            home = next(
+                index for index, url in enumerate(fleet.shard_urls)
+                if _knows(url, job["id"])
+            )
+            fleet.servers[home].drain()
+            assert client.result_bytes(job["id"]) == payload
+            counters = fleet.router.registry.snapshot()["counters"]
+            assert counters["serve.router.store_served"] == 1
+
     def test_router_lifecycle_guards(self):
         with pytest.raises(ServeError):
             ShardRouter([])
@@ -275,6 +320,16 @@ class TestDegradedFleet:
             router.start()
         router.stop()
         router.stop()  # idempotent
+
+
+def _put_status(url: str, payload: bytes) -> int:
+    """The HTTP status a ``PUT`` of ``payload`` to ``url`` gets."""
+    request = urllib.request.Request(url, data=payload, method="PUT")
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
 
 
 def _knows(url: str, job_id: str) -> bool:

@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
 from repro.errors import ServeError
 from repro.obs import metrics as _metrics
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.store import (
     STORE_DIR_ENV,
     STORE_MAGIC,
-    STORE_URL_ENV,
     FileResultStore,
-    HTTPResultStore,
     check_digest,
     resolve_store,
 )
@@ -91,7 +87,6 @@ class TestFileStore:
 class TestResolveStore:
     def test_unconfigured_is_none(self, monkeypatch):
         monkeypatch.delenv(STORE_DIR_ENV, raising=False)
-        monkeypatch.delenv(STORE_URL_ENV, raising=False)
         assert resolve_store() is None
 
     def test_dir_env(self, monkeypatch, tmp_path):
@@ -100,26 +95,15 @@ class TestResolveStore:
         assert isinstance(store, FileResultStore)
         assert store.root == tmp_path
 
-    def test_url_env(self, monkeypatch):
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
-        monkeypatch.setenv(STORE_URL_ENV, "http://127.0.0.1:1/")
-        store = resolve_store()
-        assert isinstance(store, HTTPResultStore)
-        assert store.url == "http://127.0.0.1:1"
-
-    def test_dir_wins_over_url(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
-        monkeypatch.setenv(STORE_URL_ENV, "http://127.0.0.1:1")
-        assert isinstance(resolve_store(), FileResultStore)
-
     def test_arguments_win_over_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_URL_ENV, "http://127.0.0.1:1")
-        store = resolve_store(store_dir=str(tmp_path))
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "env"))
+        store = resolve_store(store_dir=str(tmp_path / "arg"))
         assert isinstance(store, FileResultStore)
+        assert store.root == tmp_path / "arg"
 
 
 class TestHTTPStore:
-    """The remote backend against a live daemon's /store endpoints."""
+    """The store behind a live daemon's HTTP surface."""
 
     @pytest.fixture
     def stored_server(self, tmp_path):
@@ -132,21 +116,6 @@ class TestHTTPStore:
         server.start()
         yield server
         server.drain()
-
-    def test_roundtrip_over_http(self, stored_server):
-        remote = HTTPResultStore(stored_server.url)
-        assert remote.get(DIGEST) is None
-        remote.put(DIGEST, b'{"y":2}')
-        assert remote.get(DIGEST) == b'{"y":2}'
-        # and it landed in the server's file store
-        assert stored_server.store.get(DIGEST) == b'{"y":2}'
-
-    def test_unreachable_backend_degrades_to_none(self):
-        remote = HTTPResultStore("http://127.0.0.1:1", timeout_s=0.2)
-        with _metrics.scoped_registry() as registry:
-            assert remote.get(DIGEST) is None
-            remote.put(DIGEST, b"p")  # must not raise
-        assert registry.snapshot()["counters"]["serve.store.errors"] == 2
 
     def test_store_endpoints_without_store_are_503(self, running_server):
         from repro.serve import ServeClient

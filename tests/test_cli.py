@@ -108,3 +108,41 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error[MODEL]:" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.serial
+class TestFleetCommands:
+    """The client commands against a fleet, reached through its router."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self, tmp_path_factory):
+        from repro.serve import InProcessFleet
+        from repro.sim.replay_cache import CACHE_DIR_ENV
+
+        root = tmp_path_factory.mktemp("cli-fleet")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(CACHE_DIR_ENV, str(root / "replay"))
+            with InProcessFleet(shards=2, root=str(root / "fleet")) as fleet:
+                yield fleet
+
+    def test_submit_through_the_router_prints_the_render(
+        self, fleet, capsys
+    ):
+        assert main([
+            "submit", "--url", fleet.url, "--experiment", "table2",
+            "--scale", "0.02", "--wait",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Table II — NVM cell parameters" in out
+
+    def test_fleet_status_prints_one_line_per_shard(self, fleet, capsys):
+        assert main(["fleet", "status", "--url", fleet.url]) == 0
+        out = capsys.readouterr().out
+        shard_lines = [
+            line for line in out.splitlines()
+            if line.lstrip().startswith("shard ")
+        ]
+        assert len(shard_lines) == len(fleet.shard_urls) == 2
+        for url, line in zip(fleet.shard_urls, shard_lines):
+            assert url in line
+            assert "up/in-ring" in line
