@@ -11,11 +11,9 @@ the intra-set write-variation literature the paper cites [20], [38],
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
-from repro.sim.cache import SetAssocCache
 from repro.sim.hierarchy import LLCStream
 
 
@@ -61,6 +59,23 @@ class WearSummary:
         return float(self.set_writes.std() / mean)
 
 
+def tally_wear(
+    set_idx: np.ndarray, lines: np.ndarray, n_sets: int, associativity: int
+) -> WearSummary:
+    """The wear of a replay's data-array writes, one entry per write:
+    the set it lands in and the line it programs."""
+    hottest = 0
+    if len(lines):
+        hottest = int(np.unique(lines, return_counts=True)[1].max())
+    return WearSummary(
+        n_sets=n_sets,
+        associativity=associativity,
+        total_writes=len(lines),
+        set_writes=np.bincount(set_idx, minlength=n_sets).astype(np.int64),
+        hottest_line_writes=hottest,
+    )
+
+
 def replay_with_wear(
     stream: LLCStream,
     capacity_bytes: int,
@@ -71,32 +86,16 @@ def replay_with_wear(
 
     Every write access *and* every demand-miss fill programs the data
     array, so both wear the cells — this is the physical accounting,
-    independent of the energy model's fill switch.
+    independent of the energy model's fill switch.  The replay is the
+    vector LRU rounds' hit mask (:func:`repro.sim.engine.lru_rounds`):
+    the written lines are ``writes | ~hit``.
     """
-    cache = SetAssocCache(capacity_bytes, block_bytes, associativity)
-    n_sets = cache.n_sets
-    set_writes = np.zeros(n_sets, dtype=np.int64)
-    line_writes: Dict[int, int] = {}
-    total = 0
+    from repro.sim.engine import check_geometry, lru_rounds
 
-    blocks = stream.blocks
-    writes = stream.writes
-    for i in range(len(stream)):
-        block = int(blocks[i])
-        is_write = bool(writes[i])
-        outcome = cache.access(block, is_write)
-        wrote = is_write or not outcome.hit  # writeback, or fill
-        if wrote:
-            total += 1
-            set_writes[block % n_sets] += 1
-            line_writes[block] = line_writes.get(block, 0) + 1
-
-    hottest = max(line_writes.values()) if line_writes else 0
-    return WearSummary(
-        n_sets=n_sets,
-        associativity=associativity,
-        total_writes=total,
-        set_writes=set_writes,
-        hottest_line_writes=hottest,
-    )
-
+    n_sets = check_geometry(capacity_bytes, block_bytes, associativity)
+    blocks = np.ascontiguousarray(stream.blocks, dtype=np.uint64)
+    writes = np.ascontiguousarray(stream.writes, dtype=bool)
+    set_idx = (blocks % np.uint64(n_sets)).astype(np.int64)
+    hit, _ = lru_rounds(set_idx, blocks, writes, n_sets, associativity)
+    wrote = writes | ~hit  # writeback, or fill
+    return tally_wear(set_idx[wrote], blocks[wrote], n_sets, associativity)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.correlate.linear import pearson
 from repro.endurance.lifetime import LifetimeEstimate, estimate_lifetime
-from repro.endurance.wear import replay_with_wear
+from repro.endurance.wear import WearSummary, replay_with_wear
 from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentContext, TableWriter
 from repro.nvsim.published import published_model, sram_baseline
@@ -80,15 +80,21 @@ def run(
         # The wear window's wall-clock duration: the workload's own
         # simulated runtime on the SRAM baseline (technology-neutral).
         window_s = session.run(sram_baseline()).runtime_s
+        # The wear depends only on the geometry, so models of one
+        # capacity (all of fixed-capacity) share one replay.
+        wear_by_capacity: Dict[int, WearSummary] = {}
         for llc_name, model in models.items():
-            wear = replay_with_wear(
-                session.private.stream,
-                model.capacity_bytes,
-                context.arch.llc_associativity,
-                context.arch.llc_block_bytes,
-            )
+            capacity = model.capacity_bytes
+            if capacity not in wear_by_capacity:
+                wear_by_capacity[capacity] = replay_with_wear(
+                    session.private.stream,
+                    capacity,
+                    context.arch.llc_associativity,
+                    context.arch.llc_block_bytes,
+                )
             lifetimes[llc_name][workload] = estimate_lifetime(
-                model.name, model.cell_class, wear, window_s
+                model.name, model.cell_class, wear_by_capacity[capacity],
+                window_s,
             )
     return LifetimeStudy(
         llc_names=tuple(llcs),

@@ -20,7 +20,13 @@ every run replays through this module instead:
   Python-level loop runs ``max accesses-per-set`` times instead of once
   per access.  :func:`repro.sim.llc.simulate_llc` sends every other
   replacement policy to the reference loop; ``policy`` is the only
-  thing that selects a replay path.
+  thing that selects a replay path;
+- technique and wear replay (:mod:`repro.techniques.replay`,
+  :mod:`repro.endurance.wear`) on the same rounds: :func:`lru_rounds`
+  returns the stream-order hit and dirty-eviction masks every count
+  derives from, and :func:`compacted_rounds` is its compacted-way
+  variant.  Their oracle is
+  :func:`repro.techniques.replay.replay_with_technique_reference`.
 
 The batched private loop replays the same streams through the same LRU
 semantics as the reference:
@@ -52,7 +58,8 @@ Invariants
   adversarial streams.  Any divergence is a bug; bump
   :data:`repro.sim.replay_cache.CACHE_VERSION` whenever replay semantics
   intentionally change.
-- **LRU only.** The vector LLC rounds implement LRU.
+- **LRU only.** The vector rounds implement LRU (by byte budget, for
+  the compacted ways).
 - **No per-access observability.** The loops carry no metrics hooks —
   instrumentation lives in the callers
   (:func:`~repro.sim.hierarchy.filter_private`,
@@ -86,13 +93,20 @@ def resolve_engine(engine: None = None) -> str:
     return "vector"
 
 
-def _check_geometry(capacity_bytes: int, block_bytes: int, associativity: int) -> int:
-    """Validate geometry exactly like ``SetAssocCache``; returns n_sets."""
+def check_geometry(
+    capacity_bytes: int, block_bytes: int, associativity: int,
+    error: type = ConfigurationError,
+) -> int:
+    """Validate geometry exactly like ``SetAssocCache``; returns n_sets.
+
+    ``error`` is the class raised, so a technique's own cache variant
+    (the compacted ways raise ``CompressionError``) keeps its failures.
+    """
     if capacity_bytes % (block_bytes * associativity):
-        raise ConfigurationError("capacity must be a whole number of sets")
+        raise error("capacity must be a whole number of sets")
     n_sets = capacity_bytes // (block_bytes * associativity)
     if n_sets <= 0:
-        raise ConfigurationError("cache must have at least one set")
+        raise error("cache must have at least one set")
     return n_sets
 
 
@@ -116,6 +130,279 @@ def _per_core_positions(core_ids: np.ndarray, gaps: np.ndarray, n_cores: int):
     return positions, final
 
 
+def _round_major(set_idx: np.ndarray, n_sets: int):
+    """Group a stream by set and order it round-major.
+
+    Returns ``(perm, k_per_round, offsets, n_rows)``: round ``t`` is the
+    ``t``-th access of every set still active, ``perm[offsets[t]:
+    offsets[t + 1]]`` holds their stream indices, and its ``j``-th access
+    belongs to state row ``j`` of ``n_rows``.  Rows are ranked by
+    descending access count, so round ``t``'s rows are exactly
+    ``[0, k_per_round[t])``; the permutation comes from **one** stable
+    sort by row, after which the ``j``-th access of row ``i`` lands at
+    ``offsets[j] + i`` — pure arithmetic.
+    """
+    n = len(set_idx)
+    if n_sets <= 2 * n:
+        # Dense: one state row per set, occupancy from bincount.
+        set_counts = np.bincount(set_idx, minlength=n_sets)
+        set_cid = set_idx
+        n_rows = n_sets
+    else:
+        # Sparse (huge cache, short stream): compact to touched sets
+        # so state stays O(accesses), not O(cache).
+        _, set_cid, set_counts = np.unique(
+            set_idx, return_inverse=True, return_counts=True
+        )
+        n_rows = len(set_counts)
+
+    max_count = int(set_counts.max())
+    if max_count <= np.iinfo(np.uint16).max:
+        rank_key = (max_count - set_counts).astype(np.uint16)
+    else:
+        rank_key = -set_counts
+    rank_order = np.argsort(rank_key, kind="stable")
+    rank = np.empty(n_rows, dtype=np.int64)
+    rank[rank_order] = np.arange(n_rows)
+    counts_desc = set_counts[rank_order]
+    row = rank[set_cid]
+    # k_per_round[t] = number of sets with more than t accesses.
+    k_per_round = np.searchsorted(
+        -counts_desc, -np.arange(max_count), side="left"
+    )
+    offsets = np.r_[0, np.cumsum(k_per_round)]
+
+    if n_rows <= np.iinfo(np.uint16).max:
+        sort_key = row.astype(np.uint16)
+    else:
+        sort_key = row.astype(np.uint32)
+    order = np.argsort(sort_key, kind="stable")
+    n_active = int(np.count_nonzero(counts_desc))
+    active_counts = counts_desc[:n_active]
+    group_starts = np.r_[0, np.cumsum(active_counts[:-1])]
+    pos_sorted = np.arange(n, dtype=np.int64) - np.repeat(
+        group_starts, active_counts
+    )
+    row_sorted = np.repeat(np.arange(n_active, dtype=np.int64), active_counts)
+    perm = np.empty(n, dtype=np.int64)
+    perm[offsets[pos_sorted] + row_sorted] = order
+    return perm, k_per_round, offsets, n_rows
+
+
+def lru_rounds(set_idx, tags, writes, n_sets: int, associativity: int):
+    """Stream-order hit and dirty-eviction masks of an LRU replay.
+
+    Access ``i`` looks up ``tags[i]`` (uint64) in set ``set_idx[i]``
+    (int64, below ``n_sets``) of a write-back, write-allocate LRU cache
+    that starts empty — :class:`~repro.sim.cache.SetAssocCache`'s
+    semantics, with the tag in place of the block id.  Every replay of
+    an LRU stream reduces to these two masks: the LLC counts, the wear
+    tally and the technique replay all derive from them.
+
+    Algorithm — *rounds lockstep over sets* (:func:`_round_major`):
+    replay round by round on flat state arrays ``tags`` / ``dirty`` /
+    ``age`` of shape ``(n_rows * assoc,)``, all zero at the start.  The
+    LRU victim is ``argmin(age)``: empty ways carry age 0 and fill
+    lowest-index first, exactly the reference loop's install order, and
+    evicting an empty way is indistinguishable from installing into it
+    because an empty way is never dirty.  Since nothing invalidates, the
+    filled ways of a row are always a prefix of it, so the first tag
+    match (``argmax``) reaches a filled way holding the tag before any
+    empty way whose tag 0 happens to equal it; a hit is a tag match on
+    a way with non-zero age.  No tag value is reserved, so every uint64
+    tag is valid.
+
+    The per-access work is ``O(assoc)`` like the reference loop, but the
+    interpreter loop runs ``max accesses-per-set`` times (tens) instead
+    of once per access (tens of thousands).
+    """
+    n = len(tags)
+    hit_out = np.zeros(n, dtype=bool)
+    evict_out = np.zeros(n, dtype=bool)
+    if not n:
+        return hit_out, evict_out
+    assoc = associativity
+    perm, k_per_round, offsets, n_rows = _round_major(set_idx, n_sets)
+    bs = tags[perm]
+    ws = writes[perm]
+
+    # Flat per-way state, row-major (n_rows, assoc).
+    state_tags = np.zeros(n_rows * assoc, dtype=np.uint64)
+    dirty = np.zeros(n_rows * assoc, dtype=bool)
+    age = np.zeros(n_rows * assoc, dtype=np.uint32)
+    tags2 = state_tags.reshape(n_rows, assoc)
+    age2 = age.reshape(n_rows, assoc)
+    row_base = np.arange(n_rows, dtype=np.int64) * assoc
+
+    hit_flat = np.empty(n, dtype=bool)
+    evict_flat = np.empty(n, dtype=bool)
+
+    # Round 0: every set is empty — guaranteed miss into way 0.
+    k0 = int(k_per_round[0])
+    hit_flat[:k0] = False
+    evict_flat[:k0] = False
+    tags2[:k0, 0] = bs[:k0]
+    dirty[row_base[:k0]] = ws[:k0]
+    age[row_base[:k0]] = 1
+
+    for t in range(1, len(k_per_round)):
+        k = int(k_per_round[t])
+        lo, hi = int(offsets[t]), int(offsets[t + 1])
+        b = bs[lo:hi]
+        hitm = tags2[:k] == b[:, None]
+        way = row_base[:k] + hitm.argmax(axis=1)
+        hit = (state_tags[way] == b) & (age[way] != 0)
+        victim = age2[:k].argmin(axis=1)
+        flat = np.where(hit, way, row_base[:k] + victim)
+        old_d = dirty[flat]
+        hit_flat[lo:hi] = hit
+        evict_flat[lo:hi] = ~hit & old_d
+        state_tags[flat] = b
+        dirty[flat] = (hit & old_d) | ws[lo:hi]
+        age[flat] = t + 1
+
+    hit_out[perm] = hit_flat
+    evict_out[perm] = evict_flat
+    return hit_out, evict_out
+
+
+def compacted_rounds(
+    set_idx, tags, writes, sizes, n_sets: int, associativity: int,
+    block_bytes: int, tag_factor: int,
+):
+    """Stream-order outcomes of a compacted-way replay.
+
+    The vector form of
+    :class:`~repro.techniques.compression.CompactedWayCache`: a set
+    holds lines by byte budget (``associativity * block_bytes``) up to
+    ``tag_factor * associativity`` tags; a miss evicts LRU lines until
+    both budgets admit the new line of ``sizes[i]`` bytes; a hit keeps
+    the stored size and a sticky dirty bit.  Returns ``(hit,
+    dirty_victims, resident)`` per access: whether it hit, how many
+    dirty lines its miss evicted, and the lines resident in its set
+    afterwards.
+
+    The rounds are those of :func:`lru_rounds` on rows of
+    ``tag_factor * associativity`` ways, each with a size.  One miss
+    may evict several lines and leave holes anywhere in the row, so
+    filled ways are no prefix here: a hit is a tag match on a way with
+    non-zero age.  The victims are the oldest lines, as many as the
+    prefix sums of their sizes in age order (and the tag count) demand.
+    """
+    n = len(tags)
+    hit_out = np.zeros(n, dtype=bool)
+    victims_out = np.zeros(n, dtype=np.int64)
+    resident_out = np.zeros(n, dtype=np.int64)
+    if not n:
+        return hit_out, victims_out, resident_out
+    ways = tag_factor * associativity
+    byte_budget = associativity * block_bytes
+    perm, k_per_round, offsets, n_rows = _round_major(set_idx, n_sets)
+    bs = tags[perm]
+    ws = writes[perm]
+    ss = sizes[perm]
+
+    state_tags = np.zeros((n_rows, ways), dtype=np.uint64)
+    size = np.zeros((n_rows, ways), dtype=np.int64)
+    dirty = np.zeros((n_rows, ways), dtype=bool)
+    age = np.zeros((n_rows, ways), dtype=np.uint32)
+    position = np.arange(ways)
+
+    hit_flat = np.empty(n, dtype=bool)
+    victims_flat = np.zeros(n, dtype=np.int64)
+    resident_flat = np.empty(n, dtype=np.int64)
+
+    for t in range(len(k_per_round)):
+        k = int(k_per_round[t])
+        lo, hi = int(offsets[t]), int(offsets[t + 1])
+        b = bs[lo:hi]
+        s = ss[lo:hi]
+        filled = age[:k] != 0
+        match = (state_tags[:k] == b[:, None]) & filled
+        hit = match.any(axis=1)
+        lines = filled.sum(axis=1)
+        over = size[:k].sum(axis=1) + s - byte_budget
+        evicted = np.zeros(k, dtype=np.int64)
+        must = ~hit & ((over > 0) | (lines == ways))
+        if must.any():
+            rows = np.flatnonzero(must)
+            # Empty ways (age 0) sort first, then lines from LRU to MRU.
+            order = np.argsort(age[rows], axis=1, kind="stable")
+            cum = np.cumsum(np.take_along_axis(size[rows], order, axis=1), axis=1)
+            empty = ways - lines[rows]
+            need = over[rows]
+            by_bytes = np.where(
+                need > 0, (cum < need[:, None]).sum(axis=1) + 1 - empty, 0
+            )
+            by_tags = lines[rows] - ways + 1
+            count = np.maximum(by_bytes, by_tags)
+            gone = (position >= empty[:, None]) & (
+                position < (empty + count)[:, None]
+            )
+            dirty_sorted = np.take_along_axis(dirty[rows], order, axis=1)
+            victims_flat[lo + rows] = (gone & dirty_sorted).sum(axis=1)
+            sub, gone_pos = np.nonzero(gone)
+            gone_rows, gone_ways = rows[sub], order[sub, gone_pos]
+            age[gone_rows, gone_ways] = 0
+            size[gone_rows, gone_ways] = 0
+            dirty[gone_rows, gone_ways] = False
+            evicted[rows] = count
+        r = np.arange(k)
+        # A miss installs into an empty way: one was free, or the
+        # evictions above just freed the oldest.
+        way = np.where(hit, match.argmax(axis=1), age[:k].argmin(axis=1))
+        dirty[r, way] = (hit & dirty[r, way]) | ws[lo:hi]
+        size[r, way] = np.where(hit, size[r, way], s)
+        state_tags[r, way] = b
+        age[r, way] = t + 1
+        hit_flat[lo:hi] = hit
+        resident_flat[lo:hi] = np.where(hit, lines, lines - evicted + 1)
+
+    hit_out[perm] = hit_flat
+    victims_out[perm] = victims_flat
+    resident_out[perm] = resident_flat
+    return hit_out, victims_out, resident_out
+
+
+def llc_counts(
+    stream, hit, writes, kept, dirty_evictions: int, capacity_bytes: int,
+    associativity: int, n_cores: int, mlp_window: int, mlp_ceiling: float,
+):
+    """:class:`~repro.sim.llc.LLCCounts` from stream-order masks.
+
+    ``hit`` and ``writes`` are per access; ``kept`` marks the accesses
+    that reached the cache (a bypassed write counts as none of its
+    lookups).  Every field is a Python int (or list of them), like the
+    reference loop's.
+    """
+    from repro.sim.llc import LLCCounts, per_core_mlp
+
+    reads = ~writes
+    read_hit = hit & reads
+    read_miss = ~hit & reads
+    kept_writes = writes & kept
+    cores = np.asarray(stream.cores, dtype=np.int64)
+
+    counts = LLCCounts(capacity_bytes=capacity_bytes, associativity=associativity)
+    counts.read_hits = int(np.count_nonzero(read_hit))
+    counts.read_misses = int(np.count_nonzero(read_miss))
+    counts.read_lookups = counts.read_hits + counts.read_misses
+    counts.write_hits = int(np.count_nonzero(hit & kept_writes))
+    counts.write_accesses = int(np.count_nonzero(kept_writes))
+    counts.write_misses = counts.write_accesses - counts.write_hits
+    counts.dirty_evictions = dirty_evictions
+    counts.per_core_read_hits = np.bincount(
+        cores[read_hit], minlength=n_cores
+    ).tolist()
+    counts.per_core_read_misses = np.bincount(
+        cores[read_miss], minlength=n_cores
+    ).tolist()
+    counts.per_core_mlp = per_core_mlp(
+        stream, read_miss, n_cores, mlp_window, mlp_ceiling
+    )
+    return counts
+
+
 def simulate_llc_vector(
     stream,
     capacity_bytes: int,
@@ -130,164 +417,20 @@ def simulate_llc_vector(
     Mirrors :func:`repro.sim.llc.simulate_llc_reference` with
     ``policy="lru"``: returns an identical
     :class:`~repro.sim.llc.LLCCounts` for any uint64 block ids (the
-    conformance suite pins this).
-
-    Algorithm — *rounds lockstep over sets*:
-
-    1. Group accesses by set index and rank sets by descending access
-       count, so the sets still active in round ``t`` (those with more
-       than ``t`` accesses) are exactly state rows ``[0, k_t)``.
-    2. Build the round-major permutation (sort by occurrence-index,
-       then set rank) with **one** stable sort: after sorting by set
-       rank, the destination of the ``j``-th access of the ``i``-th
-       busiest set is ``offsets[j] + i`` — pure arithmetic.
-    3. Replay round by round on flat state arrays ``tags`` / ``dirty``
-       / ``age`` of shape ``(n_rows * assoc,)``, all zero at the start.
-       The LRU victim is ``argmin(age)``: empty ways carry age 0 and
-       fill lowest-index first, exactly the reference loop's install
-       order, and evicting an empty way is indistinguishable from
-       installing into it because an empty way is never dirty.  Since
-       the LLC never invalidates, the filled ways of a row are always a
-       prefix of it, so the first tag match (``argmax``) reaches a
-       filled way holding the block before any empty way whose tag 0
-       happens to equal it; a hit is a tag match on a way with non-zero
-       age.  No tag value is reserved, so every uint64 block id is
-       valid.
-    4. Scatter per-round hit/eviction flags back to stream order and
-       derive every :class:`~repro.sim.llc.LLCCounts` field — including
-       per-core splits and MLP miss positions, which depend only on
-       stream-ordered outcome flags — with bincounts and masks.
-
-    The per-access work is ``O(assoc)`` like the reference loop, but the
-    interpreter loop runs ``max accesses-per-set`` times (tens) instead
-    of once per access (tens of thousands).
+    conformance suite pins this).  The replay is :func:`lru_rounds` with
+    the block id as tag; every count — per-core splits and MLP miss
+    positions included — depends only on its stream-order masks.
     """
-    from repro.sim.llc import LLCCounts, per_core_mlp
-
-    n_sets = _check_geometry(capacity_bytes, block_bytes, associativity)
-    assoc = associativity
+    n_sets = check_geometry(capacity_bytes, block_bytes, associativity)
     blocks = np.ascontiguousarray(stream.blocks, dtype=np.uint64)
     writes = np.ascontiguousarray(stream.writes, dtype=bool)
-    n = len(blocks)
-
-    hit_out = np.zeros(n, dtype=bool)
-    evict_out = np.zeros(n, dtype=bool)
-
-    if n:
-        set_idx = (blocks % np.uint64(n_sets)).astype(np.int64)
-        if n_sets <= 2 * n:
-            # Dense: one state row per set, occupancy from bincount.
-            set_counts = np.bincount(set_idx, minlength=n_sets)
-            set_cid = set_idx
-            n_rows = n_sets
-        else:
-            # Sparse (huge cache, short stream): compact to touched sets
-            # so state stays O(accesses), not O(cache).
-            sets_u, set_cid, set_counts = np.unique(
-                set_idx, return_inverse=True, return_counts=True
-            )
-            n_rows = len(sets_u)
-
-        # Rank sets by descending access count so round t's active rows
-        # are exactly the contiguous slice [0, k_t).
-        max_count = int(set_counts.max())
-        if max_count <= np.iinfo(np.uint16).max:
-            rank_key = (max_count - set_counts).astype(np.uint16)
-        else:
-            rank_key = -set_counts
-        rank_order = np.argsort(rank_key, kind="stable")
-        rank = np.empty(n_rows, dtype=np.int64)
-        rank[rank_order] = np.arange(n_rows)
-        counts_desc = set_counts[rank_order]
-        row = rank[set_cid]
-        max_m = int(counts_desc[0])
-        # k_per_round[t] = number of sets with more than t accesses.
-        k_per_round = np.searchsorted(
-            -counts_desc, -np.arange(max_m), side="left"
-        )
-        offsets = np.r_[0, np.cumsum(k_per_round)]
-
-        # Round-major permutation via one stable sort by set rank: the
-        # j-th access of the i-th busiest set lands at offsets[j] + i.
-        if n_rows <= np.iinfo(np.uint16).max:
-            sort_key = row.astype(np.uint16)
-        else:
-            sort_key = row.astype(np.uint32)
-        order = np.argsort(sort_key, kind="stable")
-        n_active = int(np.count_nonzero(counts_desc))
-        active_counts = counts_desc[:n_active]
-        group_starts = np.r_[0, np.cumsum(active_counts[:-1])]
-        pos_sorted = np.arange(n, dtype=np.int64) - np.repeat(
-            group_starts, active_counts
-        )
-        row_sorted = np.repeat(np.arange(n_active, dtype=np.int64), active_counts)
-        dest = offsets[pos_sorted] + row_sorted
-        perm = np.empty(n, dtype=np.int64)
-        perm[dest] = order
-        bs = blocks[perm]
-        ws = writes[perm]
-
-        # Flat per-way state, row-major (n_rows, assoc).
-        tags = np.zeros(n_rows * assoc, dtype=np.uint64)
-        dirty = np.zeros(n_rows * assoc, dtype=bool)
-        age = np.zeros(n_rows * assoc, dtype=np.uint32)
-        tags2 = tags.reshape(n_rows, assoc)
-        age2 = age.reshape(n_rows, assoc)
-        row_base = np.arange(n_rows, dtype=np.int64) * assoc
-
-        hit_flat = np.empty(n, dtype=bool)
-        evict_flat = np.empty(n, dtype=bool)
-
-        # Round 0: every set is empty — guaranteed miss into way 0.
-        k0 = int(k_per_round[0])
-        hit_flat[:k0] = False
-        evict_flat[:k0] = False
-        tags2[:k0, 0] = bs[:k0]
-        dirty[row_base[:k0]] = ws[:k0]
-        age[row_base[:k0]] = 1
-
-        for t in range(1, max_m):
-            k = int(k_per_round[t])
-            lo, hi = int(offsets[t]), int(offsets[t + 1])
-            b = bs[lo:hi]
-            hitm = tags2[:k] == b[:, None]
-            way = row_base[:k] + hitm.argmax(axis=1)
-            hit = (tags[way] == b) & (age[way] != 0)
-            victim = age2[:k].argmin(axis=1)
-            flat = np.where(hit, way, row_base[:k] + victim)
-            old_d = dirty[flat]
-            hit_flat[lo:hi] = hit
-            evict_flat[lo:hi] = ~hit & old_d
-            tags[flat] = b
-            dirty[flat] = (hit & old_d) | ws[lo:hi]
-            age[flat] = t + 1
-
-        hit_out[perm] = hit_flat
-        evict_out[perm] = evict_flat
-
-    reads = ~writes
-    read_hit = hit_out & reads
-    read_miss = ~hit_out & reads
-    cores = np.asarray(stream.cores, dtype=np.int64)
-
-    counts = LLCCounts(capacity_bytes=capacity_bytes, associativity=associativity)
-    counts.read_hits = int(read_hit.sum())
-    counts.read_misses = int(read_miss.sum())
-    counts.read_lookups = counts.read_hits + counts.read_misses
-    counts.write_hits = int((hit_out & writes).sum())
-    counts.write_misses = int((~hit_out & writes).sum())
-    counts.write_accesses = counts.write_hits + counts.write_misses
-    counts.dirty_evictions = int(evict_out.sum())
-    counts.per_core_read_hits = np.bincount(
-        cores[read_hit], minlength=n_cores
-    ).tolist()
-    counts.per_core_read_misses = np.bincount(
-        cores[read_miss], minlength=n_cores
-    ).tolist()
-    counts.per_core_mlp = per_core_mlp(
-        stream, read_miss, n_cores, mlp_window, mlp_ceiling
+    set_idx = (blocks % np.uint64(n_sets)).astype(np.int64)
+    hit, evict = lru_rounds(set_idx, blocks, writes, n_sets, associativity)
+    return llc_counts(
+        stream, hit, writes, np.ones(len(blocks), dtype=bool),
+        int(np.count_nonzero(evict)), capacity_bytes, associativity,
+        n_cores, mlp_window, mlp_ceiling,
     )
-    return counts
 
 
 def filter_private_fast(trace: Trace, arch: ArchitectureConfig):
@@ -300,10 +443,10 @@ def filter_private_fast(trace: Trace, arch: ArchitectureConfig):
     from repro.sim.hierarchy import CoreCounters, LLCStream, PrivateResult
 
     n_cores = arch.n_cores
-    l1_nsets = _check_geometry(
+    l1_nsets = check_geometry(
         arch.l1d.capacity_bytes, arch.l1d.block_bytes, arch.l1d.associativity
     )
-    l2_nsets = _check_geometry(
+    l2_nsets = check_geometry(
         arch.l2.capacity_bytes, arch.l2.block_bytes, arch.l2.associativity
     )
     l1_assoc = arch.l1d.associativity

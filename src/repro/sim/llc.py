@@ -106,12 +106,19 @@ def per_core_mlp(
     stream: LLCStream, read_miss: np.ndarray, n_cores: int,
     window: int, ceiling: float,
 ) -> List[float]:
-    """:func:`estimate_mlp` per core from a stream-order read-miss mask."""
-    cores = np.asarray(stream.cores, dtype=np.int64)
-    positions = np.asarray(stream.instr_positions)
+    """:func:`estimate_mlp` per core from a stream-order read-miss mask.
+
+    One stable sort by core groups the misses and keeps each core's in
+    stream order; ``searchsorted`` finds the groups' bounds.
+    """
+    misses = np.flatnonzero(read_miss)
+    miss_cores = np.asarray(stream.cores)[misses]
+    order = np.argsort(miss_cores, kind="stable")
+    positions = np.asarray(stream.instr_positions)[misses[order]]
+    bounds = np.searchsorted(miss_cores[order], np.arange(n_cores + 1))
     return [
         estimate_mlp(
-            positions[read_miss & (cores == c)].astype(np.uint64),
+            positions[bounds[c]:bounds[c + 1]].astype(np.uint64),
             window, ceiling,
         )
         for c in range(n_cores)

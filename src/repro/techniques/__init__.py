@@ -31,7 +31,11 @@ from repro.techniques.hybrid import (
     HybridLLC,
     evaluate_hybrid,
 )
-from repro.techniques.replay import TechniqueOutcome, replay_with_technique
+from repro.techniques.replay import (
+    TechniqueOutcome,
+    replay_with_technique,
+    replay_with_technique_reference,
+)
 from repro.techniques.wear_leveling import SetRotationLeveling
 from repro.techniques.write_bypass import ReuseWriteBypass
 
@@ -52,6 +56,7 @@ __all__ = [
     "evaluate_hybrid",
     "TechniqueOutcome",
     "replay_with_technique",
+    "replay_with_technique_reference",
     "SetRotationLeveling",
     "ReuseWriteBypass",
 ]

@@ -11,11 +11,20 @@ The paper's Section I sorts prior NVM-LLC work into three groups:
 (:mod:`repro.techniques.replay`) drives; one concrete class per group
 lives in this subpackage.  The default hooks are no-ops, so a bare
 ``Technique()`` reproduces the baseline LLC exactly.
+
+A technique *declares* what the vector replay needs — a leveling
+period, a compaction tag budget, vectorized line sizes, whether it
+bypasses writes — and the replay reads those declarations, never the
+class.  The per-access hooks are the same behaviour, one access at a
+time, for :func:`~repro.techniques.replay.replay_with_technique_reference`
+(and, for bypassing, the production replay's pre-pass).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 
 class Technique:
@@ -24,9 +33,29 @@ class Technique:
     #: Human-readable identifier used in evaluation tables.
     name = "baseline"
 
+    #: Set-rotation wear leveling: the block-to-set mapping moves by one
+    #: set every ``leveling_period`` data-array writes (None: it never
+    #: moves).  :meth:`map_set` and :meth:`observe_write` implement it.
+    leveling_period: Optional[int] = None
+
+    #: Data-array writes counted toward the leveling rotation so far.
+    writes_seen = 0
+
+    #: Compacted ways: tags per set as a multiple of the associativity
+    #: (None: the plain set-associative cache).
+    tag_factor: Optional[int] = None
+
+    #: Whether :meth:`should_bypass_write` can answer True.  Its answers
+    #: may depend only on the blocks :meth:`observe_read` has seen (it
+    #: sees every read, hit or miss), so the replay decides every
+    #: bypass in one pass over the stream.
+    bypasses_writes = False
+
     def map_set(self, block: int, n_sets: int) -> int:
         """Physical set index for a block (wear leveling remaps here)."""
-        return block % n_sets
+        if self.leveling_period is None:
+            return block % n_sets
+        return (block + self.writes_seen // self.leveling_period) % n_sets
 
     def should_bypass_write(self, block: int) -> bool:
         """Whether a writeback should skip the LLC and go to DRAM."""
@@ -37,6 +66,8 @@ class Technique:
 
     def observe_write(self, block: int) -> None:
         """Called on every data-array write that actually happens."""
+        if self.leveling_period is not None:
+            self.writes_seen += 1
 
     def write_energy_factor(self) -> float:
         """Multiplier on per-write dynamic energy (device techniques)."""
@@ -55,6 +86,10 @@ class Technique:
         which scales write energy and per-cell wear.
         """
         return block_bytes
+
+    def line_sizes(self, blocks: np.ndarray, block_bytes: int) -> np.ndarray:
+        """:meth:`line_size_bytes` of every block of a stream, as int64."""
+        return np.full(len(blocks), block_bytes, dtype=np.int64)
 
     def make_cache(self, capacity_bytes: int, block_bytes: int, associativity: int):
         """The cache the replay engine should drive, or None.

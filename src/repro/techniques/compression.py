@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import CompressionError
 from repro.techniques.base import Technique
 from repro.techniques.early_write_termination import EarlyWriteTermination
@@ -37,6 +39,10 @@ DEFAULT_TAG_FACTOR = 2
 #: The physical bound any compressed-size model must respect: at least
 #: one eighth of the line (ratio <= 8, the smallest SIZE_CLASSES entry).
 MAX_RATIO = 8.0
+
+
+def _out_of_range(size: int, block: int, block_bytes: int) -> str:
+    return f"size_fn returned {size} for block {block}, outside (0, {block_bytes}]"
 
 
 def _check_tag_factor(tag_factor: int) -> int:
@@ -180,6 +186,10 @@ class CompressedLLC(Technique):
         When given, rotate the set mapping every ``leveling_period``
         data-array writes (the wear-leveling interaction; same scheme as
         :class:`~repro.techniques.wear_leveling.SetRotationLeveling`).
+    sizes_fn:
+        The vector form of ``size_fn``: an array of block addresses to
+        their sizes, in one call.  When omitted, ``size_fn`` is called
+        once per distinct block of a replayed stream.
     """
 
     name = "compression"
@@ -190,8 +200,10 @@ class CompressedLLC(Technique):
         tag_factor: int = DEFAULT_TAG_FACTOR,
         redundant_fraction: Optional[float] = None,
         leveling_period: Optional[int] = None,
+        sizes_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         self._size_fn = size_fn
+        self._sizes_fn = sizes_fn
         self.tag_factor = _check_tag_factor(tag_factor)
         self._ewt = (
             EarlyWriteTermination(redundant_fraction)
@@ -201,8 +213,6 @@ class CompressedLLC(Technique):
         if leveling_period is not None and leveling_period <= 0:
             raise CompressionError("leveling period must be positive")
         self.leveling_period = leveling_period
-        self._writes_seen = 0
-        self._offset = 0
 
     # -- construction ----------------------------------------------------
 
@@ -213,45 +223,63 @@ class CompressedLLC(Technique):
         seed: Optional[int] = None,
         **kwargs,
     ) -> "CompressedLLC":
-        """Build from the workload's declared compressibility model."""
-        import numpy as np
+        """Build from the workload's declared compressibility model.
 
+        A replay sizes all of a stream's blocks with one
+        :func:`~repro.workloads.generators.line_compressed_sizes` call.
+        """
         from repro.workloads.generators import (
             DEFAULT_SEED,
             line_compressed_sizes,
         )
 
         seed = DEFAULT_SEED if seed is None else seed
-        cache: Dict[int, int] = {}
+
+        def sizes_fn(blocks: np.ndarray) -> np.ndarray:
+            return line_compressed_sizes(blocks, benchmark, seed)
 
         def size_fn(block: int) -> int:
-            size = cache.get(block)
-            if size is None:
-                size = int(
-                    line_compressed_sizes(
-                        np.array([block], dtype=np.uint64), benchmark, seed
-                    )[0]
-                )
-                cache[block] = size
-            return size
+            return int(sizes_fn(np.array([block], dtype=np.uint64))[0])
 
-        return cls(size_fn, **kwargs)
+        return cls(size_fn, sizes_fn=sizes_fn, **kwargs)
 
     @classmethod
     def uniform(cls, size_bytes: int, **kwargs) -> "CompressedLLC":
         """Every line compresses to the same size (tests/ablations)."""
-        return cls(lambda block: size_bytes, **kwargs)
+        return cls(
+            lambda block: size_bytes,
+            sizes_fn=lambda blocks: np.full(len(blocks), size_bytes, np.int64),
+            **kwargs,
+        )
 
     # -- Technique hooks -------------------------------------------------
 
     def line_size_bytes(self, block: int, block_bytes: int) -> int:
         size = int(self._size_fn(block))
         if not 0 < size <= block_bytes:
-            raise CompressionError(
-                f"size_fn returned {size} for block {block}, "
-                f"outside (0, {block_bytes}]"
-            )
+            raise CompressionError(_out_of_range(size, block, block_bytes))
         return size
+
+    def line_sizes(self, blocks: np.ndarray, block_bytes: int) -> np.ndarray:
+        """Every block's size; an out-of-range size raises for the first
+        offending block in stream order, as :meth:`line_size_bytes`
+        would in a per-access replay."""
+        blocks = np.asarray(blocks, dtype=np.uint64)
+        if self._sizes_fn is not None:
+            sizes = np.asarray(self._sizes_fn(blocks)).astype(np.int64)
+        else:
+            distinct, inverse = np.unique(blocks, return_inverse=True)
+            sizes = np.array(
+                [int(self._size_fn(block)) for block in distinct.tolist()],
+                dtype=np.int64,
+            )[inverse]
+        bad = np.flatnonzero((sizes <= 0) | (sizes > block_bytes))
+        if len(bad):
+            first = bad[0]
+            raise CompressionError(
+                _out_of_range(int(sizes[first]), int(blocks[first]), block_bytes)
+            )
+        return sizes
 
     def make_cache(
         self, capacity_bytes: int, block_bytes: int, associativity: int
@@ -259,16 +287,6 @@ class CompressedLLC(Technique):
         return CompactedWayCache(
             capacity_bytes, block_bytes, associativity, self.tag_factor
         )
-
-    def map_set(self, block: int, n_sets: int) -> int:
-        return (block + self._offset) % n_sets
-
-    def observe_write(self, block: int) -> None:
-        if self.leveling_period is None:
-            return
-        self._writes_seen += 1
-        if self._writes_seen % self.leveling_period == 0:
-            self._offset += 1
 
     def write_energy_factor(self) -> float:
         return self._ewt.write_energy_factor() if self._ewt else 1.0

@@ -1,17 +1,28 @@
 """Technique-aware LLC replay.
 
 Extends the plain LLC replay (:mod:`repro.sim.llc`) with the
-:class:`~repro.techniques.base.Technique` hooks: set remapping (wear
+:class:`~repro.techniques.base.Technique` family: set remapping (wear
 leveling), writeback bypassing, device-level energy/latency factors,
 technique-supplied cache variants (compacted-way compression) and
 per-line write sizing.  Also tracks the wear distribution so the
 endurance model can price each technique's lifetime effect.
 
+Two paths, like the plain LLC replay:
+
+- :func:`replay_with_technique` — production: the vector rounds of
+  :mod:`repro.sim.engine`, driven by what the technique *declares*
+  (``leveling_period``, ``tag_factor``, ``line_sizes``,
+  ``bypasses_writes``);
+- :func:`replay_with_technique_reference` — the per-access hook loop
+  over :class:`~repro.sim.cache.SetAssocCache` (or the technique's
+  ``make_cache`` variant), the oracle the production path must equal
+  on every outcome field and every technique counter
+  (``tests/property/test_replay_conformance.py``).
+
 Invariants
 ----------
-- A bare :class:`~repro.techniques.base.Technique` replays through the
-  plain :class:`~repro.sim.cache.SetAssocCache` with full-size writes,
-  reproducing the baseline LLC bit-for-bit (``write_bytes`` is exactly
+- A bare :class:`~repro.techniques.base.Technique` reproduces the
+  baseline LLC bit-for-bit (``write_bytes`` is exactly
   ``total_writes * block_bytes``).
 - ``compressed_writes + uncompressed_writes == wear.total_writes``:
   every data-array write is classified by whether it programmed fewer
@@ -22,15 +33,15 @@ Invariants
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import CompressionError, ConfigurationError, SimulationError
 from repro.sim.cache import SetAssocCache
 from repro.sim.hierarchy import LLCStream
 from repro.sim.llc import LLCCounts, per_core_mlp
-from repro.endurance.wear import WearSummary
+from repro.endurance.wear import WearSummary, tally_wear
 from repro.techniques.base import Technique
 
 
@@ -97,19 +108,184 @@ def replay_with_technique(
 ) -> TechniqueOutcome:
     """Replay an LLC stream under a management technique.
 
+    Returns exactly what :func:`replay_with_technique_reference` returns
+    and leaves the technique's counters where that loop leaves them,
+    but replays whole streams as vector rounds:
+
+    - every block is sized once, from its true address, by the
+      technique's ``line_sizes``;
+    - a technique that ``bypasses_writes`` runs its ``observe_read`` /
+      ``should_bypass_write`` hooks in one pre-pass, and the replay
+      drops the bypassed writes (exact, because ``observe_read`` sees
+      every read, hit or miss);
+    - without leveling, one replay: :func:`repro.sim.engine.lru_rounds`,
+      or :func:`repro.sim.engine.compacted_rounds` when the technique
+      declares a ``tag_factor``;
+    - with a ``leveling_period``, the replay maps each block under an
+      offset schedule, re-derives the schedule from the replay's
+      cumulative data writes (writes plus read-miss fills) and repeats
+      until the schedule stops changing (see :func:`_leveled`).
+
+    Per-core MLP is estimated from the read misses' instruction
+    positions exactly as :func:`repro.sim.llc.simulate_llc` does, with
+    the same ``mlp_window`` and ``mlp_ceiling``.
+    """
+    from repro.sim import engine
+
+    compacted = technique.tag_factor is not None
+    n_sets = engine.check_geometry(
+        capacity_bytes, block_bytes, associativity,
+        CompressionError if compacted else ConfigurationError,
+    )
+    blocks = np.ascontiguousarray(stream.blocks, dtype=np.uint64)
+    writes = np.ascontiguousarray(stream.writes, dtype=bool)
+    # Sized from the TRUE block address: the mapped id shifts with
+    # leveling rotation, but a line's compressibility must not.
+    sizes = technique.line_sizes(blocks, block_bytes)
+    kept = np.ones(len(blocks), dtype=bool)
+    if technique.bypasses_writes:
+        kept[_bypassed(technique, blocks, writes)] = False
+    kept_blocks, kept_writes, kept_sizes = blocks[kept], writes[kept], sizes[kept]
+
+    def rounds(set_idx, tags):
+        """``(hit, dirty victims, lines resident or None)`` per access."""
+        if compacted:
+            return engine.compacted_rounds(
+                set_idx, tags, kept_writes, kept_sizes, n_sets,
+                associativity, block_bytes, technique.tag_factor,
+            )
+        hit, evict = engine.lru_rounds(
+            set_idx, tags, kept_writes, n_sets, associativity
+        )
+        return hit, evict, None
+
+    home = (kept_blocks % np.uint64(n_sets)).astype(np.int64)
+    if technique.leveling_period is None:
+        set_idx, tags = home, kept_blocks
+        hit, victims, resident = rounds(set_idx, tags)
+        wrote = kept_writes | ~hit
+        lines = tags[wrote]
+    else:
+        # Within a set, the mapped id (block // n_sets) * n_sets + set
+        # is its quotient: a uint64 tag that never overflows.
+        tags = kept_blocks // np.uint64(n_sets)
+        set_idx, (hit, victims, resident) = _leveled(
+            technique, home, kept_writes, n_sets, lambda s: rounds(s, tags)
+        )
+        wrote = kept_writes | ~hit
+        _, tag_rank = np.unique(tags[wrote], return_inverse=True)
+        lines = tag_rank * n_sets + set_idx[wrote]
+
+    written_sizes = kept_sizes[wrote]
+    total_writes = len(written_sizes)
+    compressed_writes = int(np.count_nonzero(written_sizes < block_bytes))
+    n_bypassed = len(blocks) - len(kept_blocks)
+    stream_hit = np.zeros(len(blocks), dtype=bool)
+    stream_hit[kept] = hit
+    counts = engine.llc_counts(
+        stream, stream_hit, writes, kept,
+        # Bypassed writebacks go straight to DRAM.
+        int(victims.sum()) + n_bypassed,
+        capacity_bytes, associativity, n_cores, mlp_window, mlp_ceiling,
+    )
+    if resident is None:
+        mean_resident_lines = float(associativity)
+    else:
+        mean_resident_lines = (
+            int(resident.sum()) / len(resident) if len(resident) else 0.0
+        )
+    return TechniqueOutcome(
+        technique=technique.name,
+        counts=counts,
+        wear=tally_wear(set_idx[wrote], lines, n_sets, associativity),
+        bypassed_writes=n_bypassed,
+        write_energy_factor=technique.write_energy_factor(),
+        write_latency_factor=technique.write_latency_factor(),
+        block_bytes=block_bytes,
+        write_bytes=int(written_sizes.sum()),
+        compressed_writes=compressed_writes,
+        uncompressed_writes=total_writes - compressed_writes,
+        n_frames=n_sets * associativity,
+        mean_resident_lines=mean_resident_lines,
+    )
+
+
+def _bypassed(technique: Technique, blocks: np.ndarray, writes: np.ndarray):
+    """Stream indices of the writes the technique bypasses.
+
+    Runs the technique's own hooks in stream order: ``observe_read`` on
+    every read and ``should_bypass_write`` on every write, as the
+    reference loop does.
+    """
+    observe_read = technique.observe_read
+    should_bypass = technique.should_bypass_write
+    bypassed = []
+    for i, (block, is_write) in enumerate(zip(blocks.tolist(), writes.tolist())):
+        if not is_write:
+            observe_read(block)
+        elif should_bypass(block):
+            bypassed.append(i)
+    return np.array(bypassed, dtype=np.int64)
+
+
+def _leveled(technique, home, writes, n_sets, rounds):
+    """Replay under set-rotation leveling; ``(set_idx, rounds(set_idx))``.
+
+    Access ``i`` maps to set ``(block + offset_i) % n_sets`` with
+    ``offset_i = (writes_seen + data writes before i) // period``, and
+    a data write is a write or a read miss.  Each pass replays under a
+    schedule of offsets, then re-derives the schedule from that
+    replay's data writes; the first pass assumes every read hits.  The
+    sequential schedule is the only fixed point, and each pass makes at
+    least one more access agree with it, because an access's offset
+    depends only on earlier accesses.  The technique's ``writes_seen``
+    advances by the replay's data writes, as its ``observe_write``
+    would have.
+    """
+    period = technique.leveling_period
+    start = technique.writes_seen
+    data = writes
+    schedule = None
+    # At most one pass per access, plus the pass that confirms.
+    for _ in range(len(writes) + 2):
+        offsets = (start + np.cumsum(data) - data) // period
+        if schedule is not None and np.array_equal(offsets, schedule):
+            break
+        schedule = offsets
+        # block % n_sets + offset % n_sets stays far below 2**63, where
+        # (block + offset) in uint64 could wrap.
+        set_idx = (home + offsets % n_sets) % n_sets
+        outcome = rounds(set_idx)
+        data = writes | ~outcome[0]
+    else:
+        raise SimulationError("leveling schedule did not converge")
+    technique.writes_seen = start + int(np.count_nonzero(data))
+    return set_idx, outcome
+
+
+def replay_with_technique_reference(
+    stream: LLCStream,
+    technique: Technique,
+    capacity_bytes: int,
+    associativity: int = 16,
+    block_bytes: int = 64,
+    n_cores: int = 4,
+    mlp_window: int = 128,
+    mlp_ceiling: float = 6.0,
+) -> TechniqueOutcome:
+    """The per-access technique replay: the semantic ground truth
+    :func:`replay_with_technique` must match on every field.
+
     Set remapping is applied by translating each block to a synthetic
-    block id whose set index is the technique's choice; rotation-style
-    levelers therefore shift residency over time, which costs the same
-    transition misses the real schemes pay.
+    block id whose set index is the technique's choice; the cache keeps
+    its contents across a rotation, so a rotated block can hit on the
+    line another block installed under the same id
+    (:mod:`repro.techniques.wear_leveling` describes the aliasing).
 
     The technique may supply its own cache variant via ``make_cache``
     (compacted-way compression does); caches declaring ``SIZE_AWARE``
     receive each access's compressed line size and may evict several
     dirty victims on one miss.
-
-    Per-core MLP is estimated from the read misses' instruction
-    positions exactly as :func:`repro.sim.llc.simulate_llc` does, with
-    the same ``mlp_window`` and ``mlp_ceiling``.
     """
     cache = technique.make_cache(capacity_bytes, block_bytes, associativity)
     if cache is None:

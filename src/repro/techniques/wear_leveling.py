@@ -4,9 +4,17 @@ An intra-cache levelling scheme in the spirit of WriteSmoothing /
 LastingNVCache (the paper's refs [20], [38]): every ``period`` data-array
 writes the block-to-set mapping rotates by one set, so a write-hot
 address walks across the physical sets over time instead of grinding one
-of them down.  Rotation invalidates the remapped residency, which the
-replay engine models as a flush of the cache (the scheme's transition
-cost is amortised over a long period).
+of them down.  The rotation itself lives in
+:class:`~repro.techniques.base.Technique` (``leveling_period``), which
+:class:`~repro.techniques.compression.CompressedLLC` shares.
+
+The replay neither flushes nor migrates on a rotation: the cache keeps
+its contents, and a block looks itself up under its rotated id,
+``(block // n_sets) * n_sets + (block + offset) % n_sets``.  Those ids
+alias across a rotation — block ``b``'s new id is block ``b + 1``'s old
+one — so a rotated block can hit on the line another block installed,
+where a real scheme (which must flush or remap) would miss.  The
+modelled rotation therefore understates the transition misses.
 """
 
 from __future__ import annotations
@@ -23,22 +31,19 @@ class SetRotationLeveling(Technique):
     def __init__(self, period: int = 4096) -> None:
         if period <= 0:
             raise ConfigurationError("rotation period must be positive")
-        self.period = period
-        self._writes_seen = 0
-        self._offset = 0
-        #: Number of rotations performed (each costs a flush).
-        self.rotations = 0
+        self.leveling_period = period
 
-    def map_set(self, block: int, n_sets: int) -> int:
-        return (block + self._offset) % n_sets
+    @property
+    def period(self) -> int:
+        """Data-array writes per one-set rotation."""
+        return self.leveling_period
 
-    def observe_write(self, block: int) -> None:
-        self._writes_seen += 1
-        if self._writes_seen % self.period == 0:
-            self._offset += 1
-            self.rotations += 1
+    @property
+    def rotations(self) -> int:
+        """Number of rotations performed."""
+        return self.writes_seen // self.leveling_period
 
     @property
     def rotated(self) -> bool:
         """Whether the mapping moved since construction."""
-        return self._offset > 0
+        return self.rotations > 0

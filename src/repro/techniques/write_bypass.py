@@ -20,6 +20,7 @@ class ReuseWriteBypass(Technique):
     """Bypass writebacks whose block shows no recent read reuse."""
 
     name = "write-bypass"
+    bypasses_writes = True
 
     def __init__(self, filter_blocks: int = 8192) -> None:
         if filter_blocks <= 0:

@@ -14,6 +14,13 @@ generator (:func:`cases`) feeds one matrix of relations:
   ``test_identity_technique_matches_plain_replay``;
 - ``replay_with_wear`` == the identity replays' wear:
   ``test_wear_replay_matches_identity_replay``;
+- ``replay_with_technique`` == ``replay_with_technique_reference``
+  under bypassing, leveling and compacted ways, every outcome field and
+  the technique's counters: ``test_technique_replay_matches_reference``,
+  with out-of-range line sizes failing alike
+  (``test_out_of_range_size_fails_alike``);
+- ``replay_with_wear`` == the reference loop's wear:
+  ``test_wear_replay_matches_reference``;
 - spilled memmap trace == its in-memory original:
   ``test_spilled_trace_matches_in_memory``;
 - every Table V workload at scale 0.05, filter and LLC, == reference:
@@ -28,7 +35,8 @@ policy it must take the reference loop, so the policy axis also pins
 the dispatch.  The generator covers empty streams, single-set thrash,
 all-write and all-read streams, 1-way caches, associativity above the
 distinct-block count, block ids 0 and up to 2**64 - 1, next-line
-prefetch, and multi-core interleavings with true sharing.
+prefetch, and multi-core interleavings with true sharing.  The
+technique columns add a six-set LLC.
 """
 
 from __future__ import annotations
@@ -43,19 +51,25 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from repro.endurance.wear import replay_with_wear
+from repro.endurance.wear import WearSummary, replay_with_wear
+from repro.errors import CompressionError
 from repro.experiments.common import ExperimentContext
 from repro.nvsim.published import sram_baseline
 from repro.sim.config import CacheLevelConfig, gainestown
 from repro.sim.hierarchy import filter_private, filter_private_reference
-from repro.sim.llc import simulate_llc, simulate_llc_reference
+from repro.sim.llc import LLCCounts, simulate_llc, simulate_llc_reference
 from repro.techniques.base import Technique
 from repro.techniques.compression import CompressedLLC
 from repro.techniques.early_write_termination import EarlyWriteTermination
-from repro.techniques.replay import replay_with_technique
+from repro.techniques.replay import (
+    replay_with_technique,
+    replay_with_technique_reference,
+)
 from repro.techniques.wear_leveling import SetRotationLeveling
+from repro.techniques.write_bypass import ReuseWriteBypass
 from repro.trace.access import BLOCK_BITS
 from repro.trace.stream import Trace
+from repro.workloads.profiles import SIZE_CLASSES
 from repro.workloads.registry import all_benchmarks
 from tests.streams import llc_stream
 
@@ -169,14 +183,14 @@ def _gap(code: int) -> int:
 
 
 @st.composite
-def cases(draw, threads=(1, 5), **pinned) -> Case:
+def cases(draw, threads=(1, 5), geometries=LLC_GEOMETRIES, **pinned) -> Case:
     """Adversarial replay scenarios (see the module docstring).
 
     Sizes are drawn first so long streams and wide universes are as
     likely as short ones; each access is one integer whose bit fields
     pick the block, the write flag, the thread and the gap.  The thread
-    count is drawn from the ``threads`` range; ``pinned`` fixes other
-    :class:`Case` fields.
+    count is drawn from the ``threads`` range and the LLC shape from
+    ``geometries``; ``pinned`` fixes other :class:`Case` fields.
     """
     size = draw(st.integers(1, 48))
     picks = st.lists(
@@ -202,7 +216,7 @@ def cases(draw, threads=(1, 5), **pinned) -> Case:
         n_cores=draw(st.sampled_from((4, 2, 1))),
         prefetch=draw(st.booleans()),
         private_geometry=draw(st.sampled_from(PRIVATE_GEOMETRIES)),
-        llc_geometry=draw(st.sampled_from(LLC_GEOMETRIES)),
+        llc_geometry=draw(st.sampled_from(geometries)),
         mlp=draw(st.sampled_from(((128, 6.0), (16, 2.0)))),
     )
     return dataclasses.replace(case, **pinned)
@@ -222,6 +236,18 @@ UINT64_EXTREMES = Case(
 
 EMPTY = Case(trace_blocks=(), llc_blocks=(), writes=(), threads=(), gaps=())
 
+#: Six sets and writes to ids up to 2**64 - 1: a rotated set index taken
+#: as ``(block + offset) % 6`` in uint64 wraps past 2**64 where the
+#: reference loop's Python ints do not, and lands in another set.
+SIX_SETS_TOP = Case(
+    trace_blocks=(0,) * 12,
+    llc_blocks=tuple((1 << 64) - 1 - k % 4 for k in range(12)),
+    writes=(True,) * 12,
+    threads=(0,) * 12,
+    gaps=(0,) * 12,
+    llc_geometry=(24, 4),
+)
+
 
 def assert_private_equal(got, want):
     for column in ("blocks", "writes", "cores", "instr_positions"):
@@ -239,6 +265,24 @@ def assert_wear_equal(got, want):
     )
     np.testing.assert_array_equal(got.set_writes, want.set_writes)
     assert got.hottest_line_writes == want.hottest_line_writes
+
+
+def assert_outcome_equal(got, want):
+    """Every field, each of the reference's Python type (a strict
+    ``guard_compression`` rejects a numpy integer)."""
+    assert_wear_equal(got.wear, want.wear)
+    assert got.wear.set_writes.dtype == want.wear.set_writes.dtype
+    assert dataclasses.replace(got, wear=None) == dataclasses.replace(
+        want, wear=None
+    )
+    for mine, theirs in ((got, want), (got.counts, want.counts),
+                         (got.wear, want.wear)):
+        for field in dataclasses.fields(theirs):
+            value, expected = getattr(mine, field.name), getattr(theirs, field.name)
+            if isinstance(expected, list):
+                assert list(map(type, value)) == list(map(type, expected)), field.name
+            elif not isinstance(expected, (np.ndarray, LLCCounts, WearSummary)):
+                assert type(value) is type(expected), field.name
 
 
 @given(case=cases())
@@ -309,6 +353,109 @@ def test_wear_replay_matches_identity_replay(case):
     for make in IDENTITY_TECHNIQUES.values():
         outcome = replay_with_technique(stream, make(len(stream)), **geometry)
         assert_wear_equal(outcome.wear, wear)
+
+
+#: Technique columns add a six-set shape first: every real geometry has
+#: a power-of-two set count, where uint64 and Python-int arithmetic on
+#: ``block + offset`` agree, so only a shape like this tells them apart.
+TECHNIQUE_GEOMETRIES = ((24, 4),) + LLC_GEOMETRIES
+
+
+def _sizes(seed: int):
+    """A seeded, non-uniform line size over ``SIZE_CLASSES``."""
+
+    def size_fn(block: int) -> int:
+        mixed = (block ^ seed) * 0x9E3779B97F4A7C15 >> 61
+        return SIZE_CLASSES[mixed % len(SIZE_CLASSES)]
+
+    return size_fn
+
+
+#: Bypass filters from one block to more than any case holds; rotation
+#: every 1, 3 and 17 data writes; compacted ways at tag factors 1, 2
+#: and 4, still and rotating.
+TECHNIQUES = {
+    **{f"bypass-{blocks}": lambda blocks=blocks: ReuseWriteBypass(blocks)
+       for blocks in (1, 2, 8, 8192)},
+    **{f"leveling-{period}": lambda period=period: SetRotationLeveling(period)
+       for period in (1, 3, 17)},
+    **{f"compressed-x{factor}": lambda factor=factor: CompressedLLC(
+        _sizes(factor), tag_factor=factor) for factor in (1, 2, 4)},
+    **{f"compressed-x{factor}-leveling-5": lambda factor=factor: CompressedLLC(
+        _sizes(factor), tag_factor=factor, leveling_period=5)
+       for factor in (1, 2, 4)},
+}
+
+
+@pytest.mark.parametrize("technique", tuple(TECHNIQUES))
+@given(case=cases(geometries=TECHNIQUE_GEOMETRIES))
+@example(case=UINT64_EXTREMES)
+@example(case=SIX_SETS_TOP)
+@example(case=EMPTY)
+@settings(max_examples=60, deadline=None)
+def test_technique_replay_matches_reference(technique, case):
+    """Every :class:`~repro.techniques.replay.TechniqueOutcome` field —
+    counts with per-core MLP, wear, bypassed writes, write bytes, the
+    compressed/uncompressed split, resident lines — and the public
+    counters of a fresh technique per path."""
+    stream = case.stream()
+    production, reference = TECHNIQUES[technique](), TECHNIQUES[technique]()
+    assert_outcome_equal(
+        replay_with_technique(stream, production, **case.geometry),
+        replay_with_technique_reference(stream, reference, **case.geometry),
+    )
+    for counter in ("rotations", "bypassed"):
+        assert getattr(production, counter, None) == getattr(
+            reference, counter, None
+        )
+
+
+@pytest.mark.parametrize("bad", (0, 65))
+@pytest.mark.parametrize("source", ("size_fn", "uniform"))
+@given(case=cases(geometries=TECHNIQUE_GEOMETRIES), lane=st.integers(0, 2))
+@example(case=SIX_SETS_TOP, lane=0)
+@settings(max_examples=30, deadline=None)
+def test_out_of_range_size_fails_alike(bad, source, case, lane):
+    """Lines sized ``bad`` raise the same :class:`CompressionError` on
+    both paths, naming the first offending block in stream order."""
+    sizes = _sizes(lane)
+    offending = {b for b in case.llc_blocks if b % 3 == lane}
+    offending |= set(case.llc_blocks[-1:])
+
+    def make():
+        if source == "uniform":
+            return CompressedLLC.uniform(bad, leveling_period=2)
+        return CompressedLLC(
+            lambda block: bad if block in offending else sizes(block),
+            leveling_period=2,
+        )
+
+    failures = []
+    for replay in (replay_with_technique, replay_with_technique_reference):
+        try:
+            replay(case.stream(), make(), **case.geometry)
+        except CompressionError as error:
+            failures.append(str(error))
+    assert len(failures) == (2 if case.llc_blocks else 0)
+    assert len(set(failures)) <= 1
+
+
+@given(case=cases(geometries=TECHNIQUE_GEOMETRIES))
+@example(case=UINT64_EXTREMES)
+@example(case=EMPTY)
+@settings(max_examples=100, deadline=None)
+def test_wear_replay_matches_reference(case):
+    geometry = case.geometry
+    stream = case.stream()
+    assert_wear_equal(
+        replay_with_wear(
+            stream,
+            geometry["capacity_bytes"],
+            geometry["associativity"],
+            geometry["block_bytes"],
+        ),
+        replay_with_technique_reference(stream, Technique(), **geometry).wear,
+    )
 
 
 @given(case=cases())

@@ -98,13 +98,22 @@ class TestCompressedLLC:
         expected = line_compressed_sizes(blocks, "gobmk")
         got = [technique.line_size_bytes(int(b), 64) for b in blocks]
         assert got == list(expected)
-        # Second lookup comes from the memo cache, same values.
+        # A repeated lookup draws the same size again (no memo needed).
         assert technique.line_size_bytes(7, 64) == int(expected[7])
+        # The vector form sizes the whole array in one call, same values.
+        assert technique.line_sizes(blocks, 64).tolist() == list(expected)
 
     def test_size_fn_out_of_range_rejected(self):
         technique = CompressedLLC(lambda block: 0)
         with pytest.raises(CompressionError):
             technique.line_size_bytes(1, 64)
+
+    def test_line_sizes_name_the_first_offending_block_in_stream_order(self):
+        technique = CompressedLLC(lambda block: 65 if block in (3, 9) else 32)
+        blocks = np.array([5, 9, 5, 3], dtype=np.uint64)
+        with pytest.raises(CompressionError, match="returned 65 for block 9,"):
+            technique.line_sizes(blocks, 64)
+        assert technique.line_sizes(blocks[:1], 64).tolist() == [32]
 
     def test_leveling_period_must_be_positive(self):
         with pytest.raises(CompressionError):
