@@ -607,13 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace-length scale factor in (0, 1]")
     p.add_argument("--seed", type=int, default=None,
                    help="workload generator seed")
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated workload names "
-                   "(also: REPRO_DSE_WORKLOADS; default: the AI suite; "
-                   "local only)")
-    p.add_argument("--submit", action="store_true",
-                   help="submit to a running service at the plan priority "
-                   "tier instead of running locally")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--workloads", default=None,
+                      help="comma-separated workload names "
+                      "(default: the AI suite; local only)")
+    grid.add_argument("--submit", action="store_true",
+                      help="submit the default grid to a running service "
+                      "at the plan priority tier instead of running locally")
     p.add_argument("--wait", action="store_true",
                    help="with --submit: poll until done and print the "
                    "rendered result")

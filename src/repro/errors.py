@@ -132,7 +132,7 @@ class PlanError(ReproError):
     """The ``dse`` grid names a workload that does not exist.
 
     Raised by :func:`repro.experiments.dse.resolve_workloads` for an
-    unknown workload in ``REPRO_DSE_WORKLOADS`` or ``plan --workloads``.
+    unknown workload in ``plan --workloads``.
     """
 
     code = "PLAN"

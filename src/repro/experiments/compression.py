@@ -13,10 +13,10 @@ win on.
 
 Energy is priced through the shared :func:`repro.nvsim.pricing.price_counts`
 hook with ``write_energy_scale`` set to the replayed byte fraction, and
-lifetime through :func:`repro.endurance.lifetime.estimate_lifetime`
-with the physical frame count and per-cell write fraction — the same
-seams every other experiment uses, so an uncompressed run of this study
-reproduces the baseline numbers exactly.
+lifetime through :func:`repro.techniques.evaluate.price_outcomes`, which
+forecasts with the physical frame count and per-cell write fraction —
+the same seams every other experiment uses, so an uncompressed run of
+this study reproduces the baseline numbers exactly.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.endurance.lifetime import LifetimeEstimate, estimate_lifetime
+from repro.endurance.lifetime import LifetimeEstimate
 from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentContext, TableWriter
 from repro.nvsim.pricing import price_counts
 from repro.nvsim.published import published_model, sram_baseline
 from repro.report.charts import bar_chart
-from repro.techniques.base import Technique
 from repro.techniques.compression import CompressedLLC
-from repro.techniques.replay import TechniqueOutcome, replay_with_technique
+from repro.techniques.evaluate import price_outcomes, replay_techniques
+from repro.techniques.replay import TechniqueOutcome
 from repro.validate.guard import guard_compression
 from repro.workloads.profiles import compressibility
 
@@ -102,36 +102,24 @@ def run(
         # simulated runtime on the SRAM baseline (technology-neutral).
         window_s = session.run(sram_baseline()).runtime_s
         declared = compressibility(workload).mean_ratio
-        base: Optional[TechniqueOutcome] = None
-        comp: Optional[TechniqueOutcome] = None
         for llc_name, model in models.items():
-            if base is None or comp is None:
+            if workload not in outcomes:
                 # Fixed-capacity models share one geometry, so the two
                 # replays are computed once per workload.
-                base = replay_with_technique(
+                base, (comp,) = replay_techniques(
                     private.stream,
-                    Technique(),
+                    [CompressedLLC.for_workload(workload, seed=context.seed)],
                     model.capacity_bytes,
-                    context.arch.llc_associativity,
-                    context.arch.llc_block_bytes,
-                    context.arch.n_cores,
-                    context.arch.mlp_window_instructions,
-                    context.arch.max_mlp,
+                    context.arch,
                 )
-                comp = guard_compression(
-                    replay_with_technique(
-                        private.stream,
-                        CompressedLLC.for_workload(workload, seed=context.seed),
-                        model.capacity_bytes,
-                        context.arch.llc_associativity,
-                        context.arch.llc_block_bytes,
-                        context.arch.n_cores,
-                        context.arch.mlp_window_instructions,
-                        context.arch.max_mlp,
+                outcomes[workload] = (
+                    base,
+                    guard_compression(
+                        comp, subject=f"compressed replay {workload}"
                     ),
-                    subject=f"compressed replay {workload}",
                 )
-                outcomes[workload] = (base, comp)
+            base, comp = outcomes[workload]
+            lifetimes = price_outcomes(workload, model, base, comp, window_s)
             result_base = price_counts(
                 workload, "fixed-capacity", private, base.counts, model,
                 context.arch,
@@ -152,22 +140,8 @@ def run(
                     energy_ratio=(
                         result_comp.energy.total_j / result_base.energy.total_j
                     ),
-                    baseline_lifetime=estimate_lifetime(
-                        model.name,
-                        model.cell_class,
-                        base.wear,
-                        window_s,
-                        n_frames=base.n_frames,
-                        cell_write_fraction=base.write_bytes_fraction,
-                    ),
-                    compressed_lifetime=estimate_lifetime(
-                        model.name,
-                        model.cell_class,
-                        comp.wear,
-                        window_s,
-                        n_frames=comp.n_frames,
-                        cell_write_fraction=comp.write_bytes_fraction,
-                    ),
+                    baseline_lifetime=lifetimes.baseline_lifetime,
+                    compressed_lifetime=lifetimes.treated_lifetime,
                 )
             )
     return CompressionStudy(

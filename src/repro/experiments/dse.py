@@ -12,7 +12,6 @@ per cell.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -21,19 +20,11 @@ from repro.experiments.common import ExperimentContext, TableWriter
 from repro.nvsim.published import CONFIGURATIONS
 from repro.sim.results import NormalizedResult
 
-#: Workload axis of the grid (see docs/CONFIGURATION.md); an explicit
-#: ``workloads`` argument wins over it.
-DSE_WORKLOADS_ENV = "REPRO_DSE_WORKLOADS"
-
 
 def resolve_workloads(
     workloads: Optional[Sequence[str]] = None,
 ) -> List[str]:
-    """Grid workloads: argument > ``REPRO_DSE_WORKLOADS`` > AI subset."""
-    if workloads is None:
-        raw = os.environ.get(DSE_WORKLOADS_ENV, "").strip()
-        if raw:
-            workloads = [part.strip() for part in raw.split(",") if part.strip()]
+    """Grid workloads: the argument, else the AI subset."""
     if not workloads:
         from repro.workloads.registry import ai_benchmarks
 

@@ -60,7 +60,7 @@ EXPERIMENTS = (
     "sensitivity",
 )
 
-#: The design-space exploration (``--dse`` / ``--only dse``): not part
+#: The design-space exploration (``--only dse``): not part
 #: of the default full run — it explores beyond the paper's figures —
 #: but dispatchable everywhere an experiment id is accepted.
 DSE_EXPERIMENT = "dse"
@@ -196,7 +196,6 @@ def run_all(
     cell_timeout: Optional[float] = None,
     cell_retries: Optional[int] = None,
     validate: Optional[str] = None,
-    dse: bool = False,
 ) -> None:
     """Run the requested experiments; print renders and optionally write
     a markdown report (``write_path``).
@@ -215,24 +214,11 @@ def run_all(
     producing output byte-identical to an uninterrupted run.
     ``cell_timeout`` / ``cell_retries`` configure the sweep fault
     policy (:class:`~repro.sim.parallel.FaultPolicy`).
-
-    ``dse`` runs the design-space exploration
-    (:mod:`repro.experiments.dse`) instead of the paper set — shorthand
-    for ``only="dse"``.
     """
     from repro.report.builder import ReportBuilder
     from repro.sim.checkpoint import CheckpointJournal
     from repro.sim.parallel import FaultPolicy
     from repro.workloads.generators import DEFAULT_SEED
-
-    if dse:
-        if only is not None and only != DSE_EXPERIMENT:
-            from repro.errors import ExperimentError
-
-            raise ExperimentError(
-                f"--dse and --only {only} conflict; pass one of them"
-            )
-        only = DSE_EXPERIMENT
 
     if stream is None:
         # Resolve at call time so test harnesses that swap sys.stdout
@@ -406,12 +392,6 @@ def main(argv: Optional[list] = None) -> int:
         help="run a single experiment",
     )
     parser.add_argument(
-        "--dse",
-        action="store_true",
-        help="run the design-space exploration instead of the paper set "
-        "(shorthand for --only dse; see EXPERIMENTS.md)",
-    )
-    parser.add_argument(
         "--write",
         metavar="PATH",
         default=None,
@@ -499,7 +479,6 @@ def main(argv: Optional[list] = None) -> int:
             cell_timeout=args.cell_timeout,
             cell_retries=args.cell_retries,
             validate=args.validate,
-            dse=args.dse,
         )
     except PartialResultError as error:
         print(render_error(error), file=sys.stderr)

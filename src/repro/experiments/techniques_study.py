@@ -10,13 +10,18 @@ write-energy reduction, DRAM traffic cost, and projected lifetime gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import ExperimentContext, TableWriter
 from repro.nvsim.published import published_model
 from repro.techniques.early_write_termination import EarlyWriteTermination
-from repro.techniques.evaluate import TechniqueEvaluation, evaluate_technique
+from repro.techniques.evaluate import (
+    TechniqueEvaluation,
+    price_outcomes,
+    replay_techniques,
+)
 from repro.techniques.hybrid import HybridEvaluation, evaluate_hybrid
+from repro.techniques.replay import TechniqueOutcome
 from repro.techniques.wear_leveling import SetRotationLeveling
 from repro.techniques.write_bypass import ReuseWriteBypass
 
@@ -54,27 +59,32 @@ def run(
     evaluations: List[TechniqueEvaluation] = []
     hybrids: List[HybridEvaluation] = []
     for workload in workloads:
-        trace = context.trace(workload)
         session = context.session(workload)
         private = session.private
         window_s = session.run(published_model("Xue_S")).runtime_s
+        # Models of one capacity price one replay of the baseline and of
+        # each technique (fresh instances: leveling and bypassing keep
+        # state across a replay).
+        replayed: Dict[int, Tuple[TechniqueOutcome, List[TechniqueOutcome]]] = {}
         for llc_name in llcs:
             model = published_model(llc_name, "fixed-capacity")
-            for technique in (
-                SetRotationLeveling(period=4096),
-                ReuseWriteBypass(filter_blocks=8192),
-                EarlyWriteTermination(),
-            ):
-                evaluations.append(
-                    evaluate_technique(
-                        trace,
-                        model,
-                        technique,
-                        arch=context.arch,
-                        window_s=window_s,
-                        private=private,
-                    )
+            capacity = model.capacity_bytes
+            if capacity not in replayed:
+                replayed[capacity] = replay_techniques(
+                    private.stream,
+                    (
+                        SetRotationLeveling(period=4096),
+                        ReuseWriteBypass(filter_blocks=8192),
+                        EarlyWriteTermination(),
+                    ),
+                    capacity,
+                    context.arch,
                 )
+            baseline, treated = replayed[capacity]
+            evaluations.extend(
+                price_outcomes(workload, model, baseline, outcome, window_s)
+                for outcome in treated
+            )
             hybrids.append(
                 evaluate_hybrid(private.stream, model, sram_ways=2)
             )

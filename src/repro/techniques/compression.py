@@ -15,11 +15,15 @@ technique replay engine:
   provisions).  With every line at full size it degenerates to exactly
   the baseline :class:`~repro.sim.cache.SetAssocCache` semantics.
 - :class:`CompressedLLC` — the :class:`~repro.techniques.base.Technique`
-  wiring: per-line compressed sizes from the workload's
+  that declares the design: a ``tag_factor``, per-line compressed
+  sizes from the workload's
   :class:`~repro.workloads.profiles.CompressibilityProfile` (or any
-  size function), write energy scaled to bytes actually written, and
-  optional composition with early write termination (fewer-bit writes
-  and redundant-bit termination multiply) and set-rotation leveling.
+  vector size function), write energy scaled to bytes actually written,
+  and optional composition with early write termination (fewer-bit
+  writes and redundant-bit termination multiply) and set-rotation
+  leveling.  The production replay runs
+  :func:`repro.sim.engine.compacted_rounds` and the reference loop a
+  :class:`CompactedWayCache`, both at the declared ``tag_factor``.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ DEFAULT_TAG_FACTOR = 2
 #: The physical bound any compressed-size model must respect: at least
 #: one eighth of the line (ratio <= 8, the smallest SIZE_CLASSES entry).
 MAX_RATIO = 8.0
-
-
-def _out_of_range(size: int, block: int, block_bytes: int) -> str:
-    return f"size_fn returned {size} for block {block}, outside (0, {block_bytes}]"
 
 
 def _check_tag_factor(tag_factor: int) -> int:
@@ -83,9 +83,6 @@ class CompactedWayCache:
     LRU victim per conflict miss — bit-identical to the baseline, which
     is what makes compression ratio 1.0 a no-op.
     """
-
-    #: Replay engines pass per-line sizes to :meth:`access`.
-    SIZE_AWARE = True
 
     def __init__(
         self,
@@ -170,12 +167,12 @@ class CompressedLLC(Technique):
 
     Parameters
     ----------
-    size_fn:
-        Block address -> compressed size in bytes, in
-        ``(0, block_bytes]``.  Use :meth:`for_workload` to build one
-        from the workload's declared compressibility distribution, or
-        :meth:`uniform` for a constant size (tests; ``uniform(64)`` is
-        the ratio-1.0 baseline).
+    sizes_fn:
+        An array of block addresses -> their compressed sizes in bytes,
+        each in ``(0, block_bytes]``, in one call.  Use
+        :meth:`for_workload` to build one from the workload's declared
+        compressibility distribution, or :meth:`uniform` for a constant
+        size (tests; ``uniform(64)`` is the ratio-1.0 baseline).
     tag_factor:
         Compacted tag provisioning (default 2x: L2C2's choice).
     redundant_fraction:
@@ -186,23 +183,17 @@ class CompressedLLC(Technique):
         When given, rotate the set mapping every ``leveling_period``
         data-array writes (the wear-leveling interaction; same scheme as
         :class:`~repro.techniques.wear_leveling.SetRotationLeveling`).
-    sizes_fn:
-        The vector form of ``size_fn``: an array of block addresses to
-        their sizes, in one call.  When omitted, ``size_fn`` is called
-        once per distinct block of a replayed stream.
     """
 
     name = "compression"
 
     def __init__(
         self,
-        size_fn: Callable[[int], int],
+        sizes_fn: Callable[[np.ndarray], np.ndarray],
         tag_factor: int = DEFAULT_TAG_FACTOR,
         redundant_fraction: Optional[float] = None,
         leveling_period: Optional[int] = None,
-        sizes_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
-        self._size_fn = size_fn
         self._sizes_fn = sizes_fn
         self.tag_factor = _check_tag_factor(tag_factor)
         self._ewt = (
@@ -234,59 +225,33 @@ class CompressedLLC(Technique):
         )
 
         seed = DEFAULT_SEED if seed is None else seed
-
-        def sizes_fn(blocks: np.ndarray) -> np.ndarray:
-            return line_compressed_sizes(blocks, benchmark, seed)
-
-        def size_fn(block: int) -> int:
-            return int(sizes_fn(np.array([block], dtype=np.uint64))[0])
-
-        return cls(size_fn, sizes_fn=sizes_fn, **kwargs)
+        return cls(
+            lambda blocks: line_compressed_sizes(blocks, benchmark, seed),
+            **kwargs,
+        )
 
     @classmethod
     def uniform(cls, size_bytes: int, **kwargs) -> "CompressedLLC":
         """Every line compresses to the same size (tests/ablations)."""
         return cls(
-            lambda block: size_bytes,
-            sizes_fn=lambda blocks: np.full(len(blocks), size_bytes, np.int64),
-            **kwargs,
+            lambda blocks: np.full(len(blocks), size_bytes, np.int64), **kwargs
         )
 
-    # -- Technique hooks -------------------------------------------------
-
-    def line_size_bytes(self, block: int, block_bytes: int) -> int:
-        size = int(self._size_fn(block))
-        if not 0 < size <= block_bytes:
-            raise CompressionError(_out_of_range(size, block, block_bytes))
-        return size
+    # -- declarations ----------------------------------------------------
 
     def line_sizes(self, blocks: np.ndarray, block_bytes: int) -> np.ndarray:
         """Every block's size; an out-of-range size raises for the first
-        offending block in stream order, as :meth:`line_size_bytes`
-        would in a per-access replay."""
+        offending block in stream order."""
         blocks = np.asarray(blocks, dtype=np.uint64)
-        if self._sizes_fn is not None:
-            sizes = np.asarray(self._sizes_fn(blocks)).astype(np.int64)
-        else:
-            distinct, inverse = np.unique(blocks, return_inverse=True)
-            sizes = np.array(
-                [int(self._size_fn(block)) for block in distinct.tolist()],
-                dtype=np.int64,
-            )[inverse]
+        sizes = np.asarray(self._sizes_fn(blocks)).astype(np.int64)
         bad = np.flatnonzero((sizes <= 0) | (sizes > block_bytes))
         if len(bad):
             first = bad[0]
             raise CompressionError(
-                _out_of_range(int(sizes[first]), int(blocks[first]), block_bytes)
+                f"sizes_fn returned {int(sizes[first])} for block "
+                f"{int(blocks[first])}, outside (0, {block_bytes}]"
             )
         return sizes
-
-    def make_cache(
-        self, capacity_bytes: int, block_bytes: int, associativity: int
-    ) -> CompactedWayCache:
-        return CompactedWayCache(
-            capacity_bytes, block_bytes, associativity, self.tag_factor
-        )
 
     def write_energy_factor(self) -> float:
         return self._ewt.write_energy_factor() if self._ewt else 1.0

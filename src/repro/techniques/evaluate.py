@@ -4,18 +4,24 @@ Given a workload and an LLC model, replay the post-L2 stream with and
 without a technique and report the deltas that matter for NVM adoption:
 data-array write count, LLC dynamic write energy, DRAM write traffic,
 and projected lifetime (via :mod:`repro.endurance`).
+
+Replay and pricing are separate steps.  :func:`replay_techniques`
+replays the baseline once and each technique once on one LLC geometry,
+and :func:`price_outcomes` prices a (baseline, treated) pair against
+one LLC model, so models that share a capacity share the replays.
+:func:`evaluate_all` is the two steps for one model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.endurance.lifetime import LifetimeEstimate, estimate_lifetime
 from repro.errors import SimulationError
 from repro.nvsim.model import LLCModel
 from repro.sim.config import ArchitectureConfig, gainestown
-from repro.sim.hierarchy import PrivateResult, filter_private
+from repro.sim.hierarchy import LLCStream, PrivateResult, filter_private
 from repro.techniques.base import Technique
 from repro.techniques.replay import TechniqueOutcome, replay_with_technique
 from repro.trace.stream import Trace
@@ -84,6 +90,107 @@ class TechniqueEvaluation:
         )
 
 
+def replay_techniques(
+    stream: LLCStream,
+    techniques: Sequence[Technique],
+    capacity_bytes: int,
+    arch: ArchitectureConfig,
+) -> Tuple[TechniqueOutcome, List[TechniqueOutcome]]:
+    """The baseline's replay and each technique's, on the LLC of
+    ``arch`` at ``capacity_bytes``."""
+
+    def replay(technique: Technique) -> TechniqueOutcome:
+        return replay_with_technique(
+            stream,
+            technique,
+            capacity_bytes,
+            arch.llc_associativity,
+            arch.llc_block_bytes,
+            arch.n_cores,
+            arch.mlp_window_instructions,
+            arch.max_mlp,
+        )
+
+    return replay(Technique()), [replay(technique) for technique in techniques]
+
+
+def price_outcomes(
+    workload: str,
+    llc_model: LLCModel,
+    baseline: TechniqueOutcome,
+    treated: TechniqueOutcome,
+    window_s: float,
+) -> TechniqueEvaluation:
+    """Price a (baseline, treated) replay pair on one LLC model.
+
+    ``window_s`` is the wall-clock duration the replayed window is taken
+    to represent when projecting lifetime.
+    """
+
+    def write_energy_j(outcome: TechniqueOutcome) -> float:
+        # Energy follows bytes actually programmed: write_bytes/block_bytes
+        # is float-exact total_writes for full-size writes, and the
+        # compressed fraction of a write for compacted lines.
+        return (
+            (outcome.write_bytes / outcome.block_bytes)
+            * llc_model.write_energy_j
+            * outcome.write_energy_factor
+        )
+
+    def lifetime(outcome: TechniqueOutcome) -> LifetimeEstimate:
+        return estimate_lifetime(
+            llc_model.name,
+            llc_model.cell_class,
+            outcome.wear,
+            window_s,
+            n_frames=outcome.n_frames or None,
+            cell_write_fraction=outcome.write_bytes_fraction,
+        )
+
+    return TechniqueEvaluation(
+        workload=workload,
+        llc_name=llc_model.name,
+        technique=treated.technique,
+        baseline=baseline,
+        treated=treated,
+        baseline_lifetime=lifetime(baseline),
+        treated_lifetime=lifetime(treated),
+        baseline_write_energy_j=write_energy_j(baseline),
+        treated_write_energy_j=write_energy_j(treated),
+    )
+
+
+def evaluate_all(
+    trace: Trace,
+    llc_model: LLCModel,
+    techniques: Sequence[Technique],
+    arch: Optional[ArchitectureConfig] = None,
+    window_s: float = 1e-3,
+    private: Optional[PrivateResult] = None,
+) -> List[TechniqueEvaluation]:
+    """Evaluate several techniques against one baseline replay.
+
+    ``window_s`` is the wall-clock duration the replayed window is taken
+    to represent when projecting lifetime (the simulated runtime of the
+    window is the natural choice; callers with a SimResult should pass
+    its ``runtime_s``).  ``private`` reuses a private-level replay of
+    ``trace``.
+    """
+    if window_s <= 0:
+        raise SimulationError("window_s must be positive")
+    arch = arch or gainestown()
+    if private is None:
+        private = filter_private(trace, arch)
+    baseline, treated = replay_techniques(
+        private.stream, techniques, llc_model.capacity_bytes, arch
+    )
+    workload = trace.name or "trace"
+    return [
+        price_outcomes(workload, llc_model, baseline, outcome, window_s)
+        for outcome in treated
+    ]
+
+
 def evaluate_technique(
     trace: Trace,
     llc_model: LLCModel,
@@ -92,94 +199,8 @@ def evaluate_technique(
     window_s: float = 1e-3,
     private: Optional[PrivateResult] = None,
 ) -> TechniqueEvaluation:
-    """Replay baseline and technique, price energy and lifetime.
-
-    ``window_s`` is the wall-clock duration the replayed window is taken
-    to represent when projecting lifetime (the simulated runtime of the
-    window is the natural choice; callers with a SimResult should pass
-    its ``runtime_s``).
-    """
-    if window_s <= 0:
-        raise SimulationError("window_s must be positive")
-    arch = arch or gainestown()
-    if private is None:
-        private = filter_private(trace, arch)
-
-    baseline = replay_with_technique(
-        private.stream,
-        Technique(),
-        llc_model.capacity_bytes,
-        arch.llc_associativity,
-        arch.llc_block_bytes,
-        arch.n_cores,
-        arch.mlp_window_instructions,
-        arch.max_mlp,
-    )
-    treated = replay_with_technique(
-        private.stream,
-        technique,
-        llc_model.capacity_bytes,
-        arch.llc_associativity,
-        arch.llc_block_bytes,
-        arch.n_cores,
-        arch.mlp_window_instructions,
-        arch.max_mlp,
-    )
-
-    # Energy follows bytes actually programmed: write_bytes/block_bytes
-    # is float-exact total_writes for full-size writes, and the
-    # compressed fraction of a write for compacted lines.
-    base_energy = (
-        (baseline.write_bytes / baseline.block_bytes)
-        * llc_model.write_energy_j
-        * baseline.write_energy_factor
-    )
-    treated_energy = (
-        (treated.write_bytes / treated.block_bytes)
-        * llc_model.write_energy_j
-        * treated.write_energy_factor
-    )
-
-    return TechniqueEvaluation(
-        workload=trace.name or "trace",
-        llc_name=llc_model.name,
-        technique=technique.name,
-        baseline=baseline,
-        treated=treated,
-        baseline_lifetime=estimate_lifetime(
-            llc_model.name,
-            llc_model.cell_class,
-            baseline.wear,
-            window_s,
-            n_frames=baseline.n_frames or None,
-            cell_write_fraction=baseline.write_bytes_fraction,
-        ),
-        treated_lifetime=estimate_lifetime(
-            llc_model.name,
-            llc_model.cell_class,
-            treated.wear,
-            window_s,
-            n_frames=treated.n_frames or None,
-            cell_write_fraction=treated.write_bytes_fraction,
-        ),
-        baseline_write_energy_j=base_energy,
-        treated_write_energy_j=treated_energy,
-    )
-
-
-def evaluate_all(
-    trace: Trace,
-    llc_model: LLCModel,
-    techniques: List[Technique],
-    arch: Optional[ArchitectureConfig] = None,
-    window_s: float = 1e-3,
-) -> List[TechniqueEvaluation]:
-    """Evaluate several techniques over one shared private replay."""
-    arch = arch or gainestown()
-    private = filter_private(trace, arch)
-    return [
-        evaluate_technique(
-            trace, llc_model, technique, arch, window_s, private=private
-        )
-        for technique in techniques
-    ]
+    """Replay baseline and technique, price energy and lifetime (see
+    :func:`evaluate_all`)."""
+    return evaluate_all(
+        trace, llc_model, [technique], arch, window_s, private
+    )[0]

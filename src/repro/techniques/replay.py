@@ -1,22 +1,24 @@
 """Technique-aware LLC replay.
 
 Extends the plain LLC replay (:mod:`repro.sim.llc`) with the
-:class:`~repro.techniques.base.Technique` family: set remapping (wear
+:class:`~repro.techniques.base.Technique` family: set rotation (wear
 leveling), writeback bypassing, device-level energy/latency factors,
-technique-supplied cache variants (compacted-way compression) and
-per-line write sizing.  Also tracks the wear distribution so the
-endurance model can price each technique's lifetime effect.
+compacted ways (compression) and per-line write sizing.  Also tracks
+the wear distribution so the endurance model can price each
+technique's lifetime effect.
 
-Two paths, like the plain LLC replay:
+Both paths read only what a technique *declares* (``leveling_period``,
+``tag_factor``, ``line_sizes``, ``bypasses_writes`` and the two
+factors) and run its ``observe_read`` / ``should_bypass_write`` hooks
+in stream order:
 
 - :func:`replay_with_technique` — production: the vector rounds of
-  :mod:`repro.sim.engine`, driven by what the technique *declares*
-  (``leveling_period``, ``tag_factor``, ``line_sizes``,
-  ``bypasses_writes``);
-- :func:`replay_with_technique_reference` — the per-access hook loop
-  over :class:`~repro.sim.cache.SetAssocCache` (or the technique's
-  ``make_cache`` variant), the oracle the production path must equal
-  on every outcome field and every technique counter
+  :mod:`repro.sim.engine`;
+- :func:`replay_with_technique_reference` — the same declarations one
+  access at a time over a :class:`~repro.sim.cache.SetAssocCache`, or a
+  :class:`~repro.techniques.compression.CompactedWayCache` when a tag
+  factor is declared: the oracle the production path must equal on
+  every outcome field and every technique counter
   (``tests/property/test_replay_conformance.py``).
 
 Invariants
@@ -43,6 +45,7 @@ from repro.sim.hierarchy import LLCStream
 from repro.sim.llc import LLCCounts, per_core_mlp
 from repro.endurance.wear import WearSummary, tally_wear
 from repro.techniques.base import Technique
+from repro.techniques.compression import CompactedWayCache
 
 
 @dataclass
@@ -70,11 +73,6 @@ class TechniqueOutcome:
     uncompressed_writes: int = 0
     n_frames: int = 0
     mean_resident_lines: float = 0.0
-
-    @property
-    def extra_dram_writes(self) -> int:
-        """Writebacks redirected to DRAM by bypassing."""
-        return self.bypassed_writes
 
     @property
     def write_bytes_fraction(self) -> float:
@@ -239,8 +237,8 @@ def _leveled(technique, home, writes, n_sets, rounds):
     sequential schedule is the only fixed point, and each pass makes at
     least one more access agree with it, because an access's offset
     depends only on earlier accesses.  The technique's ``writes_seen``
-    advances by the replay's data writes, as its ``observe_write``
-    would have.
+    advances by the replay's data writes, as the reference loop
+    advances it.
     """
     period = technique.leveling_period
     start = technique.writes_seen
@@ -276,22 +274,34 @@ def replay_with_technique_reference(
     """The per-access technique replay: the semantic ground truth
     :func:`replay_with_technique` must match on every field.
 
-    Set remapping is applied by translating each block to a synthetic
-    block id whose set index is the technique's choice; the cache keeps
-    its contents across a rotation, so a rotated block can hit on the
-    line another block installed under the same id
-    (:mod:`repro.techniques.wear_leveling` describes the aliasing).
+    It reads the same declarations one access at a time:
 
-    The technique may supply its own cache variant via ``make_cache``
-    (compacted-way compression does); caches declaring ``SIZE_AWARE``
-    receive each access's compressed line size and may evict several
-    dirty victims on one miss.
+    - every block is sized by one ``line_sizes`` call on the true
+      addresses (a line's compressibility must not move with its set);
+    - under a ``leveling_period`` a block looks itself up under the
+      synthetic id ``(block // n_sets) * n_sets + set``, with ``set =
+      (block + writes_seen // leveling_period) % n_sets`` and
+      ``writes_seen`` advanced on every data write.  The cache keeps
+      its contents across a rotation, so a rotated block can hit on the
+      line another block installed under the same id
+      (:mod:`repro.techniques.wear_leveling` describes the aliasing);
+    - a declared ``tag_factor`` replays a
+      :class:`~repro.techniques.compression.CompactedWayCache`, which
+      takes each access's line size and may evict several dirty
+      victims on one miss; otherwise a
+      :class:`~repro.sim.cache.SetAssocCache`.
     """
-    cache = technique.make_cache(capacity_bytes, block_bytes, associativity)
-    if cache is None:
+    compacted = technique.tag_factor is not None
+    if compacted:
+        cache = CompactedWayCache(
+            capacity_bytes, block_bytes, associativity, technique.tag_factor
+        )
+    else:
         cache = SetAssocCache(capacity_bytes, block_bytes, associativity)
-    size_aware = bool(getattr(cache, "SIZE_AWARE", False))
     n_sets = cache.n_sets
+    period = technique.leveling_period
+    blocks = np.asarray(stream.blocks, dtype=np.uint64)
+    sizes = technique.line_sizes(blocks, block_bytes).tolist()
     counts = LLCCounts(capacity_bytes=capacity_bytes, associativity=associativity)
     set_writes = np.zeros(n_sets, dtype=np.int64)
     line_writes: Dict[int, int] = {}
@@ -304,69 +314,54 @@ def replay_with_technique_reference(
     read_misses = [0] * n_cores
     read_miss = np.zeros(len(stream), dtype=bool)
 
-    blocks = stream.blocks
-    writes = stream.writes
-    cores = stream.cores
-
-    for i in range(len(stream)):
-        block = int(blocks[i])
-        core = int(cores[i])
-        mapped_set = technique.map_set(block, n_sets)
-        # Same tag space, technique-chosen set: encode as a block id
-        # whose modulo lands in the mapped set.
+    accesses = zip(
+        blocks.tolist(), stream.writes.tolist(), stream.cores.tolist(), sizes
+    )
+    for i, (block, is_write, core, size) in enumerate(accesses):
+        if is_write and technique.should_bypass_write(block):
+            bypassed += 1
+            counts.dirty_evictions += 1  # goes straight to DRAM
+            continue
+        if not is_write:
+            technique.observe_read(block)
+        if period is None:
+            mapped_set = block % n_sets
+        else:
+            mapped_set = (block + technique.writes_seen // period) % n_sets
+        # Same tag space, the rotated set: encode as a block id whose
+        # modulo lands in the mapped set.
         mapped = (block // n_sets) * n_sets + mapped_set
-        # Sized from the TRUE block address: the mapped id shifts with
-        # leveling rotation, but a line's compressibility must not.
-        size = technique.line_size_bytes(block, block_bytes)
-        if bool(writes[i]):
-            if technique.should_bypass_write(block):
-                bypassed += 1
-                counts.dirty_evictions += 1  # goes straight to DRAM
-                continue
-            if size_aware:
-                outcome = cache.access(mapped, True, size)
-                counts.dirty_evictions += len(outcome.dirty_victims)
-            else:
-                outcome = cache.access(mapped, True)
-                if outcome.dirty_victim is not None:
-                    counts.dirty_evictions += 1
+        if compacted:
+            outcome = cache.access(mapped, is_write, size)
+            counts.dirty_evictions += len(outcome.dirty_victims)
+        else:
+            outcome = cache.access(mapped, is_write)
+            if outcome.dirty_victim is not None:
+                counts.dirty_evictions += 1
+        if is_write:
             counts.write_accesses += 1
             if outcome.hit:
                 counts.write_hits += 1
             else:
                 counts.write_misses += 1
-            technique.observe_write(block)
-            total_writes += 1
-            write_bytes += size
-            if size < block_bytes:
-                compressed_writes += 1
-            set_writes[mapped_set] += 1
-            line_writes[mapped] = line_writes.get(mapped, 0) + 1
         else:
-            technique.observe_read(block)
-            if size_aware:
-                outcome = cache.access(mapped, False, size)
-                counts.dirty_evictions += len(outcome.dirty_victims)
-            else:
-                outcome = cache.access(mapped, False)
-                if outcome.dirty_victim is not None:
-                    counts.dirty_evictions += 1
             counts.read_lookups += 1
             if outcome.hit:
                 counts.read_hits += 1
                 read_hits[core] += 1
-            else:
-                counts.read_misses += 1
-                read_misses[core] += 1
-                read_miss[i] = True
-                # The demand fill programs the array too.
-                technique.observe_write(block)
-                total_writes += 1
-                write_bytes += size
-                if size < block_bytes:
-                    compressed_writes += 1
-                set_writes[mapped_set] += 1
-                line_writes[mapped] = line_writes.get(mapped, 0) + 1
+                continue
+            counts.read_misses += 1
+            read_misses[core] += 1
+            read_miss[i] = True
+        # A data write: the write itself, or a read miss's demand fill.
+        if period is not None:
+            technique.writes_seen += 1
+        total_writes += 1
+        write_bytes += size
+        if size < block_bytes:
+            compressed_writes += 1
+        set_writes[mapped_set] += 1
+        line_writes[mapped] = line_writes.get(mapped, 0) + 1
 
     counts.per_core_read_hits = read_hits
     counts.per_core_read_misses = read_misses
@@ -393,7 +388,7 @@ def replay_with_technique_reference(
         compressed_writes=compressed_writes,
         uncompressed_writes=total_writes - compressed_writes,
         n_frames=n_sets * associativity,
-        mean_resident_lines=float(
-            getattr(cache, "mean_resident_lines", associativity)
+        mean_resident_lines=(
+            cache.mean_resident_lines if compacted else float(associativity)
         ),
     )

@@ -4,9 +4,9 @@ An intra-cache levelling scheme in the spirit of WriteSmoothing /
 LastingNVCache (the paper's refs [20], [38]): every ``period`` data-array
 writes the block-to-set mapping rotates by one set, so a write-hot
 address walks across the physical sets over time instead of grinding one
-of them down.  The rotation itself lives in
-:class:`~repro.techniques.base.Technique` (``leveling_period``), which
-:class:`~repro.techniques.compression.CompressedLLC` shares.
+of them down.  The class only declares ``leveling_period`` (a
+declaration :class:`~repro.techniques.compression.CompressedLLC`
+shares); the technique replay applies the rotation.
 
 The replay neither flushes nor migrates on a rotation: the cache keeps
 its contents, and a block looks itself up under its rotated id,
@@ -32,11 +32,6 @@ class SetRotationLeveling(Technique):
         if period <= 0:
             raise ConfigurationError("rotation period must be positive")
         self.leveling_period = period
-
-    @property
-    def period(self) -> int:
-        """Data-array writes per one-set rotation."""
-        return self.leveling_period
 
     @property
     def rotations(self) -> int:

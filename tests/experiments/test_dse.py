@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import PlanError
-from repro.experiments.dse import (
-    DSE_WORKLOADS_ENV,
-    dominates,
-    pareto_frontier,
-    resolve_workloads,
-)
+from repro.experiments.dse import dominates, pareto_frontier, resolve_workloads
 from repro.sim.results import NormalizedResult
 
 
@@ -36,9 +31,10 @@ class TestWorkloads:
     def test_resolve_workloads_default_env_and_validation(self, monkeypatch):
         from repro.workloads.registry import ai_benchmarks
 
-        monkeypatch.delenv(DSE_WORKLOADS_ENV, raising=False)
+        # The environment does not pick the grid: a served job's digest
+        # covers only its spec, so the grid must follow from the spec.
+        monkeypatch.setenv("REPRO_DSE_WORKLOADS", "leela")
         assert resolve_workloads() == ai_benchmarks()
-        monkeypatch.setenv(DSE_WORKLOADS_ENV, "leela, x264")
-        assert resolve_workloads() == ["leela", "x264"]
+        assert resolve_workloads(["leela", "x264"]) == ["leela", "x264"]
         with pytest.raises(PlanError, match="fluidanimate"):
             resolve_workloads(["leela", "fluidanimate"])

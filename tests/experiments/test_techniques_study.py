@@ -4,6 +4,10 @@ import pytest
 
 from repro.experiments import techniques_study
 from repro.experiments.common import ExperimentContext
+from repro.nvsim.published import published_model
+from repro.techniques.early_write_termination import EarlyWriteTermination
+from repro.techniques.evaluate import evaluate_all
+from repro.techniques.write_bypass import ReuseWriteBypass
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +52,26 @@ class TestTechniquesStudy:
         assert "early-write-termination" in text
         assert "Hybrid SRAM/NVM" in text
         assert "migrations" in text
+
+
+def test_each_replay_runs_once_per_workload_and_capacity():
+    """``evaluate_all`` prices every technique against one baseline
+    replay, and the study prices its two 2 MB LLCs on one replay of
+    each technique."""
+    context = ExperimentContext(scale=0.05)
+    first, second = evaluate_all(
+        context.trace("ft"),
+        published_model("Kang_P"),
+        [EarlyWriteTermination(), ReuseWriteBypass()],
+        arch=context.arch,
+    )
+    assert first.baseline is second.baseline
+    assert first.treated is not second.treated
+
+    study = techniques_study.run(context, workloads=("ft",))
+    for technique in ("wear-leveling", "write-bypass", "early-write-termination"):
+        kang = study.evaluation("ft", "Kang_P", technique)
+        zhang = study.evaluation("ft", "Zhang_R", technique)
+        assert kang.treated is zhang.treated
+        assert kang.baseline is zhang.baseline
+        assert kang.treated_lifetime != zhang.treated_lifetime

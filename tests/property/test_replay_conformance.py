@@ -362,18 +362,33 @@ TECHNIQUE_GEOMETRIES = ((24, 4),) + LLC_GEOMETRIES
 
 
 def _sizes(seed: int):
-    """A seeded, non-uniform line size over ``SIZE_CLASSES``."""
+    """A seeded, non-uniform line size over ``SIZE_CLASSES``, for an
+    array of blocks (the top three bits of the low 64 of the product)."""
+    classes = np.array(SIZE_CLASSES, dtype=np.int64)
 
-    def size_fn(block: int) -> int:
-        mixed = (block ^ seed) * 0x9E3779B97F4A7C15 >> 61
-        return SIZE_CLASSES[mixed % len(SIZE_CLASSES)]
+    def sizes_fn(blocks: np.ndarray) -> np.ndarray:
+        mixed = (blocks ^ np.uint64(seed)) * np.uint64(0x9E3779B97F4A7C15)
+        return classes[mixed >> np.uint64(61)]
 
-    return size_fn
+    return sizes_fn
+
+
+class DeclaredOnly(Technique):
+    """Compacted ways that rotate, declared on a bare :class:`Technique`
+    rather than inherited from :class:`CompressedLLC`: what a replay
+    reads is the declarations, not the class."""
+
+    name = "declared"
+    leveling_period = 7
+    tag_factor = 2
+
+    def line_sizes(self, blocks, block_bytes):
+        return _sizes(7)(blocks)
 
 
 #: Bypass filters from one block to more than any case holds; rotation
 #: every 1, 3 and 17 data writes; compacted ways at tag factors 1, 2
-#: and 4, still and rotating.
+#: and 4, still and rotating; and the declarations alone.
 TECHNIQUES = {
     **{f"bypass-{blocks}": lambda blocks=blocks: ReuseWriteBypass(blocks)
        for blocks in (1, 2, 8, 8192)},
@@ -384,6 +399,7 @@ TECHNIQUES = {
     **{f"compressed-x{factor}-leveling-5": lambda factor=factor: CompressedLLC(
         _sizes(factor), tag_factor=factor, leveling_period=5)
        for factor in (1, 2, 4)},
+    "declared": DeclaredOnly,
 }
 
 
@@ -420,13 +436,15 @@ def test_out_of_range_size_fails_alike(bad, source, case, lane):
     both paths, naming the first offending block in stream order."""
     sizes = _sizes(lane)
     offending = {b for b in case.llc_blocks if b % 3 == lane}
-    offending |= set(case.llc_blocks[-1:])
+    offending = np.array(sorted(offending | set(case.llc_blocks[-1:])),
+                         dtype=np.uint64)
 
     def make():
         if source == "uniform":
             return CompressedLLC.uniform(bad, leveling_period=2)
         return CompressedLLC(
-            lambda block: bad if block in offending else sizes(block),
+            lambda blocks: np.where(np.isin(blocks, offending), bad,
+                                    sizes(blocks)),
             leveling_period=2,
         )
 

@@ -13,7 +13,12 @@ from repro.techniques.compression import (
     CompressedLLC,
 )
 from repro.techniques.evaluate import evaluate_technique
+from repro.techniques.replay import (
+    replay_with_technique,
+    replay_with_technique_reference,
+)
 from repro.workloads.generators import generate_trace, line_compressed_sizes
+from tests.streams import llc_stream
 
 
 class TestResolveTagFactor:
@@ -90,26 +95,29 @@ class TestCompactedWayCache:
 class TestCompressedLLC:
     def test_uniform_size_fn(self):
         technique = CompressedLLC.uniform(32)
-        assert technique.line_size_bytes(123, 64) == 32
+        blocks = np.array([123, 7], dtype=np.uint64)
+        assert technique.line_sizes(blocks, 64).tolist() == [32, 32]
 
     def test_for_workload_matches_sampler(self):
         technique = CompressedLLC.for_workload("gobmk")
         blocks = np.arange(50, dtype=np.uint64)
         expected = line_compressed_sizes(blocks, "gobmk")
-        got = [technique.line_size_bytes(int(b), 64) for b in blocks]
-        assert got == list(expected)
-        # A repeated lookup draws the same size again (no memo needed).
-        assert technique.line_size_bytes(7, 64) == int(expected[7])
-        # The vector form sizes the whole array in one call, same values.
+        # The whole array in one call, same values as the sampler.
         assert technique.line_sizes(blocks, 64).tolist() == list(expected)
+        # A repeated block draws the same size again (no memo needed).
+        assert technique.line_sizes(blocks[[7, 7]], 64).tolist() == (
+            [int(expected[7])] * 2
+        )
 
     def test_size_fn_out_of_range_rejected(self):
-        technique = CompressedLLC(lambda block: 0)
+        technique = CompressedLLC(lambda blocks: np.zeros(len(blocks), int))
         with pytest.raises(CompressionError):
-            technique.line_size_bytes(1, 64)
+            technique.line_sizes(np.array([1], dtype=np.uint64), 64)
 
     def test_line_sizes_name_the_first_offending_block_in_stream_order(self):
-        technique = CompressedLLC(lambda block: 65 if block in (3, 9) else 32)
+        technique = CompressedLLC(
+            lambda blocks: np.where(np.isin(blocks, [3, 9]), 65, 32)
+        )
         blocks = np.array([5, 9, 5, 3], dtype=np.uint64)
         with pytest.raises(CompressionError, match="returned 65 for block 9,"):
             technique.line_sizes(blocks, 64)
@@ -127,10 +135,15 @@ class TestCompressedLLC:
         assert fused.write_energy_factor() < 1.0
         assert fused.write_latency_factor() < 1.0
 
-    def test_make_cache_carries_tag_factor(self):
-        cache = CompressedLLC.uniform(16, tag_factor=3).make_cache(1024, 64, 4)
-        assert isinstance(cache, CompactedWayCache)
-        assert cache.tag_factor == 3
+    def test_replay_carries_tag_factor(self):
+        # Twelve quarter-size lines of one set, read twice: the bytes
+        # hold 16 and three times the four ways' tags hold all twelve,
+        # where the default two times would hold eight.
+        stream = llc_stream([4 * k for k in range(12)] * 2)
+        for replay in (replay_with_technique, replay_with_technique_reference):
+            technique = CompressedLLC.uniform(16, tag_factor=3)
+            outcome = replay(stream, technique, 1024, associativity=4)
+            assert outcome.counts.read_hits == 12
 
     def test_evaluate_technique_end_to_end(self):
         """The full seam: replay, pricing, and the parameterised

@@ -1,5 +1,6 @@
 """Tests for the LLC management techniques."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -15,21 +16,24 @@ from tests.streams import llc_stream
 class TestBaselineTechnique:
     def test_noop_hooks(self):
         technique = Technique()
-        assert technique.map_set(123, 64) == 123 % 64
+        assert technique.leveling_period is None
+        assert technique.tag_factor is None
         assert not technique.should_bypass_write(123)
         assert technique.write_energy_factor() == 1.0
         assert technique.write_latency_factor() == 1.0
+        blocks = np.array([123, 2**64 - 1], dtype=np.uint64)
+        assert technique.line_sizes(blocks, 64).tolist() == [64, 64]
 
 
 class TestSetRotationLeveling:
     def test_rotates_after_period(self):
+        # 64 sets: three writes to block 0 rotate the mapping by one
+        # set, so the fourth lands in set 1.
         leveler = SetRotationLeveling(period=3)
-        before = leveler.map_set(0, 64)
-        for _ in range(3):
-            leveler.observe_write(0)
-        after = leveler.map_set(0, 64)
+        stream = llc_stream([0] * 4, [True] * 4)
+        outcome = replay_with_technique(stream, leveler, 64 * units.KB)
         assert leveler.rotated
-        assert after == (before + 1) % 64
+        assert outcome.wear.set_writes[:3].tolist() == [3, 1, 0]
 
     def test_rejects_bad_period(self):
         with pytest.raises(ConfigurationError):

@@ -18,6 +18,16 @@ class TestParser:
                 ["characterize", "--workload", "leela", "--trace-file", "x.npz"]
             )
 
+    def test_plan_submit_rejects_workloads(self, capsys):
+        # --submit queues the default grid, so naming workloads with it
+        # is a usage error rather than a silently different grid.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["plan", "--submit", "--workloads", "leela"]
+            )
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_workloads(self, capsys):
