@@ -96,6 +96,6 @@ def replay_with_wear(
     blocks = np.ascontiguousarray(stream.blocks, dtype=np.uint64)
     writes = np.ascontiguousarray(stream.writes, dtype=bool)
     set_idx = (blocks % np.uint64(n_sets)).astype(np.int64)
-    hit, _ = lru_rounds(set_idx, blocks, writes, n_sets, associativity)
+    hit, _, _ = lru_rounds(set_idx, blocks, writes, n_sets, associativity)
     wrote = writes | ~hit  # writeback, or fill
     return tally_wear(set_idx[wrote], blocks[wrote], n_sets, associativity)

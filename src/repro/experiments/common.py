@@ -44,7 +44,11 @@ class ExperimentContext:
     additionally by architecture, so the core-sweep and sensitivity
     studies — which vary core counts, seeds and model constants — share
     one context (and one trace per distinct key) with the table/figure
-    experiments.
+    experiments.  Private and LLC replays are shared across a trace's
+    sessions on the replay cache's own keys
+    (:func:`~repro.sim.replay_cache.private_arch_key`,
+    :func:`~repro.sim.replay_cache.llc_geometry_key`), also for traces
+    too short for the on-disk cache.
 
     Parameters
     ----------
@@ -108,10 +112,28 @@ class ExperimentContext:
         self._checkpoint_warned = False
         self._traces: Dict[tuple, Trace] = {}
         self._sessions: Dict[tuple, SimulationSession] = {}
+        self._replays: Dict[tuple, dict] = {}
 
     def n_accesses(self, workload: str) -> int:
         """Trace length for a workload at this context's scale."""
         return max(5000, int(profile(workload).n_accesses * self.scale))
+
+    def _trace_key(
+        self,
+        workload: str,
+        seed: Optional[int],
+        n_accesses: Optional[int],
+        n_threads: Optional[int],
+    ) -> tuple:
+        """(workload, seed, length, threads) with the context's defaults
+        and the profile's thread count filled in, so every request for
+        one generated trace shares one key."""
+        return (
+            workload,
+            self.seed if seed is None else seed,
+            self.n_accesses(workload) if n_accesses is None else n_accesses,
+            n_threads or profile(workload).n_threads,
+        )
 
     def trace(
         self,
@@ -126,12 +148,11 @@ class ExperimentContext:
         defaults (sensitivity and core-sweep cells need their own seeds,
         lengths and thread counts); each distinct key is generated once.
         """
-        seed = self.seed if seed is None else seed
-        n = self.n_accesses(workload) if n_accesses is None else n_accesses
-        key = (workload, seed, n, n_threads)
+        key = self._trace_key(workload, seed, n_accesses, n_threads)
         if key not in self._traces:
+            _, seed, n, threads = key
             self._traces[key] = generate_from_profile(
-                profile(workload), seed=seed, n_accesses=n, n_threads=n_threads
+                profile(workload), seed=seed, n_accesses=n, n_threads=threads
             )
         return self._traces[key]
 
@@ -147,16 +168,19 @@ class ExperimentContext:
 
         Sessions are configuration-agnostic — pass the configuration to
         ``run()`` — so one private replay serves both fixed-capacity and
-        fixed-area sweeps of the same workload.
+        fixed-area sweeps of the same workload.  Sessions of one trace
+        share its replays on the replay cache's keys, so architectures
+        that differ only in timing or energy constants replay once; each
+        session still prices with its own architecture.
         """
         arch = arch or self.arch
-        seed = self.seed if seed is None else seed
-        n = self.n_accesses(workload) if n_accesses is None else n_accesses
-        key = (workload, seed, n, n_threads, arch)
+        trace_key = self._trace_key(workload, seed, n_accesses, n_threads)
+        key = (trace_key, arch)
         if key not in self._sessions:
             self._sessions[key] = SimulationSession(
-                self.trace(workload, seed=seed, n_accesses=n, n_threads=n_threads),
+                self.trace(*trace_key),
                 arch=arch,
+                replays=self._replays.setdefault(trace_key, {}),
             )
         return self._sessions[key]
 
@@ -246,15 +270,12 @@ class ExperimentContext:
             spills: Dict[tuple, TraceSpill] = {}
             cells: List[SweepCell] = []
             for _, cell in todo:
-                key = (cell.workload, cell.seed, cell.n_accesses, cell.n_threads)
+                key = self._trace_key(
+                    cell.workload, cell.seed, cell.n_accesses, cell.n_threads
+                )
                 handle = spills.get(key)
                 if handle is None:
-                    trace = self.trace(
-                        cell.workload,
-                        seed=cell.seed,
-                        n_accesses=cell.n_accesses,
-                        n_threads=cell.n_threads,
-                    )
+                    trace = self.trace(*key)
                     handle = trace.spill(
                         spill_dir, prefix=f"{len(spills):03d}-{cell.workload}"
                     )

@@ -1,4 +1,4 @@
-"""The production replay loops: a batched private filter and vector LLC rounds.
+"""The production replay loops: a two-stage private filter and vector LLC rounds.
 
 The reference simulators (:func:`repro.sim.hierarchy.filter_private_reference`,
 :func:`repro.sim.llc.simulate_llc_reference`) are pure-Python per-access
@@ -9,9 +9,9 @@ attribute updates — none of which change the simulated events.  They
 stay as the semantic ground truth and the differential-test oracle;
 every run replays through this module instead:
 
-- the private hierarchy through :func:`filter_private_fast`, a batched
-  flat loop (3–5x: its L1/L2/coherence interplay is control-flow-bound,
-  not replay-bound);
+- the private hierarchy through :func:`filter_private_rounds`: one
+  scalar pass over the L1s and the directory, then every core's L2 as
+  set rounds (below);
 - the shared LLC, under LRU, as numpy rounds over the whole trace
   (:func:`simulate_llc_vector`, ~10–18x over the reference loop):
   accesses are grouped by set index once and resolved in *rounds* —
@@ -20,7 +20,7 @@ every run replays through this module instead:
   Python-level loop runs ``max accesses-per-set`` times instead of once
   per access.  :func:`repro.sim.llc.simulate_llc` sends every other
   replacement policy to the reference loop; ``policy`` is the only
-  thing that selects a replay path;
+  thing that selects an LLC replay path;
 - technique and wear replay (:mod:`repro.techniques.replay`,
   :mod:`repro.endurance.wear`) on the same rounds: :func:`lru_rounds`
   returns the stream-order hit and dirty-eviction masks every count
@@ -28,20 +28,33 @@ every run replays through this module instead:
   variant.  Their oracle is
   :func:`repro.techniques.replay.replay_with_technique_reference`.
 
-The batched private loop replays the same streams through the same LRU
-semantics as the reference:
+The private filter splits where the coupling between the levels is
+narrow.  Only a block two or more cores touch can cause an
+invalidation, a downgrade or a directory stat, and a dirty L2 eviction
+of such a block (the directory's eviction notice) is the only way an
+L2 feeds back into the L1s or the directory:
 
-- trace columns are converted to plain Python lists once
-  (``ndarray.tolist`` is a single C call) and everything derivable ahead
-  of the loop — set indices, per-core instruction positions (a segmented
-  cumulative sum), per-core access totals — is vectorized in numpy;
-- cache sets are plain insertion-ordered dicts addressed through local
-  variables, with LRU touch done as one ``dict.pop(key, sentinel)``
-  plus re-insert instead of get/del/insert;
-- the coherence directory is inlined as local dicts and integers
-  (method calls and stats-dataclass updates dominate the multi-threaded
-  path otherwise), and the single-threaded loop carries no coherence
-  checks at all.
+- stage one is the one per-access loop.  Trace columns are converted to
+  plain Python lists once (``ndarray.tolist`` is a single C call); each
+  L1 set is an insertion-ordered dict, touched with one
+  ``dict.pop(key, sentinel)`` plus re-insert; the directory is a
+  :class:`~repro.sim.directory.FullMapDirectory` that sees only the
+  shared blocks.  It records each L1 miss, each dirty L1 victim and
+  each invalidation or downgrade, with the victim core and the L1
+  copy's dirty bit.  The (core, L2 set) lanes that can send a notice —
+  their core writes a shared block there and touches more blocks there
+  than the set has ways — also replay in this loop, as dicts, so each
+  notice reaches the directory at its access and one pass is exact;
+- stage two turns those records into fill, demand and invalidate
+  operations on every lane and replays them with :func:`lru_rounds`.
+  The LLC stream, the per-core counters and the instruction positions
+  (one stable sort by core) are array arithmetic over its outcomes.
+  Where the L2s barely evict (short traces), no lane is watched and
+  stage one is the L1s and the directory alone.
+
+Next-line prefetch (``l2_next_line_prefetch``), which no experiment
+sets, is served by :func:`~repro.sim.hierarchy.filter_private_reference`
+itself, as non-LRU LLC policies are by the LLC reference loop.
 
 Invariants
 ----------
@@ -59,7 +72,7 @@ Invariants
   :data:`repro.sim.replay_cache.CACHE_VERSION` whenever replay semantics
   intentionally change.
 - **LRU only.** The vector rounds implement LRU (by byte budget, for
-  the compacted ways).
+  the compacted ways); the private filter replays without prefetch.
 - **No per-access observability.** The loops carry no metrics hooks —
   instrumentation lives in the callers
   (:func:`~repro.sim.hierarchy.filter_private`,
@@ -70,13 +83,14 @@ Invariants
 
 from __future__ import annotations
 
-from typing import List
+import itertools
+from typing import List, NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.config import ArchitectureConfig
-from repro.sim.directory import FullMapDirectory
+from repro.sim.directory import DirectoryStats, FullMapDirectory
 from repro.trace.access import BLOCK_BITS
 from repro.trace.stream import Trace
 
@@ -115,19 +129,19 @@ def _per_core_positions(core_ids: np.ndarray, gaps: np.ndarray, n_cores: int):
 
     Equivalent to ``counter.instructions += gap + 1; ipos =
     counter.instructions`` per access: a cumulative sum of ``gap + 1``
-    segmented by issuing core.  Returns the position array and the final
-    instruction total per core.
+    segmented by issuing core, taken in one stable sort by core (core
+    ids fit uint16, like the thread ids they fold).  Returns the
+    position array and the final instruction total per core.
     """
-    totals = gaps.astype(np.int64) + 1
+    order = np.argsort(core_ids.astype(np.uint16), kind="stable")
+    prefix = np.zeros(len(core_ids) + 1, dtype=np.int64)
+    np.cumsum(gaps[order].astype(np.int64) + 1, out=prefix[1:])
+    counts = np.bincount(core_ids, minlength=n_cores)
+    ends = np.cumsum(counts)
+    base = prefix[ends - counts]
     positions = np.empty(len(core_ids), dtype=np.int64)
-    final = [0] * n_cores
-    for core in range(n_cores):
-        mask = core_ids == core
-        if mask.any():
-            cum = np.cumsum(totals[mask])
-            positions[mask] = cum
-            final[core] = int(cum[-1])
-    return positions, final
+    positions[order] = prefix[1:] - np.repeat(base, counts)
+    return positions, (prefix[ends] - base).tolist()
 
 
 def _round_major(set_idx: np.ndarray, n_sets: int):
@@ -189,15 +203,23 @@ def _round_major(set_idx: np.ndarray, n_sets: int):
     return perm, k_per_round, offsets, n_rows
 
 
-def lru_rounds(set_idx, tags, writes, n_sets: int, associativity: int):
-    """Stream-order hit and dirty-eviction masks of an LRU replay.
+def lru_rounds(
+    set_idx, tags, writes, n_sets: int, associativity: int, invalidate=None,
+):
+    """Stream-order outcomes of an LRU replay: ``(hit, evict, victim)``.
 
     Access ``i`` looks up ``tags[i]`` (uint64) in set ``set_idx[i]``
     (int64, below ``n_sets``) of a write-back, write-allocate LRU cache
     that starts empty — :class:`~repro.sim.cache.SetAssocCache`'s
-    semantics, with the tag in place of the block id.  Every replay of
-    an LRU stream reduces to these two masks: the LLC counts, the wear
-    tally and the technique replay all derive from them.
+    semantics, with the tag in place of the block id.  Where the
+    optional mask ``invalidate`` is set, access ``i`` instead drops
+    ``tags[i]`` from its set if present (``SetAssocCache.invalidate``)
+    and installs nothing.  Per access, ``hit`` says the tag was
+    present, ``evict`` that a dirty line left the set (the LRU victim of
+    a miss, or the line an invalidation dropped) and ``victim`` holds
+    that line's tag where ``evict`` is set.  Every replay of an LRU
+    stream reduces to these: the LLC counts, the wear tally, the
+    technique replay and the private L2s all derive from them.
 
     Algorithm — *rounds lockstep over sets* (:func:`_round_major`):
     replay round by round on flat state arrays ``tags`` / ``dirty`` /
@@ -205,12 +227,14 @@ def lru_rounds(set_idx, tags, writes, n_sets: int, associativity: int):
     LRU victim is ``argmin(age)``: empty ways carry age 0 and fill
     lowest-index first, exactly the reference loop's install order, and
     evicting an empty way is indistinguishable from installing into it
-    because an empty way is never dirty.  Since nothing invalidates, the
+    because an empty way is never dirty.  Without invalidations the
     filled ways of a row are always a prefix of it, so the first tag
     match (``argmax``) reaches a filled way holding the tag before any
     empty way whose tag 0 happens to equal it; a hit is a tag match on
-    a way with non-zero age.  No tag value is reserved, so every uint64
-    tag is valid.
+    a way with non-zero age.  An invalidation empties its way (age 0,
+    clean) wherever it sits, so with ``invalidate`` given the match
+    itself tests ``age != 0``.  No tag value is reserved, so every
+    uint64 tag is valid.
 
     The per-access work is ``O(assoc)`` like the reference loop, but the
     interpreter loop runs ``max accesses-per-set`` times (tens) instead
@@ -219,51 +243,73 @@ def lru_rounds(set_idx, tags, writes, n_sets: int, associativity: int):
     n = len(tags)
     hit_out = np.zeros(n, dtype=bool)
     evict_out = np.zeros(n, dtype=bool)
+    victim_out = np.zeros(n, dtype=np.uint64)
     if not n:
-        return hit_out, evict_out
+        return hit_out, evict_out, victim_out
     assoc = associativity
     perm, k_per_round, offsets, n_rows = _round_major(set_idx, n_sets)
     bs = tags[perm]
     ws = writes[perm]
+    holes = invalidate is not None
+    if holes:
+        ivs = invalidate[perm]
 
-    # Flat per-way state, row-major (n_rows, assoc).
-    state_tags = np.zeros(n_rows * assoc, dtype=np.uint64)
-    dirty = np.zeros(n_rows * assoc, dtype=bool)
-    age = np.zeros(n_rows * assoc, dtype=np.uint32)
-    tags2 = state_tags.reshape(n_rows, assoc)
-    age2 = age.reshape(n_rows, assoc)
+    # Flat per-way state, row-major (n_rows, assoc), plus one slot past
+    # the last way that absorbs the writes of invalidations that miss.
+    size = n_rows * assoc
+    state_tags = np.zeros(size + 1, dtype=np.uint64)
+    dirty = np.zeros(size + 1, dtype=bool)
+    age = np.zeros(size + 1, dtype=np.uint32)
+    tags2 = state_tags[:size].reshape(n_rows, assoc)
+    age2 = age[:size].reshape(n_rows, assoc)
     row_base = np.arange(n_rows, dtype=np.int64) * assoc
 
     hit_flat = np.empty(n, dtype=bool)
     evict_flat = np.empty(n, dtype=bool)
+    victim_flat = np.empty(n, dtype=np.uint64)
 
-    # Round 0: every set is empty — guaranteed miss into way 0.
+    # Round 0: every set is empty — guaranteed miss into way 0 (an
+    # invalidation leaves it empty).
     k0 = int(k_per_round[0])
+    installs = ~ivs[:k0] if holes else True
     hit_flat[:k0] = False
     evict_flat[:k0] = False
+    victim_flat[:k0] = 0
     tags2[:k0, 0] = bs[:k0]
-    dirty[row_base[:k0]] = ws[:k0]
-    age[row_base[:k0]] = 1
+    dirty[row_base[:k0]] = ws[:k0] & installs
+    age[row_base[:k0]] = installs
 
     for t in range(1, len(k_per_round)):
         k = int(k_per_round[t])
         lo, hi = int(offsets[t]), int(offsets[t + 1])
         b = bs[lo:hi]
         hitm = tags2[:k] == b[:, None]
+        if holes:
+            hitm &= age2[:k] != 0
         way = row_base[:k] + hitm.argmax(axis=1)
         hit = (state_tags[way] == b) & (age[way] != 0)
         victim = age2[:k].argmin(axis=1)
         flat = np.where(hit, way, row_base[:k] + victim)
+        if holes:
+            iv = ivs[lo:hi]
+            flat[iv & ~hit] = size
         old_d = dirty[flat]
         hit_flat[lo:hi] = hit
-        evict_flat[lo:hi] = ~hit & old_d
+        victim_flat[lo:hi] = state_tags[flat]
         state_tags[flat] = b
-        dirty[flat] = (hit & old_d) | ws[lo:hi]
-        age[flat] = t + 1
+        if holes:
+            evict_flat[lo:hi] = old_d & (hit == iv)
+            dirty[flat] = ~iv & ((hit & old_d) | ws[lo:hi])
+            age[flat] = np.where(iv, 0, t + 1)
+        else:
+            evict_flat[lo:hi] = ~hit & old_d
+            dirty[flat] = (hit & old_d) | ws[lo:hi]
+            age[flat] = t + 1
 
     hit_out[perm] = hit_flat
     evict_out[perm] = evict_flat
-    return hit_out, evict_out
+    victim_out[perm] = victim_flat
+    return hit_out, evict_out, victim_out
 
 
 def compacted_rounds(
@@ -425,7 +471,7 @@ def simulate_llc_vector(
     blocks = np.ascontiguousarray(stream.blocks, dtype=np.uint64)
     writes = np.ascontiguousarray(stream.writes, dtype=bool)
     set_idx = (blocks % np.uint64(n_sets)).astype(np.int64)
-    hit, evict = lru_rounds(set_idx, blocks, writes, n_sets, associativity)
+    hit, evict, _ = lru_rounds(set_idx, blocks, writes, n_sets, associativity)
     return llc_counts(
         stream, hit, writes, np.ones(len(blocks), dtype=bool),
         int(np.count_nonzero(evict)), capacity_bytes, associativity,
@@ -433,12 +479,14 @@ def simulate_llc_vector(
     )
 
 
-def filter_private_fast(trace: Trace, arch: ArchitectureConfig):
-    """Batched replay of a trace through the per-core L1D/L2 levels.
+def filter_private_rounds(trace: Trace, arch: ArchitectureConfig):
+    """Two-stage replay of a trace through the per-core L1D/L2 levels.
 
     Mirrors :func:`repro.sim.hierarchy.filter_private_reference`
-    event-for-event: identical LLC stream, per-core counters and
-    directory statistics.
+    event-for-event without next-line prefetch: identical LLC stream,
+    per-core counters and directory statistics.  Stage one is
+    :func:`_l1_pass`, stage two :func:`_l2_pass` (see the module
+    docstring); each runs once.
     """
     from repro.sim.hierarchy import CoreCounters, LLCStream, PrivateResult
 
@@ -449,340 +497,259 @@ def filter_private_fast(trace: Trace, arch: ArchitectureConfig):
     l2_nsets = check_geometry(
         arch.l2.capacity_bytes, arch.l2.block_bytes, arch.l2.associativity
     )
-    l1_assoc = arch.l1d.associativity
     l2_assoc = arch.l2.associativity
-    prefetch = arch.l2_next_line_prefetch
-    miss = _MISS
-
-    l1_sets: List[List[dict]] = [
-        [dict() for _ in range(l1_nsets)] for _ in range(n_cores)
-    ]
-    l2_sets: List[List[dict]] = [
-        [dict() for _ in range(l2_nsets)] for _ in range(n_cores)
-    ]
-
-    l1_hits = [0] * n_cores
-    l1_misses = [0] * n_cores
-    l2_hits = [0] * n_cores
-    l2_misses = [0] * n_cores
-
     n_threads = max(1, trace.n_threads)
-    use_directory = n_threads > 1
-
-    out_blocks: List[int] = []
-    out_writes: List[bool] = []
-    out_cores: List[int] = []
-    out_ipos: List[int] = []
-    emit_block = out_blocks.append
-    emit_write = out_writes.append
-    emit_core = out_cores.append
-    emit_ipos = out_ipos.append
-
-    block_arr = trace.addresses >> np.uint64(BLOCK_BITS)
-    core_arr = trace.thread_ids.astype(np.int64) % n_cores
-    position_arr, instructions = _per_core_positions(core_arr, trace.gaps, n_cores)
-    accesses = np.bincount(core_arr, minlength=n_cores).tolist()
-
-    blocks = block_arr.tolist()
-    writes = trace.writes.tolist()
-    core_ids = core_arr.tolist()
-    ipos_list = position_arr.tolist()
-    l1_idx = (block_arr % np.uint64(l1_nsets)).tolist()
-    l2_idx = (block_arr % np.uint64(l2_nsets)).tolist()
-
-    # Directory state, inlined from FullMapDirectory (method-call and
-    # stats-dataclass overhead is significant on the coherence path).
-    # ``sharers_map`` stores a bare core id while a block has exactly one
-    # sharer — the overwhelmingly common case — and only upgrades to a
-    # set when a second core joins.
-    sharers_map: dict = {}
-    owner_map: dict = {}
-    invalidations_sent = downgrades_sent = sharing_misses = 0
-
-    if not use_directory:
-        # Single-threaded loop: no coherence bookkeeping at all.
-        for block, is_write, core, ipos, i1, i2 in zip(
-            blocks, writes, core_ids, ipos_list, l1_idx, l2_idx
-        ):
-            lines1 = l1_sets[core][i1]
-            dirty1 = lines1.pop(block, miss)
-            if dirty1 is not miss:
-                # L1 hit: refresh to MRU.
-                lines1[block] = dirty1 or is_write
-                l1_hits[core] += 1
-                continue
-
-            l1_misses[core] += 1
-            l1_victim = None
-            if len(lines1) >= l1_assoc:
-                victim_tag = next(iter(lines1))
-                if lines1.pop(victim_tag):
-                    l1_victim = victim_tag
-            lines1[block] = is_write
-
-            core_l2 = l2_sets[core]
-            if l1_victim is not None:
-                # L1 dirty eviction drops into the private L2 (fill path).
-                lines2 = core_l2[l1_victim % l2_nsets]
-                if lines2.pop(l1_victim, miss) is miss and len(lines2) >= l2_assoc:
-                    victim_tag = next(iter(lines2))
-                    if lines2.pop(victim_tag):
-                        emit_block(victim_tag)
-                        emit_write(True)
-                        emit_core(core)
-                        emit_ipos(ipos)
-                lines2[l1_victim] = True
-
-            lines2 = core_l2[i2]
-            dirty2 = lines2.pop(block, miss)
-            if dirty2 is not miss:
-                # L2 hit (demand accesses reach L2 as reads).
-                lines2[block] = dirty2
-                l2_hits[core] += 1
-                continue
-            l2_misses[core] += 1
-            if len(lines2) >= l2_assoc:
-                victim_tag = next(iter(lines2))
-                if lines2.pop(victim_tag):
-                    emit_block(victim_tag)
-                    emit_write(True)
-                    emit_core(core)
-                    emit_ipos(ipos)
-            lines2[block] = False
-            emit_block(block)
-            emit_write(False)
-            emit_core(core)
-            emit_ipos(ipos)
-            if prefetch:
-                next_block = block + 1
-                lines2n = core_l2[next_block % l2_nsets]
-                if next_block not in lines2n:
-                    if len(lines2n) >= l2_assoc:
-                        victim_tag = next(iter(lines2n))
-                        if lines2n.pop(victim_tag):
-                            emit_block(victim_tag)
-                            emit_write(True)
-                            emit_core(core)
-                            emit_ipos(ipos)
-                    lines2n[next_block] = False
-                    emit_block(next_block)
-                    emit_write(False)
-                    emit_core(core)
-                    emit_ipos(ipos)
+    blocks = trace.addresses >> np.uint64(BLOCK_BITS)
+    cores = trace.thread_ids.astype(np.int64) % n_cores
+    positions, instructions = _per_core_positions(cores, trace.gaps, n_cores)
+    watched = None
+    if n_threads > 1:
+        shared, pairs = _sharing(blocks, cores, n_cores)
+        lanes = cores * l2_nsets + (blocks % np.uint64(l2_nsets)).astype(np.int64)
+        # A lane can evict a dirty shared block only if its core writes a
+        # shared block there and touches more blocks there than it has ways.
+        n_lanes = n_cores * l2_nsets
+        watch = np.zeros(n_lanes, dtype=bool)
+        watch[lanes[shared & trace.writes]] = True
+        watch &= np.bincount(lanes[pairs], minlength=n_lanes) > l2_assoc
+        if watch.any():
+            watched = (l2_nsets, l2_assoc, watch.tolist())
+        del lanes, pairs, watch
+        shared = shared.tolist()
     else:
-        for block, is_write, core, ipos, i1, i2 in zip(
-            blocks, writes, core_ids, ipos_list, l1_idx, l2_idx
-        ):
-            lines1 = l1_sets[core][i1]
-            dirty1 = lines1.pop(block, miss)
-            if dirty1 is not miss:
-                # L1 hit: refresh to MRU.
-                lines1[block] = dirty1 or is_write
-                l1_hits[core] += 1
-                if is_write:
-                    # Exclusive directory fill: invalidate remote copies.
-                    sharers = sharers_map.get(block)
-                    owner_map[block] = core
-                    if sharers is None:
-                        sharers_map[block] = core
-                    elif type(sharers) is int:
-                        if sharers != core:
-                            sharers_map[block] = core
-                            invalidations_sent += 1
-                            sharing_misses += 1
-                            invalid1 = l1_sets[sharers][i1].pop(block, None)
-                            invalid2 = l2_sets[sharers][i2].pop(block, None)
-                            if invalid1 or invalid2:
-                                emit_block(block)
-                                emit_write(True)
-                                emit_core(sharers)
-                                emit_ipos(ipos)
-                    else:
-                        victims = [c for c in sharers if c != core]
-                        sharers_map[block] = core
-                        if victims:
-                            invalidations_sent += len(victims)
-                            sharing_misses += 1
-                            for victim_core in victims:
-                                invalid1 = l1_sets[victim_core][i1].pop(block, None)
-                                invalid2 = l2_sets[victim_core][i2].pop(block, None)
-                                if invalid1 or invalid2:
-                                    emit_block(block)
-                                    emit_write(True)
-                                    emit_core(victim_core)
-                                    emit_ipos(ipos)
-                continue
-
-            l1_misses[core] += 1
-            l1_victim = None
-            if len(lines1) >= l1_assoc:
-                victim_tag = next(iter(lines1))
-                if lines1.pop(victim_tag):
-                    l1_victim = victim_tag
-            lines1[block] = is_write
-
-            core_l2 = l2_sets[core]
-            if l1_victim is not None:
-                # L1 dirty eviction drops into the private L2 (fill path).
-                lines2 = core_l2[l1_victim % l2_nsets]
-                if lines2.pop(l1_victim, miss) is miss and len(lines2) >= l2_assoc:
-                    victim_tag = next(iter(lines2))
-                    if lines2.pop(victim_tag):
-                        emit_block(victim_tag)
-                        emit_write(True)
-                        emit_core(core)
-                        emit_ipos(ipos)
-                        # Directory eviction notice.
-                        sharers = sharers_map.get(victim_tag)
-                        if sharers is not None:
-                            if type(sharers) is int:
-                                if sharers == core:
-                                    del sharers_map[victim_tag]
-                            else:
-                                sharers.discard(core)
-                                if not sharers:
-                                    del sharers_map[victim_tag]
-                        if owner_map.get(victim_tag) == core:
-                            del owner_map[victim_tag]
-                lines2[l1_victim] = True
-
-            lines2 = core_l2[i2]
-            dirty2 = lines2.pop(block, miss)
-            if dirty2 is not miss:
-                # L2 hit (demand accesses reach L2 as reads).
-                lines2[block] = dirty2
-                l2_hits[core] += 1
-            else:
-                l2_misses[core] += 1
-                if len(lines2) >= l2_assoc:
-                    victim_tag = next(iter(lines2))
-                    if lines2.pop(victim_tag):
-                        emit_block(victim_tag)
-                        emit_write(True)
-                        emit_core(core)
-                        emit_ipos(ipos)
-                        sharers = sharers_map.get(victim_tag)
-                        if sharers is not None:
-                            if type(sharers) is int:
-                                if sharers == core:
-                                    del sharers_map[victim_tag]
-                            else:
-                                sharers.discard(core)
-                                if not sharers:
-                                    del sharers_map[victim_tag]
-                        if owner_map.get(victim_tag) == core:
-                            del owner_map[victim_tag]
-                lines2[block] = False
-                emit_block(block)
-                emit_write(False)
-                emit_core(core)
-                emit_ipos(ipos)
-                if prefetch:
-                    next_block = block + 1
-                    lines2n = core_l2[next_block % l2_nsets]
-                    if next_block not in lines2n:
-                        if len(lines2n) >= l2_assoc:
-                            victim_tag = next(iter(lines2n))
-                            if lines2n.pop(victim_tag):
-                                emit_block(victim_tag)
-                                emit_write(True)
-                                emit_core(core)
-                                emit_ipos(ipos)
-                                sharers = sharers_map.get(victim_tag)
-                                if sharers is not None:
-                                    if type(sharers) is int:
-                                        if sharers == core:
-                                            del sharers_map[victim_tag]
-                                    else:
-                                        sharers.discard(core)
-                                        if not sharers:
-                                            del sharers_map[victim_tag]
-                                if owner_map.get(victim_tag) == core:
-                                    del owner_map[victim_tag]
-                        lines2n[next_block] = False
-                        emit_block(next_block)
-                        emit_write(False)
-                        emit_core(core)
-                        emit_ipos(ipos)
-
-            # Directory fill for the demand block.
-            if is_write:
-                sharers = sharers_map.get(block)
-                owner_map[block] = core
-                if sharers is None:
-                    sharers_map[block] = core
-                elif type(sharers) is int:
-                    if sharers != core:
-                        sharers_map[block] = core
-                        invalidations_sent += 1
-                        sharing_misses += 1
-                        invalid1 = l1_sets[sharers][i1].pop(block, None)
-                        invalid2 = l2_sets[sharers][i2].pop(block, None)
-                        if invalid1 or invalid2:
-                            emit_block(block)
-                            emit_write(True)
-                            emit_core(sharers)
-                            emit_ipos(ipos)
-                else:
-                    victims = [c for c in sharers if c != core]
-                    sharers_map[block] = core
-                    if victims:
-                        invalidations_sent += len(victims)
-                        sharing_misses += 1
-                        for victim_core in victims:
-                            invalid1 = l1_sets[victim_core][i1].pop(block, None)
-                            invalid2 = l2_sets[victim_core][i2].pop(block, None)
-                            if invalid1 or invalid2:
-                                emit_block(block)
-                                emit_write(True)
-                                emit_core(victim_core)
-                                emit_ipos(ipos)
-            else:
-                owner = owner_map.get(block)
-                if owner is not None and owner != core:
-                    downgrades_sent += 1
-                    del owner_map[block]
-                    invalid1 = l1_sets[owner][i1].pop(block, None)
-                    invalid2 = l2_sets[owner][i2].pop(block, None)
-                    if invalid1 or invalid2:
-                        emit_block(block)
-                        emit_write(True)
-                        emit_core(owner)
-                        emit_ipos(ipos)
-                sharers = sharers_map.get(block)
-                if sharers is None:
-                    sharers_map[block] = core
-                elif type(sharers) is int:
-                    if sharers != core:
-                        sharers_map[block] = {sharers, core}
-                else:
-                    sharers.add(core)
-
-    directory = FullMapDirectory(n_cores)
-    directory.stats.invalidations_sent = invalidations_sent
-    directory.stats.downgrades_sent = downgrades_sent
-    directory.stats.sharing_misses = sharing_misses
-
-    stream = LLCStream(
-        blocks=np.array(out_blocks, dtype=np.uint64),
-        writes=np.array(out_writes, dtype=bool),
-        cores=np.array(out_cores, dtype=np.uint16),
-        instr_positions=np.array(out_ipos, dtype=np.uint64),
+        shared = itertools.repeat(False)
+    columns = (
+        blocks.tolist(),
+        trace.writes.tolist(),
+        (cores * l1_nsets + (blocks % np.uint64(l1_nsets)).astype(np.int64)).tolist(),
+        shared,
     )
+    l1 = _l1_pass(columns, n_cores, l1_nsets, arch.l1d.associativity, watched)
+    del columns
+    l2 = _l2_pass(l1, blocks, cores, n_cores, l2_nsets, l2_assoc)
+
+    demand_miss = (l2.kind == _DEMAND) & ~l2.hit
+    # Up to two LLC entries per L2 operation, in the reference order:
+    # the dirty line it evicts (or, for an invalidation, the copy either
+    # level held dirty), then a demand miss's read.
+    entries = np.flatnonzero(
+        np.column_stack((l2.evict | l2.l1_dirty, demand_miss)).reshape(-1)
+    )
+    op = entries >> 1
+    read = (entries & 1).astype(bool)
+    own_block = read | (l2.kind[op] == _INVALIDATE)
+    stream = LLCStream(
+        blocks=np.where(own_block, l2.blocks[op], l2.victim[op]),
+        writes=~read,
+        cores=l2.cores[op].astype(np.uint16),
+        instr_positions=positions[l2.at[op]].astype(np.uint64),
+    )
+    accesses = np.bincount(cores, minlength=n_cores).tolist()
+    l1_misses = np.bincount(cores[l1.miss_at], minlength=n_cores).tolist()
+    l2_misses = np.bincount(l2.cores[demand_miss], minlength=n_cores).tolist()
     counters = [
         CoreCounters(
             instructions=instructions[core],
-            accesses=int(accesses[core]),
-            l1_hits=l1_hits[core],
+            accesses=accesses[core],
+            l1_hits=accesses[core] - l1_misses[core],
             l1_misses=l1_misses[core],
-            l2_hits=l2_hits[core],
+            l2_hits=l1_misses[core] - l2_misses[core],
             l2_misses=l2_misses[core],
         )
         for core in range(n_cores)
     ]
     return PrivateResult(
-        stream=stream,
-        per_core=counters,
-        directory=directory.stats,
+        stream=stream, per_core=counters, directory=l1.directory,
         n_threads=n_threads,
+    )
+
+
+def _sharing(blocks: np.ndarray, cores: np.ndarray, n_cores: int):
+    """One sort of the accesses by (block, core).
+
+    Returns which accesses touch a block two or more cores touch, and the
+    index of one access per distinct (block, core) pair.  The sort key
+    packs the core below the block id (block ids fit 58 bits), with a
+    two-key sort as the fallback for more cores than that leaves room for.
+    """
+    bits = max(1, (n_cores - 1).bit_length())
+    if bits <= BLOCK_BITS:
+        order = np.argsort((blocks << np.uint64(bits)) | cores.astype(np.uint64))
+    else:
+        order = np.lexsort((cores, blocks))
+    by_block = blocks[order]
+    by_core = cores[order]
+    first = np.ones(len(by_block), dtype=bool)
+    np.not_equal(by_block[1:], by_block[:-1], out=first[1:])
+    pair = first.copy()
+    pair[1:] |= by_core[1:] != by_core[:-1]
+    group = np.cumsum(first) - 1
+    # Cores ascend within a block, so it is shared iff its cores differ
+    # at its two ends.
+    last = np.roll(first, -1)
+    touched = by_core[last] != by_core[first]
+    shared = np.empty(len(blocks), dtype=bool)
+    shared[order] = touched[group]
+    return shared, order[pair]
+
+
+#: L2 operation kinds, in their order within one access.
+_FILL, _DEMAND, _INVALIDATE = 0, 1, 2
+
+
+class _L1Records(NamedTuple):
+    """What stage one hands the L2s: int32 access indices with their
+    operands, and the directory statistics."""
+
+    miss_at: np.ndarray  # each L1 miss
+    fill_at: np.ndarray  # each dirty L1 victim ...
+    fill_tag: np.ndarray  # ... and its block
+    inv_at: np.ndarray  # each invalidation or downgrade, in victim order ...
+    inv_core: np.ndarray  # ... its victim core ...
+    inv_dirty: np.ndarray  # ... and the dirty bit of that core's L1 copy
+    directory: DirectoryStats
+
+
+class _L2Ops(NamedTuple):
+    """Stage two's operations in access order, with their outcomes."""
+
+    at: np.ndarray  # access index (int32)
+    kind: np.ndarray  # _FILL, _DEMAND or _INVALIDATE (int8)
+    blocks: np.ndarray
+    cores: np.ndarray
+    hit: np.ndarray  # the lru_rounds outcomes
+    evict: np.ndarray
+    victim: np.ndarray
+    l1_dirty: np.ndarray  # an invalidation's L1 copy was dirty
+
+
+def _l1_pass(columns, n_cores: int, l1_nsets: int, l1_assoc: int, watched):
+    """Stage one: the L1s and the shared blocks' directory, per access.
+
+    Returns the :class:`_L1Records` of the pass.  ``watched`` is
+    ``None``, or ``(l2_nsets, l2_assoc, flags)`` with one flag per
+    (core, L2 set) lane that can evict a dirty shared block.  Those
+    lanes also replay here, as insertion-ordered dicts like the L1 sets,
+    so each of their dirty evictions reaches the directory
+    (``on_evict``) at its access, before that access's fill.
+    """
+    blocks, writes, rows, shared = columns
+    miss = _MISS
+    l1_sets = [dict() for _ in range(n_cores * l1_nsets)]
+    miss_at: List[int] = []
+    fill_at: List[int] = []
+    fill_tag: List[int] = []
+    inv_at: List[int] = []
+    inv_core: List[int] = []
+    inv_dirty: List[bool] = []
+    directory = FullMapDirectory(n_cores)
+    if watched is not None:
+        l2_nsets, l2_assoc, flags = watched
+        l2_sets = [dict() if flag else None for flag in flags]
+    else:
+        l2_sets = None
+
+    for i, block, is_write, row, is_shared in zip(
+        itertools.count(), blocks, writes, rows, shared
+    ):
+        lines = l1_sets[row]
+        dirty = lines.pop(block, miss)
+        if dirty is not miss:
+            # L1 hit: refresh to MRU; only a store to a shared block
+            # reaches the directory.
+            lines[block] = dirty or is_write
+            if not (is_write and is_shared):
+                continue
+        else:
+            miss_at.append(i)
+            l1_victim = None
+            if len(lines) >= l1_assoc:
+                victim = next(iter(lines))
+                if lines.pop(victim):
+                    fill_at.append(i)
+                    fill_tag.append(victim)
+                    l1_victim = victim
+            lines[block] = is_write
+            if l2_sets is not None:
+                core_lanes = row // l1_nsets * l2_nsets
+                if l1_victim is not None:
+                    # The dirty L1 victim's fill, then the demand read.
+                    lines2 = l2_sets[core_lanes + l1_victim % l2_nsets]
+                    if lines2 is not None:
+                        if (
+                            lines2.pop(l1_victim, miss) is miss
+                            and len(lines2) >= l2_assoc
+                        ):
+                            victim = next(iter(lines2))
+                            if lines2.pop(victim):
+                                directory.on_evict(row // l1_nsets, victim)
+                        lines2[l1_victim] = True
+                lines2 = l2_sets[core_lanes + block % l2_nsets]
+                if lines2 is not None:
+                    dirty = lines2.pop(block, miss)
+                    if dirty is miss:
+                        if len(lines2) >= l2_assoc:
+                            victim = next(iter(lines2))
+                            if lines2.pop(victim):
+                                directory.on_evict(row // l1_nsets, victim)
+                        dirty = False
+                    lines2[block] = dirty
+            if not is_shared:
+                continue
+
+        # A store invalidates every other sharer, a load downgrades
+        # another core's ownership.
+        core = row // l1_nsets
+        for victim_core in directory.on_fill(core, block, exclusive=is_write):
+            dirty = l1_sets[row + (victim_core - core) * l1_nsets].pop(block, None)
+            inv_at.append(i)
+            inv_core.append(victim_core)
+            inv_dirty.append(dirty is True)
+            if l2_sets is not None:
+                lines2 = l2_sets[victim_core * l2_nsets + block % l2_nsets]
+                if lines2 is not None:
+                    lines2.pop(block, None)
+
+    return _L1Records(
+        np.array(miss_at, dtype=np.int32),
+        np.array(fill_at, dtype=np.int32),
+        np.array(fill_tag, dtype=np.uint64),
+        np.array(inv_at, dtype=np.int32),
+        np.array(inv_core, dtype=np.int32),
+        np.array(inv_dirty, dtype=bool),
+        directory.stats,
+    )
+
+
+def _l2_pass(l1, blocks, cores, n_cores: int, l2_nsets: int, l2_assoc: int):
+    """Stage two: every core's L2 as :func:`lru_rounds` over (core, set)
+    lanes.
+
+    Stage one's records become one operation list in access order —
+    within an access, the dirty L1 victim's fill, the demand read, then
+    the invalidations in victim order — returned as :class:`_L2Ops`.
+    """
+    at = np.concatenate((l1.fill_at, l1.miss_at, l1.inv_at))
+    # A stable sort by access keeps the kinds' order within an access.
+    order = np.argsort(at, kind="stable")
+    kind = np.repeat(
+        np.array((_FILL, _DEMAND, _INVALIDATE), dtype=np.int8),
+        (len(l1.fill_at), len(l1.miss_at), len(l1.inv_at)),
+    )[order]
+    op_blocks = np.concatenate(
+        (l1.fill_tag, blocks[l1.miss_at], blocks[l1.inv_at])
+    )[order]
+    op_cores = np.concatenate(
+        (cores[l1.fill_at], cores[l1.miss_at], l1.inv_core)
+    )[order]
+    l1_dirty = np.concatenate(
+        (np.zeros(len(l1.fill_at) + len(l1.miss_at), dtype=bool), l1.inv_dirty)
+    )[order]
+    lanes = op_cores * l2_nsets + (op_blocks % np.uint64(l2_nsets)).astype(np.int64)
+    hit, evict, victim = lru_rounds(
+        lanes, op_blocks, kind == _FILL, n_cores * l2_nsets, l2_assoc,
+        invalidate=(kind == _INVALIDATE) if len(l1.inv_at) else None,
+    )
+    return _L2Ops(
+        at[order], kind, op_blocks, op_cores, hit, evict, victim, l1_dirty
     )

@@ -93,19 +93,26 @@ def filter_private(trace: Trace, arch: ArchitectureConfig) -> PrivateResult:
     Threads map to cores by id modulo ``arch.n_cores``.  Multi-threaded
     traces additionally exercise the full-map directory: stores to blocks
     shared across cores invalidate remote copies, and modified remote
-    copies are written back through the LLC.  The batched loop
-    :func:`repro.sim.engine.filter_private_fast` serves every call;
-    :func:`filter_private_reference` is its oracle.
+    copies are written back through the LLC.  The two-stage replay
+    :func:`repro.sim.engine.filter_private_rounds` serves every call
+    without next-line prefetch — one scalar pass over the L1s and the
+    shared blocks' directory, then the L2s as set rounds;
+    ``l2_next_line_prefetch``, which no experiment sets, takes
+    :func:`filter_private_reference`, the oracle of both paths.
 
     When run metrics are enabled (:mod:`repro.obs`), the replay is
     wrapped in a ``sim.private_replay`` span and the per-level event
     totals — accesses, L1/L2 hits and misses, emitted LLC stream traffic,
     coherence invalidations — are recorded.
     """
-    from repro.sim.engine import filter_private_fast
+    from repro.sim.engine import filter_private_rounds
 
+    replay = (
+        filter_private_reference if arch.l2_next_line_prefetch
+        else filter_private_rounds
+    )
     with _metrics.span("sim.private_replay"):
-        result = filter_private_fast(trace, arch)
+        result = replay(trace, arch)
     if _metrics.enabled():
         _metrics.counter_add("sim.private.accesses", len(trace))
         _metrics.counter_add(

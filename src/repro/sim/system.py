@@ -10,7 +10,7 @@ and LLC replay only on the geometry.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.nvsim.model import LLCModel
 from repro.sim.config import ArchitectureConfig, gainestown
@@ -101,8 +101,11 @@ class SimulationSession:
     enabled, both stages are additionally memoised on disk by content
     fingerprint, so repeated runs — and parallel workers replaying the
     same (workload, architecture) cell — skip redundant replays.
-    ``private`` may be supplied up front when the caller already holds a
-    replay for an architecture with identical private levels.
+    ``replays`` is the in-process memo of this trace's replays, keyed
+    like the disk cache (:func:`~repro.sim.replay_cache.private_arch_key`
+    and :func:`~repro.sim.replay_cache.llc_geometry_key`); sessions of
+    one trace that share it replay once for every architecture those
+    keys cannot tell apart.
     """
 
     def __init__(
@@ -110,16 +113,16 @@ class SimulationSession:
         trace: Trace,
         arch: Optional[ArchitectureConfig] = None,
         configuration: str = "fixed-capacity",
-        private: Optional[PrivateResult] = None,
         replay_cache=None,
+        replays: Optional[dict] = None,
     ) -> None:
-        from repro.sim.replay_cache import default_cache
+        from repro.sim.replay_cache import default_cache, private_arch_key
 
         self.trace = trace
         self.arch = arch or gainestown()
         self.configuration = configuration
-        self._private = private
-        self._llc_cache: Dict[Tuple[int, int], LLCCounts] = {}
+        self._replays = {} if replays is None else replays
+        self._private_key = private_arch_key(self.arch)
         self._replay_cache = replay_cache if replay_cache is not None else default_cache()
         self._trace_fp: Optional[str] = None
 
@@ -134,45 +137,49 @@ class SimulationSession:
     @property
     def private(self) -> PrivateResult:
         """The private-level replay (computed once, disk-memoised)."""
-        if self._private is None:
+        private = self._replays.get(self._private_key)
+        if private is None:
             cache = self._replay_cache
             use_disk = cache.should_cache(self.trace)
             if use_disk:
                 key = cache.private_key(self._fingerprint, self.arch)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._private = cached
-                    return self._private
-            self._private = filter_private(self.trace, self.arch)
-            if use_disk:
-                cache.put(key, self._private)
-        return self._private
+                private = cache.get(key)
+            if private is None:
+                private = filter_private(self.trace, self.arch)
+                if use_disk:
+                    cache.put(key, private)
+            self._replays[self._private_key] = private
+        return private
 
     def counts_for(self, llc_model: LLCModel) -> LLCCounts:
-        """LLC counts for this model's geometry (cached by capacity)."""
-        key = (llc_model.capacity_bytes, self.arch.llc_associativity)
-        if key not in self._llc_cache:
+        """LLC counts for this model's geometry (cached by geometry)."""
+        from repro.sim.replay_cache import llc_geometry_key
+
+        key = (
+            self._private_key,
+            llc_geometry_key(self.arch, llc_model.capacity_bytes),
+        )
+        counts = self._replays.get(key)
+        if counts is None:
             cache = self._replay_cache
             use_disk = cache.should_cache(self.trace)
             if use_disk:
                 disk_key = cache.llc_key(
                     self._fingerprint, self.arch, llc_model.capacity_bytes
                 )
-                cached = cache.get(disk_key)
-                if cached is not None:
-                    self._llc_cache[key] = cached
-                    return cached
-            from repro.validate.guard import guard_counts
+                counts = cache.get(disk_key)
+            if counts is None:
+                from repro.validate.guard import guard_counts
 
-            counts = guard_counts(
-                replay_llc(self.private, llc_model, self.arch),
-                subject=f"LLC replay {self.trace.name or 'trace'}"
-                        f"@{llc_model.capacity_bytes}B",
-            )
-            self._llc_cache[key] = counts
-            if use_disk:
-                cache.put(disk_key, counts)
-        return self._llc_cache[key]
+                counts = guard_counts(
+                    replay_llc(self.private, llc_model, self.arch),
+                    subject=f"LLC replay {self.trace.name or 'trace'}"
+                            f"@{llc_model.capacity_bytes}B",
+                )
+                if use_disk:
+                    cache.put(disk_key, counts)
+            self._replays[key] = counts
+        return counts
 
     def run(
         self, llc_model: LLCModel, configuration: Optional[str] = None

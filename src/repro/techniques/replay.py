@@ -152,7 +152,7 @@ def replay_with_technique(
                 set_idx, tags, kept_writes, kept_sizes, n_sets,
                 associativity, block_bytes, technique.tag_factor,
             )
-        hit, evict = engine.lru_rounds(
+        hit, evict, _ = engine.lru_rounds(
             set_idx, tags, kept_writes, n_sets, associativity
         )
         return hit, evict, None

@@ -1,9 +1,13 @@
 """Tests for the experiment-layer infrastructure."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentContext, TableWriter
+from repro.nvsim.published import sram_baseline
+from repro.workloads.profiles import profile
 
 
 class TestExperimentContext:
@@ -31,6 +35,29 @@ class TestExperimentContext:
     def test_session_cached(self):
         context = ExperimentContext(scale=0.05)
         assert context.session("leela") is context.session("leela")
+
+    def test_profile_thread_count_is_the_default_trace(self):
+        context = ExperimentContext(scale=0.05)
+        threads = profile("ft").n_threads
+        assert context.trace("ft", n_threads=threads) is context.trace("ft")
+        assert context.session("ft", n_threads=threads) is context.session("ft")
+
+    def test_sessions_share_replays_on_cache_keys(self):
+        """A timing constant shares both replays, an MLP ceiling only the
+        private one; each session still prices with its own arch."""
+        context = ExperimentContext(scale=0.05)
+        model = sram_baseline()
+        default = context.session("leela")
+        slower = context.session(
+            "leela", arch=dataclasses.replace(context.arch, base_cpi=0.8)
+        )
+        capped = context.session(
+            "leela", arch=dataclasses.replace(context.arch, max_mlp=3.0)
+        )
+        assert slower.private is default.private is capped.private
+        assert slower.counts_for(model) is default.counts_for(model)
+        assert capped.counts_for(model) is not default.counts_for(model)
+        assert slower.run(model).runtime_s > default.run(model).runtime_s
 
     def test_parallel_sweep_spills_traces_once(self):
         """The parallel path spills each distinct trace to disk once

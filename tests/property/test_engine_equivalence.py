@@ -1,4 +1,4 @@
-"""The batched private filter and the vector LLC rounds against the
+"""The two-stage private filter and the vector LLC rounds against the
 reference loops, one scenario pinned per test so each keeps its own
 example budget; the unpinned matrix is ``test_replay_conformance.py``.
 """
@@ -38,6 +38,8 @@ def test_private_filter_coherence_equivalence(case):
 @given(case=cases(threads=(1, 4), n_cores=2, prefetch=True))
 @settings(max_examples=40, deadline=None)
 def test_private_filter_prefetch_equivalence(case):
+    """Next-line prefetch is served by the reference loop itself: this
+    pins the dispatch."""
     _filter_matches(case)
 
 

@@ -6,8 +6,12 @@ loops, :func:`~repro.sim.hierarchy.filter_private_reference` and
 :func:`~repro.sim.llc.simulate_llc_reference`.  One adversarial
 generator (:func:`cases`) feeds one matrix of relations:
 
-- batched private filter == reference loop:
-  ``test_private_filter_matches_reference``;
+- two-stage private filter == reference loop:
+  ``test_private_filter_matches_reference``, plus three pinned cases —
+  an L2 eviction notice that spares a later store's invalidation, an
+  invalidation whose write-back comes from the L2 copy alone, and a
+  32-core coresweep trace; and the same relation at 64 and 65 cores,
+  either side of the packed (block, core) sort key;
 - ``simulate_llc`` == reference loop, per policy:
   ``test_llc_replay_matches_reference``;
 - identity technique replay == ``simulate_llc``, every field:
@@ -32,11 +36,13 @@ per test (``cases(threads=..., **pinned)``).
 
 Under LRU ``simulate_llc`` replays as vector rounds; under any other
 policy it must take the reference loop, so the policy axis also pins
-the dispatch.  The generator covers empty streams, single-set thrash,
-all-write and all-read streams, 1-way caches, associativity above the
-distinct-block count, block ids 0 and up to 2**64 - 1, next-line
-prefetch, and multi-core interleavings with true sharing.  The
-technique columns add a six-set LLC.
+the dispatch.  Likewise next-line prefetch is served by
+``filter_private_reference`` itself, so the private-filter relation
+draws cases without it.  The generator covers empty streams, single-set
+thrash, all-write and all-read streams, 1-way caches, associativity
+above the distinct-block count, block ids 0 and up to 2**64 - 1,
+next-line prefetch, and multi-core interleavings with true sharing.
+The technique columns add a six-set LLC.
 """
 
 from __future__ import annotations
@@ -285,7 +291,7 @@ def assert_outcome_equal(got, want):
                 assert type(value) is type(expected), field.name
 
 
-@given(case=cases())
+@given(case=cases(prefetch=False))
 @example(case=UINT64_EXTREMES)
 @example(case=EMPTY)
 @settings(max_examples=250, deadline=None)
@@ -294,6 +300,56 @@ def test_private_filter_matches_reference(case):
     assert_private_equal(
         filter_private(trace, arch), filter_private_reference(trace, arch)
     )
+
+
+@pytest.mark.parametrize("n_cores", (64, 65))
+@given(case=cases(threads=(2, 80), prefetch=False))
+@settings(max_examples=40, deadline=None)
+def test_private_filter_matches_reference_past_64_cores(n_cores, case):
+    """64 cores still fit beside a 58-bit block id in one sort key; 65
+    take the two-key sort."""
+    case = dataclasses.replace(case, n_cores=n_cores)
+    trace, arch = case.trace(), case.arch()
+    assert_private_equal(
+        filter_private(trace, arch), filter_private_reference(trace, arch)
+    )
+
+
+#: One-set, one-way L1s over two-set, one-way L2s, on two cores.
+_TINY = dict(n_cores=2, private_geometry=PRIVATE_GEOMETRIES[1])
+
+#: Core 0 stores to block 0, then its read of block 2 spills block 0
+#: from L1 into its L2 and evicts it dirty from there; the directory
+#: drops core 0 (the L2's eviction notice), so core 1's store to block
+#: 0 invalidates nobody.
+NOTICE_BEFORE_STORE = Case(
+    trace_blocks=(0, 2, 0), llc_blocks=(0, 2, 0),
+    writes=(True, False, True), threads=(0, 0, 1), gaps=(0, 0, 0), **_TINY,
+)
+
+#: Core 0 stores to block 0, spills it dirty into its L2 (block 1 takes
+#: the L1) and reads it back clean; core 1's store invalidates both
+#: copies, and only the L2's is dirty.
+DIRTY_IN_L2_ONLY = Case(
+    trace_blocks=(0, 1, 0, 0), llc_blocks=(0, 1, 0, 0),
+    writes=(True, False, False, True), threads=(0, 0, 0, 1),
+    gaps=(0, 0, 0, 0), **_TINY,
+)
+
+
+def test_l2_eviction_notice_reaches_the_directory():
+    trace, arch = NOTICE_BEFORE_STORE.trace(), NOTICE_BEFORE_STORE.arch()
+    want = filter_private_reference(trace, arch)
+    assert want.directory.invalidations_sent == 0
+    assert_private_equal(filter_private(trace, arch), want)
+
+
+def test_invalidation_writes_back_the_dirty_l2_copy():
+    trace, arch = DIRTY_IN_L2_ONLY.trace(), DIRTY_IN_L2_ONLY.arch()
+    want = filter_private_reference(trace, arch)
+    last = (want.stream.blocks[-1], want.stream.writes[-1], want.stream.cores[-1])
+    assert last == (0, True, 0)
+    assert_private_equal(filter_private(trace, arch), want)
 
 
 @pytest.mark.parametrize("policy", ("lru", "srrip", "random"))
@@ -514,4 +570,16 @@ def test_table5_workload_matches_reference(table5_context, workload):
     )
     assert simulate_llc(private.stream, **geometry) == simulate_llc_reference(
         private.stream, **geometry
+    )
+
+
+def test_coresweep_32_core_trace_matches_reference(table5_context):
+    """Coresweep's ``is`` at 32 cores (four times the scale-0.05 length,
+    one thread per core): shared blocks on many cores at once."""
+    arch = gainestown(n_cores=32)
+    trace = table5_context.trace(
+        "is", n_accesses=4 * table5_context.n_accesses("is"), n_threads=32
+    )
+    assert_private_equal(
+        filter_private(trace, arch), filter_private_reference(trace, arch)
     )
