@@ -118,7 +118,7 @@ class SetAssocCache:
         return AccessOutcome(hit=False, dirty_victim=victim_block)
 
     def fill(self, block: int, dirty: bool = False) -> Optional[int]:
-        """Insert a block without counting a demand access (prefetch or
+        """Insert a block without counting a demand access (the
         writeback-allocate path); returns the evicted dirty block."""
         index = block % self.n_sets
         lines = self._sets[index]

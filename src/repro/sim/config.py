@@ -82,9 +82,6 @@ class ArchitectureConfig:
     llc_banks: int = 16
     #: LLC replacement policy: "lru" (the paper's setup), "random", "srrip".
     llc_replacement: str = "lru"
-    #: Next-line prefetch into the private L2 on every L2 demand miss.
-    #: Off by default (the paper's Sniper configuration lists none).
-    l2_next_line_prefetch: bool = False
 
     dram: DRAMConfig = field(default_factory=DRAMConfig)
 

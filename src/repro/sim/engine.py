@@ -52,9 +52,26 @@ L2 feeds back into the L1s or the directory:
   Where the L2s barely evict (short traces), no lane is watched and
   stage one is the L1s and the directory alone.
 
-Next-line prefetch (``l2_next_line_prefetch``), which no experiment
-sets, is served by :func:`~repro.sim.hierarchy.filter_private_reference`
-itself, as non-LRU LLC policies are by the LLC reference loop.
+Two steps skip replay work whose outcome is already known:
+
+- **Settled sets.** A write-allocate LRU set whose distinct tags never
+  exceed its ways never evicts: each of its accesses hits unless it is
+  the first of its (set, tag) pair, and no line leaves.
+  :func:`lru_rounds` finds those sets with one sort of the pairs and
+  resolves them in closed form; only the other sets' accesses go
+  through the rounds.  That serves LLC, wear and technique replay and
+  the L2 lanes of single-threaded traces.  Calls with invalidations
+  (the L2 lanes of multi-threaded traces) keep the rounds: there an
+  emptied way makes a pair's later access miss, so a closed form needs
+  a second, stable sort, and a prototype of it saved little.
+- **L1 repeats.** Before stage one, an access to a private block that
+  repeats the previous access of its own (core, L1 set) lane is
+  dropped (:func:`_fold_repeats`).  It is an L1 hit on the lane's MRU
+  line, and its only effect is that line's dirty bit, so its write is
+  ORed into the access it repeats.  Stage one's records are mapped
+  back to trace indices.  A shared block never folds: another core's
+  store can invalidate the copy between the two accesses, and a store
+  hit reaches the directory.
 
 Invariants
 ----------
@@ -72,7 +89,7 @@ Invariants
   :data:`repro.sim.replay_cache.CACHE_VERSION` whenever replay semantics
   intentionally change.
 - **LRU only.** The vector rounds implement LRU (by byte budget, for
-  the compacted ways); the private filter replays without prefetch.
+  the compacted ways).
 - **No per-access observability.** The loops carry no metrics hooks —
   instrumentation lives in the callers
   (:func:`~repro.sim.hierarchy.filter_private`,
@@ -221,6 +238,14 @@ def lru_rounds(
     stream reduces to these: the LLC counts, the wear tally, the
     technique replay and the private L2s all derive from them.
 
+    Settling — without ``invalidate``, one sort of the (set, tag) pairs
+    (:func:`_settle`) counts each set's distinct tags.  A set with no
+    more than ``associativity`` of them never evicts, so its accesses
+    are resolved in closed form: a hit unless first of their pair, no
+    eviction.  Only the other sets' accesses take the rounds.  With
+    ``invalidate`` every access takes them: an invalidation can empty a
+    way and make a pair's later access miss.
+
     Algorithm — *rounds lockstep over sets* (:func:`_round_major`):
     replay round by round on flat state arrays ``tags`` / ``dirty`` /
     ``age`` of shape ``(n_rows * assoc,)``, all zero at the start.  The
@@ -241,12 +266,57 @@ def lru_rounds(
     of once per access (tens of thousands).
     """
     n = len(tags)
+    if invalidate is not None or not n:
+        return _rounds(set_idx, tags, writes, n_sets, associativity, invalidate)
+    hit, overflow = _settle(set_idx, tags, n_sets, associativity)
+    evict = np.zeros(n, dtype=bool)
+    victim = np.zeros(n, dtype=np.uint64)
+    rest = np.flatnonzero(overflow)
+    if len(rest):
+        hit[rest], evict[rest], victim[rest] = _rounds(
+            set_idx[rest], tags[rest], writes[rest], n_sets, associativity
+        )
+    return hit, evict, victim
+
+
+def _settle(set_idx, tags, n_sets: int, associativity: int):
+    """``(hit, overflow)`` per access: the settling step of
+    :func:`lru_rounds`.  ``overflow`` marks the accesses of sets with
+    more distinct tags than ``associativity``; their ``hit`` entries
+    are left for the rounds.
+    """
+    n = len(tags)
+    bits = (n_sets - 1).bit_length()
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    if int(tags.max()) >> (64 - bits) == 0:
+        # The tag fits beside the set bits: one uint64 key.
+        key = (tags << np.uint64(bits)) | set_idx.astype(np.uint64)
+        order = np.argsort(key)
+        key = key[order]
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+    else:
+        order = np.lexsort((tags, set_idx))
+        by_tag, by_set = tags[order], set_idx[order]
+        np.not_equal(by_tag[1:], by_tag[:-1], out=new[1:])
+        new[1:] |= by_set[1:] != by_set[:-1]
+    # The sort need not be stable: each pair's first access is the
+    # smallest index in its group.
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    hit = np.ones(n, dtype=bool)
+    hit[first] = False
+    distinct = np.bincount(set_idx[first], minlength=n_sets)
+    return hit, distinct[set_idx] > associativity
+
+
+def _rounds(set_idx, tags, writes, n_sets: int, assoc: int, invalidate=None):
+    """The rounds of :func:`lru_rounds` over every access it is given."""
+    n = len(tags)
     hit_out = np.zeros(n, dtype=bool)
     evict_out = np.zeros(n, dtype=bool)
     victim_out = np.zeros(n, dtype=np.uint64)
     if not n:
         return hit_out, evict_out, victim_out
-    assoc = associativity
     perm, k_per_round, offsets, n_rows = _round_major(set_idx, n_sets)
     bs = tags[perm]
     ws = writes[perm]
@@ -483,10 +553,10 @@ def filter_private_rounds(trace: Trace, arch: ArchitectureConfig):
     """Two-stage replay of a trace through the per-core L1D/L2 levels.
 
     Mirrors :func:`repro.sim.hierarchy.filter_private_reference`
-    event-for-event without next-line prefetch: identical LLC stream,
-    per-core counters and directory statistics.  Stage one is
-    :func:`_l1_pass`, stage two :func:`_l2_pass` (see the module
-    docstring); each runs once.
+    event-for-event: identical LLC stream, per-core counters and
+    directory statistics.  Stage one is :func:`_l1_pass` over the
+    accesses :func:`_fold_repeats` keeps, stage two :func:`_l2_pass`
+    (see the module docstring); each runs once.
     """
     from repro.sim.hierarchy import CoreCounters, LLCStream, PrivateResult
 
@@ -502,6 +572,8 @@ def filter_private_rounds(trace: Trace, arch: ArchitectureConfig):
     blocks = trace.addresses >> np.uint64(BLOCK_BITS)
     cores = trace.thread_ids.astype(np.int64) % n_cores
     positions, instructions = _per_core_positions(cores, trace.gaps, n_cores)
+    rows = cores * l1_nsets + (blocks % np.uint64(l1_nsets)).astype(np.int64)
+    shared = None
     watched = None
     if n_threads > 1:
         shared, pairs = _sharing(blocks, cores, n_cores)
@@ -515,17 +587,22 @@ def filter_private_rounds(trace: Trace, arch: ArchitectureConfig):
         if watch.any():
             watched = (l2_nsets, l2_assoc, watch.tolist())
         del lanes, pairs, watch
-        shared = shared.tolist()
-    else:
-        shared = itertools.repeat(False)
-    columns = (
-        blocks.tolist(),
-        trace.writes.tolist(),
-        (cores * l1_nsets + (blocks % np.uint64(l1_nsets)).astype(np.int64)).tolist(),
-        shared,
+    kept, writes = _fold_repeats(
+        blocks, trace.writes, rows, n_cores * l1_nsets, shared
     )
+    columns = (
+        blocks[kept].tolist(),
+        writes.tolist(),
+        rows[kept].tolist(),
+        itertools.repeat(False) if shared is None else shared[kept].tolist(),
+    )
+    del rows, writes
     l1 = _l1_pass(columns, n_cores, l1_nsets, arch.l1d.associativity, watched)
     del columns
+    # Stage one counted kept accesses; its records name trace accesses.
+    l1 = l1._replace(
+        miss_at=kept[l1.miss_at], fill_at=kept[l1.fill_at], inv_at=kept[l1.inv_at]
+    )
     l2 = _l2_pass(l1, blocks, cores, n_cores, l2_nsets, l2_assoc)
 
     demand_miss = (l2.kind == _DEMAND) & ~l2.hit
@@ -593,6 +670,41 @@ def _sharing(blocks: np.ndarray, cores: np.ndarray, n_cores: int):
     return shared, order[pair]
 
 
+def _fold_repeats(blocks, writes, rows, n_rows: int, shared):
+    """``(kept, writes)``: the trace accesses stage one replays, as int32
+    indices, and their write flags.
+
+    An access to a private block that repeats the previous access of its
+    (core, L1 set) lane ``rows`` (below ``n_rows``) is an L1 hit on that
+    lane's MRU line, and its only effect is the line's dirty bit.  It is
+    dropped, and its write is ORed into the access it repeats.  A block
+    in ``shared`` (or ``None``: no block is) never folds: another core's
+    store can invalidate the copy between the two accesses, and a store
+    hit reaches the directory.
+    """
+    n = len(blocks)
+    key = rows.astype(np.uint16 if n_rows <= 1 << 16 else np.uint32)
+    order = np.argsort(key, kind="stable")
+    by_lane = blocks[order]
+    repeat = np.zeros(n + 1, dtype=bool)
+    np.equal(by_lane[1:], by_lane[:-1], out=repeat[1:n])
+    # The first access of each lane repeats nothing.
+    repeat[np.cumsum(np.bincount(key, minlength=n_rows))] = False
+    repeat = repeat[:n]
+    if shared is not None:
+        repeat &= ~shared[order]
+    keep = np.ones(n, dtype=bool)
+    keep[order[repeat]] = False
+    kept = np.flatnonzero(keep).astype(np.int32)
+    # A folded write marks the access that starts its run of repeats.
+    wrote = np.flatnonzero(repeat & writes[order])
+    folded = writes.copy()
+    if len(wrote):
+        start = np.flatnonzero(~repeat)
+        folded[order[start[np.searchsorted(start, wrote, side="right") - 1]]] = True
+    return kept, folded[kept]
+
+
 #: L2 operation kinds, in their order within one access.
 _FILL, _DEMAND, _INVALIDATE = 0, 1, 2
 
@@ -626,7 +738,9 @@ class _L2Ops(NamedTuple):
 def _l1_pass(columns, n_cores: int, l1_nsets: int, l1_assoc: int, watched):
     """Stage one: the L1s and the shared blocks' directory, per access.
 
-    Returns the :class:`_L1Records` of the pass.  ``watched`` is
+    Returns the :class:`_L1Records` of the pass, its indices counting
+    the accesses in ``columns`` (the caller maps them back to the
+    trace past the folded repeats).  ``watched`` is
     ``None``, or ``(l2_nsets, l2_assoc, flags)`` with one flag per
     (core, L2 set) lane that can evict a dirty shared block.  Those
     lanes also replay here, as insertion-ordered dicts like the L1 sets,

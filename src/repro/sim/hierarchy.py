@@ -93,12 +93,10 @@ def filter_private(trace: Trace, arch: ArchitectureConfig) -> PrivateResult:
     Threads map to cores by id modulo ``arch.n_cores``.  Multi-threaded
     traces additionally exercise the full-map directory: stores to blocks
     shared across cores invalidate remote copies, and modified remote
-    copies are written back through the LLC.  The two-stage replay
-    :func:`repro.sim.engine.filter_private_rounds` serves every call
-    without next-line prefetch — one scalar pass over the L1s and the
-    shared blocks' directory, then the L2s as set rounds;
-    ``l2_next_line_prefetch``, which no experiment sets, takes
-    :func:`filter_private_reference`, the oracle of both paths.
+    copies are written back through the LLC.  Every call replays with
+    :func:`repro.sim.engine.filter_private_rounds` — one scalar pass over
+    the L1s and the shared blocks' directory, then the L2s as set
+    rounds — whose oracle is :func:`filter_private_reference`.
 
     When run metrics are enabled (:mod:`repro.obs`), the replay is
     wrapped in a ``sim.private_replay`` span and the per-level event
@@ -107,12 +105,8 @@ def filter_private(trace: Trace, arch: ArchitectureConfig) -> PrivateResult:
     """
     from repro.sim.engine import filter_private_rounds
 
-    replay = (
-        filter_private_reference if arch.l2_next_line_prefetch
-        else filter_private_rounds
-    )
     with _metrics.span("sim.private_replay"):
-        result = replay(trace, arch)
+        result = filter_private_rounds(trace, arch)
     if _metrics.enabled():
         _metrics.counter_add("sim.private.accesses", len(trace))
         _metrics.counter_add(
@@ -206,18 +200,6 @@ def filter_private_reference(
         else:
             counter.l2_misses += 1
             emit(block, False, core, ipos)
-            if arch.l2_next_line_prefetch:
-                # Next-line prefetch: pull block+1 into the private L2.
-                # The prefetch fetch reaches the LLC as a read but never
-                # stalls the core (it carries the same position).
-                next_block = block + 1
-                if not l2[core].contains(next_block):
-                    spilled = l2[core].fill(next_block, dirty=False)
-                    if spilled is not None:
-                        emit(spilled, True, core, ipos)
-                        if use_directory:
-                            directory.on_evict(core, spilled)
-                    emit(next_block, False, core, ipos)
         if use_directory:
             _propagate_coherence(
                 directory, l1, l2, core, block, is_write, emit, ipos

@@ -2,9 +2,9 @@
 
 The two replay stages are pure functions of their inputs: a
 :class:`~repro.sim.hierarchy.PrivateResult` depends only on the trace
-contents and the private-level architecture (core count, L1/L2 geometry,
-prefetch flag), and an :class:`~repro.sim.llc.LLCCounts` additionally on
-the LLC geometry and MLP constants.  This module caches both on disk,
+contents and the private-level architecture (core count and L1/L2
+geometry), and an :class:`~repro.sim.llc.LLCCounts` additionally on the
+LLC geometry and MLP constants.  This module caches both on disk,
 keyed by a content fingerprint, so repeated experiment runs, the test
 suite and parallel workers all skip redundant replays.
 
@@ -143,7 +143,6 @@ def private_arch_key(arch: ArchitectureConfig) -> tuple:
         arch.l2.capacity_bytes,
         arch.l2.associativity,
         arch.l2.block_bytes,
-        arch.l2_next_line_prefetch,
     )
 
 

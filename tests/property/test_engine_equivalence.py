@@ -21,25 +21,17 @@ def _filter_matches(case):
     )
 
 
-@given(case=cases(threads=(1, 1), n_cores=1, prefetch=False))
+@given(case=cases(threads=(1, 1), n_cores=1))
 @settings(max_examples=60, deadline=None)
 def test_private_filter_single_thread_equivalence(case):
     _filter_matches(case)
 
 
-@given(case=cases(threads=(2, 5), n_cores=4, prefetch=False))
+@given(case=cases(threads=(2, 5), n_cores=4))
 @settings(max_examples=60, deadline=None)
 def test_private_filter_coherence_equivalence(case):
     """Directory fills, invalidations, downgrades and coherence
     writebacks match event for event."""
-    _filter_matches(case)
-
-
-@given(case=cases(threads=(1, 4), n_cores=2, prefetch=True))
-@settings(max_examples=40, deadline=None)
-def test_private_filter_prefetch_equivalence(case):
-    """Next-line prefetch is served by the reference loop itself: this
-    pins the dispatch."""
     _filter_matches(case)
 
 

@@ -7,11 +7,12 @@ loops, :func:`~repro.sim.hierarchy.filter_private_reference` and
 generator (:func:`cases`) feeds one matrix of relations:
 
 - two-stage private filter == reference loop:
-  ``test_private_filter_matches_reference``, plus three pinned cases —
-  an L2 eviction notice that spares a later store's invalidation, an
-  invalidation whose write-back comes from the L2 copy alone, and a
-  32-core coresweep trace; and the same relation at 64 and 65 cores,
-  either side of the packed (block, core) sort key;
+  ``test_private_filter_matches_reference``, plus pinned cases — an L2
+  eviction notice that spares a later store's invalidation, an
+  invalidation whose write-back comes from the L2 copy alone, three
+  L1 repeats the filter folds or must not fold, and a 32-core
+  coresweep trace; and the same relation at 64 and 65 cores, either
+  side of the packed (block, core) sort key;
 - ``simulate_llc`` == reference loop, per policy:
   ``test_llc_replay_matches_reference``;
 - identity technique replay == ``simulate_llc``, every field:
@@ -36,12 +37,10 @@ per test (``cases(threads=..., **pinned)``).
 
 Under LRU ``simulate_llc`` replays as vector rounds; under any other
 policy it must take the reference loop, so the policy axis also pins
-the dispatch.  Likewise next-line prefetch is served by
-``filter_private_reference`` itself, so the private-filter relation
-draws cases without it.  The generator covers empty streams, single-set
-thrash, all-write and all-read streams, 1-way caches, associativity
-above the distinct-block count, block ids 0 and up to 2**64 - 1,
-next-line prefetch, and multi-core interleavings with true sharing.
+the dispatch.  The generator covers empty streams, single-set thrash,
+all-write and all-read streams, 1-way caches, associativity above the
+distinct-block count, block ids 0 and up to 2**64 - 1, and multi-core
+interleavings with true sharing.
 The technique columns add a six-set LLC.
 """
 
@@ -113,7 +112,6 @@ class Case:
     threads: Tuple[int, ...]
     gaps: Tuple[int, ...]
     n_cores: int = 4
-    prefetch: bool = False
     private_geometry: tuple = PRIVATE_GEOMETRIES[0]
     llc_geometry: Tuple[int, int] = (16, 4)
     mlp: Tuple[int, float] = (128, 6.0)
@@ -136,7 +134,6 @@ class Case:
             gainestown(n_cores=self.n_cores),
             l1d=CacheLevelConfig(l1, l1_ways),
             l2=CacheLevelConfig(l2, l2_ways),
-            l2_next_line_prefetch=self.prefetch,
         )
 
     def stream(self):
@@ -220,7 +217,6 @@ def cases(draw, threads=(1, 5), geometries=LLC_GEOMETRIES, **pinned) -> Case:
         threads=tuple((c >> 9) % n_threads for c in codes),
         gaps=tuple(_gap(c >> 12) for c in codes),
         n_cores=draw(st.sampled_from((4, 2, 1))),
-        prefetch=draw(st.booleans()),
         private_geometry=draw(st.sampled_from(PRIVATE_GEOMETRIES)),
         llc_geometry=draw(st.sampled_from(geometries)),
         mlp=draw(st.sampled_from(((128, 6.0), (16, 2.0)))),
@@ -291,7 +287,7 @@ def assert_outcome_equal(got, want):
                 assert type(value) is type(expected), field.name
 
 
-@given(case=cases(prefetch=False))
+@given(case=cases())
 @example(case=UINT64_EXTREMES)
 @example(case=EMPTY)
 @settings(max_examples=250, deadline=None)
@@ -303,7 +299,7 @@ def test_private_filter_matches_reference(case):
 
 
 @pytest.mark.parametrize("n_cores", (64, 65))
-@given(case=cases(threads=(2, 80), prefetch=False))
+@given(case=cases(threads=(2, 80)))
 @settings(max_examples=40, deadline=None)
 def test_private_filter_matches_reference_past_64_cores(n_cores, case):
     """64 cores still fit beside a 58-bit block id in one sort key; 65
@@ -335,6 +331,57 @@ DIRTY_IN_L2_ONLY = Case(
     writes=(True, False, False, True), threads=(0, 0, 0, 1),
     gaps=(0, 0, 0, 0), **_TINY,
 )
+
+
+#: Core 0 reads block 0 and writes it back to back, so the write folds
+#: into the read; block 2 then evicts block 0 from the L1 and the L2,
+#: and its write-back must reach the LLC.
+FOLDED_WRITE = Case(
+    trace_blocks=(0, 0, 2), llc_blocks=(0, 0, 2),
+    writes=(False, True, False), threads=(0, 0, 0), gaps=(0, 0, 0), **_TINY,
+)
+
+#: Core 0's two reads of block 0 are consecutive in its lane, but core
+#: 1's store between them invalidates core 0's copy: block 0 is shared,
+#: never folds, and the second read misses.
+SHARED_REPEAT = Case(
+    trace_blocks=(0, 0, 0), llc_blocks=(0, 0, 0),
+    writes=(False, True, False), threads=(0, 1, 0), gaps=(0, 0, 0), **_TINY,
+)
+
+#: Core 0's miss on block 0 starts a run of three repeats, the last a
+#: write, interleaved with core 1's own fold on block 1; block 2 then
+#: evicts core 0's block 0, dirty.
+REPEAT_RUN = Case(
+    trace_blocks=(0, 1, 0, 0, 1, 0, 2), llc_blocks=(0, 1, 0, 0, 1, 0, 2),
+    writes=(False, False, False, False, True, True, False),
+    threads=(0, 1, 0, 0, 1, 0, 0), gaps=(0,) * 7, **_TINY,
+)
+
+
+def test_folded_write_reaches_the_llc():
+    trace, arch = FOLDED_WRITE.trace(), FOLDED_WRITE.arch()
+    want = filter_private_reference(trace, arch)
+    assert (0, True) in zip(want.stream.blocks.tolist(), want.stream.writes.tolist())
+    assert_private_equal(filter_private(trace, arch), want)
+
+
+def test_shared_repeat_does_not_fold():
+    trace, arch = SHARED_REPEAT.trace(), SHARED_REPEAT.arch()
+    want = filter_private_reference(trace, arch)
+    assert want.per_core[0].l1_misses == 2
+    assert_private_equal(filter_private(trace, arch), want)
+
+
+def test_run_of_repeats_folds_into_its_miss():
+    trace, arch = REPEAT_RUN.trace(), REPEAT_RUN.arch()
+    want = filter_private_reference(trace, arch)
+    assert (want.per_core[0].l1_hits, want.per_core[0].l1_misses) == (3, 2)
+    stream = want.stream
+    assert list(zip(stream.blocks.tolist(), stream.writes.tolist(),
+                    stream.cores.tolist())) == [
+        (0, False, 0), (1, False, 1), (0, True, 0), (2, False, 0)]
+    assert_private_equal(filter_private(trace, arch), want)
 
 
 def test_l2_eviction_notice_reaches_the_directory():
