@@ -6,18 +6,22 @@ generated once, its private-level replay once, and its LLC replay once
 per distinct capacity.  ``scale`` shortens traces uniformly for quick
 runs (tests); note that below ~0.5 the capacity-sweep components no
 longer complete enough passes for fixed-area capacity effects to show.
+
+:meth:`ExperimentContext.run_cell` is the one executor of a sweep cell:
+the serial loop calls it, and each process-pool worker
+(:mod:`repro.sim.parallel`) calls it on a fresh context, which
+regenerates the cell's trace from its seeded key.
+:meth:`ExperimentContext.run_cells` is the one place that picks serial
+or pool.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckpointError, ExperimentError
-from repro.nvsim.published import nvm_models, published_models, sram_baseline
+from repro.nvsim.published import published_models
 from repro.obs import metrics as _metrics
 from repro.obs.progress import ProgressLine
 from repro.sim.checkpoint import CheckpointJournal, cell_digest
@@ -25,13 +29,14 @@ from repro.sim.config import ArchitectureConfig, gainestown
 from repro.sim.parallel import (
     FaultPolicy,
     SweepCell,
+    fire_fault_hook,
     resolve_jobs,
     resolve_model,
     run_cells,
 )
 from repro.sim.results import NormalizedResult, SimResult, normalize
 from repro.sim.system import SimulationSession
-from repro.trace.stream import Trace, TraceSpill, resolve_spill_dir
+from repro.trace.stream import Trace
 from repro.validate.policy import POLICY_ENV, current_policy, resolve_policy, set_policy
 from repro.workloads.generators import DEFAULT_SEED, generate_from_profile
 from repro.workloads.profiles import profile
@@ -212,12 +217,11 @@ class ExperimentContext:
     def run_cell(self, cell: SweepCell) -> Dict[str, SimResult]:
         """Run one cell in-process through the context's session cache.
 
-        Fires the ``REPRO_FAULT_HOOK`` seam like the parallel path does
-        (:func:`~repro.sim.parallel.run_cell`), so fault/pacing hooks
-        reach serial sweeps too — serve jobs run cells through here.
+        The only code that builds a cell's session, fires the
+        ``REPRO_FAULT_HOOK`` seam and opens the ``experiments.cell``
+        span: serial sweeps and serve jobs call it on their context,
+        pool workers on a fresh one (:func:`~repro.sim.parallel.run_cell`).
         """
-        from repro.sim.parallel import fire_fault_hook
-
         fire_fault_hook(cell)
         with _metrics.span("experiments.cell"):
             session = self.session(
@@ -253,43 +257,13 @@ class ExperimentContext:
                 print(f"warning: {error} — run continues, resumability "
                       "degraded for unjournaled cells", file=sys.stderr)
 
-    @contextmanager
-    def _spilled(self, todo: Sequence[Tuple[int, SweepCell]]) -> Iterator[List[SweepCell]]:
-        """Spill each distinct trace once and hand out cells carrying
-        zero-copy :class:`~repro.trace.stream.TraceSpill` handles.
-
-        The parent generates (or reuses its cached) trace per distinct
-        ``(workload, seed, length, threads)`` key and writes its columns
-        under a temporary directory (rooted at ``$REPRO_SPILL_DIR`` when
-        set), so N workers map one shared copy instead of regenerating N
-        times.  The directory lives exactly as long as the sweep.
-        """
-        with tempfile.TemporaryDirectory(
-            prefix="repro-spill-", dir=resolve_spill_dir()
-        ) as spill_dir:
-            spills: Dict[tuple, TraceSpill] = {}
-            cells: List[SweepCell] = []
-            for _, cell in todo:
-                key = self._trace_key(
-                    cell.workload, cell.seed, cell.n_accesses, cell.n_threads
-                )
-                handle = spills.get(key)
-                if handle is None:
-                    trace = self.trace(*key)
-                    handle = trace.spill(
-                        spill_dir, prefix=f"{len(spills):03d}-{cell.workload}"
-                    )
-                    spills[key] = handle
-                cells.append(dataclasses.replace(cell, trace_spill=handle))
-            _metrics.counter_add("experiments.traces_spilled", len(spills))
-            yield cells
-
     def run_cells(self, cells: Sequence[SweepCell]) -> List[Dict[str, SimResult]]:
         """Run cells honouring ``jobs``: serial runs go through the
-        context's caches; parallel runs fan out over a process pool
-        (workers share replays with the parent via the on-disk replay
-        cache, and map the parent's spilled trace columns read-only
-        instead of regenerating them).  Results are in input order
+        context's caches; with ``jobs > 1`` and more than one cell left
+        they fan out over a process pool
+        (:func:`~repro.sim.parallel.run_cells`), whose workers regenerate
+        each trace from its cell key and share replays with the parent
+        through the on-disk replay cache.  Results are in input order
         either way.
 
         With a checkpoint journal attached, cells already journaled are
@@ -331,13 +305,12 @@ class ExperimentContext:
             self._record_checkpoint(cell, results)
 
         try:
-            with self._spilled(todo) as spilled:
-                fresh = run_cells(
-                    spilled,
-                    self.jobs,
-                    policy=self.fault_policy,
-                    on_result=on_result,
-                )
+            fresh = run_cells(
+                [cell for _, cell in todo],
+                self.jobs,
+                policy=self.fault_policy,
+                on_result=on_result,
+            )
         except PartialResultError as error:
             # Re-map partial results to the caller's cell indices and
             # fold in the checkpoint-skipped cells — nothing is lost.

@@ -1,27 +1,30 @@
-"""Parallel experiment fan-out over deterministic sweep cells.
+"""Fault-tolerant process-pool fan-out of sweep cells.
 
 The experiment suite is embarrassingly parallel at the granularity of
-one (workload, core-count) cell: each cell generates a trace, replays it
-through the private levels once, and sweeps the LLC models that share
-that replay.  This module fans cells out over a
+one cell: a workload under one configuration (or core count) replayed
+against a set of LLC models.
+:meth:`ExperimentContext.run_cells
+<repro.experiments.common.ExperimentContext.run_cells>` is the one
+place that chooses between running cells serially in-process and
+fanning them out here; this module is only the pool, a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Workers receive only small, picklable :class:`SweepCell` keys —
-(workload, seed, length, threads, architecture, model names) — so no
-multi-megabyte trace or stream ever crosses the process boundary; only
-the compact :class:`~repro.sim.results.SimResult` objects come back.  A
-cell may carry a :class:`~repro.trace.stream.TraceSpill` handle (paths
-to ``.npy`` columns the parent wrote once): the worker then maps the
-trace read-only through the page cache — zero copies, zero pickling —
-instead of regenerating it.  Either way the trace is bit-identical to
-the one the serial path would build (generation is fully seeded,
-:mod:`repro.workloads.generators`), and the shared on-disk replay cache
-(:mod:`repro.sim.replay_cache`) lets the parent — and later runs —
-reuse whatever the workers replayed.
+(workload, seed, length, threads, architecture, model names) — and run
+each one exactly as the serial path does: :func:`run_cell` hands the
+cell to a fresh :class:`~repro.experiments.common.ExperimentContext`,
+whose ``run_cell`` regenerates the trace from the seeded key
+(:mod:`repro.workloads.generators`), builds the session, fires the
+fault hook and opens the ``experiments.cell`` span.  No trace or stream
+crosses the process boundary; only the compact
+:class:`~repro.sim.results.SimResult` objects come back, and the shared
+on-disk replay cache (:mod:`repro.sim.replay_cache`) lets the parent —
+and later runs — reuse whatever the workers replayed.
 
 ``jobs`` semantics everywhere in the experiments layer: ``1`` (default)
 runs serially in-process, ``N > 1`` uses N worker processes, and ``0``
-means "one per CPU" (:func:`default_jobs`).
+means "one per CPU" (:func:`default_jobs`).  :func:`run_cells` itself
+always uses a pool, of ``min(jobs, cells)`` workers.
 
 Fault tolerance
 ---------------
@@ -34,10 +37,10 @@ defaults below):
   as transient and the cell retries with exponential backoff
   (``max_retries``); a killed worker breaks the whole pool
   (``BrokenProcessPool``), which is recovered by respawning the pool
-  once (``pool_respawns``) and, if it breaks again, degrading to
-  in-process serial execution for the surviving cells.  Deterministic
-  library errors (:class:`~repro.errors.ReproError`) fail fast — the
-  cell would fail identically on every retry.
+  once and, if it breaks again, finishing the surviving cells
+  in-process.  Deterministic library errors
+  (:class:`~repro.errors.ReproError`) fail fast — the cell would fail
+  identically on every retry.
 - *A worker hangs.*  ``cell_timeout_s`` bounds the wait per collected
   cell (``REPRO_CELL_TIMEOUT``); on timeout the pool — which still owns
   the hung process — is abandoned and force-killed, and the timed-out
@@ -50,11 +53,14 @@ defaults below):
   them in completion order.
 
 Environment defaults: ``REPRO_CELL_TIMEOUT`` (seconds, unset = no
-timeout), ``REPRO_CELL_RETRIES`` (default 2), ``REPRO_RETRY_BACKOFF``
-(base seconds, default 0.1).  ``REPRO_FAULT_HOOK`` names a
-``module:function`` invoked with each cell before it runs — the fault
-injection point the ``tests/faults`` harness uses to kill or delay
-workers deliberately; leave it unset in production.
+timeout) and ``REPRO_CELL_RETRIES`` (default 2).  Both are checked when
+the policy is built: a timeout must be finite and > 0, a retry count a
+whole number >= 0, and anything else is an
+:class:`~repro.errors.ExperimentError` naming the setting.
+``REPRO_FAULT_HOOK`` names a ``module:function`` invoked with each cell
+before it runs — the fault injection point the ``tests/faults`` harness
+uses to kill or delay workers deliberately; leave it unset in
+production.
 
 Invariants
 ----------
@@ -62,34 +68,38 @@ Invariants
 - Results come back in input order regardless of completion order, so a
   parallel run is *output-identical* to a serial one — and, via the
   checkpoint journal, a resumed run is output-identical to an
-  uninterrupted one (pinned by ``test_parallel_matches_serial`` in
-  ``tests/sim/test_parallel.py`` and by
+  uninterrupted one (pinned by ``test_pool_renders_match_the_snapshots``
+  in ``tests/golden/test_golden.py``, ``test_parallel_matches_serial``
+  in ``tests/sim/test_parallel.py`` and
   ``test_sigkill_mid_run_then_resume_matches_uninterrupted`` in
   ``tests/faults/test_kill_resume.py``).
 - Only :class:`SweepCell` keys cross the boundary outbound and only
   :class:`~repro.sim.results.SimResult` objects (plus, when metrics are
   on, a plain-dict metrics snapshot) come back — never traces or
   streams.
-- The trace a worker simulates is bit-identical to the serial path's:
-  cells carry the resolved ``(workload, seed, n_accesses, n_threads)``
-  key and generation is fully seeded; a spill handle, when present,
-  holds exactly the trace that key would regenerate.
+- A worker computes its cell with the serial path's own executor,
+  ``ExperimentContext.run_cell``, from the resolved
+  ``(workload, seed, n_accesses, n_threads)`` key; generation is fully
+  seeded, so the trace is bit-identical to the serial path's.
 - Retries and pool respawns never double-report a cell: a result is
   collected (and ``on_result`` fired) exactly once per cell.
 
 When run metrics are enabled (:mod:`repro.obs`) each worker collects
-into its own registry — counters from the instrumented layers plus a
+into its own registry — the ``experiments.cells`` counter, the
+``experiments.cell`` span and the instrumented layers' counters, plus a
 ``parallel.worker.<pid>.cell`` timer per cell — and returns a snapshot
-that the parent merges, so per-worker utilization survives the pool
-boundary.  Fault handling is counted too: ``parallel.retries``,
-``parallel.timeouts``, ``parallel.worker_failures``,
-``parallel.pool_respawns`` and ``parallel.serial_fallback_cells``.  A
+that the parent merges, so a pool run counts its cells as a serial run
+does and per-worker utilization survives the pool boundary.  Fault
+handling is counted too: ``parallel.retries``, ``parallel.timeouts``,
+``parallel.worker_failures``, ``parallel.pool_respawns`` and
+``parallel.serial_fallback_cells``.  A
 :class:`~repro.obs.progress.ProgressLine` tracks cell completions on
 interactive terminals.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -101,18 +111,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ExperimentError, PartialResultError, ReproError
 from repro.obs import metrics as _metrics
 from repro.obs.progress import ProgressLine
-from repro.sim.config import ArchitectureConfig, gainestown
+from repro.sim.config import ArchitectureConfig
 from repro.sim.results import SimResult
-from repro.trace.stream import TraceSpill
 
 #: Per-cell timeout in seconds (unset/empty = wait forever).
 TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 
 #: Retries per cell for transient failures (default 2).
 RETRIES_ENV = "REPRO_CELL_RETRIES"
-
-#: Base backoff in seconds between retries (default 0.1, doubles).
-BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 
 #: ``module:function`` fault-injection hook fired before every cell.
 FAULT_HOOK_ENV = "REPRO_FAULT_HOOK"
@@ -149,17 +155,35 @@ def _env_float(name: str) -> Optional[float]:
 class FaultPolicy:
     """How :func:`run_cells` reacts to worker failures.
 
-    ``cell_timeout_s`` of None waits forever.  ``max_retries`` counts
-    *re*-attempts: 2 means up to three executions of one cell.  Backoff
-    doubles per attempt (``backoff_s * 2**(attempt-1)``).
-    ``pool_respawns`` bounds how many times a broken/abandoned pool is
-    rebuilt before degrading to in-process serial execution.
+    ``cell_timeout_s`` of None waits forever; otherwise it must be a
+    finite number of seconds > 0.  ``max_retries`` counts *re*-attempts
+    (2 means up to three executions of one cell) and must be a whole
+    number >= 0.  A setting outside those ranges raises
+    :class:`~repro.errors.ExperimentError` naming it when the policy is
+    built.  Backoff doubles per attempt (``backoff_s * 2**(attempt-1)``).
+    A broken or abandoned pool is rebuilt once; if the rebuilt pool
+    goes too, the surviving cells finish in-process.
     """
 
     cell_timeout_s: Optional[float] = None
     max_retries: int = 2
     backoff_s: float = 0.1
-    pool_respawns: int = 1
+
+    def __post_init__(self) -> None:
+        timeout = self.cell_timeout_s
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ExperimentError(
+                f"cell timeout (--cell-timeout / {TIMEOUT_ENV}) must be a "
+                f"finite number of seconds > 0, got {timeout!r}"
+            )
+        retries = self.max_retries
+        if not (float(retries).is_integer() and retries >= 0):
+            raise ExperimentError(
+                f"cell retries (--cell-retries / {RETRIES_ENV}) must be a "
+                f"whole number >= 0, got {retries!r}"
+            )
+        # Environment values arrive as floats; the count stays an int.
+        object.__setattr__(self, "max_retries", int(retries))
 
     @classmethod
     def from_env(
@@ -172,17 +196,10 @@ class FaultPolicy:
         if cell_timeout_s is None:
             cell_timeout_s = _env_float(TIMEOUT_ENV)
         if max_retries is None:
-            env_retries = _env_float(RETRIES_ENV)
-            max_retries = 2 if env_retries is None else int(env_retries)
-        backoff = _env_float(BACKOFF_ENV)
-        if max_retries < 0:
-            raise ExperimentError("cell retries must be >= 0")
-        if cell_timeout_s is not None and cell_timeout_s <= 0:
-            raise ExperimentError("cell timeout must be > 0 seconds")
+            max_retries = _env_float(RETRIES_ENV)
         return cls(
             cell_timeout_s=cell_timeout_s,
-            max_retries=max_retries,
-            backoff_s=0.1 if backoff is None else max(0.0, backoff),
+            max_retries=2 if max_retries is None else max_retries,
         )
 
 
@@ -194,13 +211,6 @@ class SweepCell:
     the trace deterministically and run the sweep.  ``n_accesses`` /
     ``n_threads`` of None use the profile's defaults; ``arch`` of None
     uses the paper's Gainestown.
-
-    ``trace_spill`` is an optional zero-copy shortcut: a
-    :class:`~repro.trace.stream.TraceSpill` handle to the same trace the
-    key describes, already written to disk by the parent.  Workers map
-    it read-only instead of regenerating — bit-identical either way,
-    since generation is fully seeded — so the handle never affects
-    results, checkpoints digests or journal records.
     """
 
     workload: str
@@ -210,7 +220,6 @@ class SweepCell:
     n_accesses: Optional[int] = None
     n_threads: Optional[int] = None
     arch: Optional[ArchitectureConfig] = None
-    trace_spill: Optional[TraceSpill] = None
 
 
 def resolve_model(name: str, configuration: str):
@@ -240,32 +249,17 @@ def fire_fault_hook(cell: SweepCell) -> None:
 
 
 def run_cell(cell: SweepCell) -> Dict[str, SimResult]:
-    """Execute one cell (in a worker or inline): map or regenerate the
-    trace, share one private replay across the cell's models, return
-    results keyed by model name."""
-    from repro.sim.system import SimulationSession
-    from repro.workloads.generators import generate_from_profile
-    from repro.workloads.profiles import profile
+    """Execute one pool cell, in a worker (or in-process once the pool
+    is out of respawns), with the serial path's own executor.
 
-    fire_fault_hook(cell)
-    if cell.trace_spill is not None:
-        trace = cell.trace_spill.load()
-        _metrics.counter_add("parallel.spill_loads")
-    else:
-        bench = profile(cell.workload)
-        trace = generate_from_profile(
-            bench,
-            seed=cell.seed,
-            n_accesses=cell.n_accesses,
-            n_threads=cell.n_threads,
-        )
-    session = SimulationSession(
-        trace, arch=cell.arch or gainestown(), configuration=cell.configuration
-    )
-    return {
-        name: session.run(resolve_model(name, cell.configuration))
-        for name in cell.model_names
-    }
+    A fresh :class:`~repro.experiments.common.ExperimentContext` per
+    cell regenerates the trace from the cell's seeded key and runs the
+    cell's models on one shared session; results are keyed by model
+    name.
+    """
+    from repro.experiments.common import ExperimentContext
+
+    return ExperimentContext(seed=cell.seed).run_cell(cell)
 
 
 def _run_cell_observed(cell: SweepCell) -> Tuple[Dict[str, SimResult], Dict[str, Any]]:
@@ -316,11 +310,6 @@ def call_with_retries(
             _backoff(policy, attempt)
 
 
-def _retrying_run(cell: SweepCell, policy: FaultPolicy) -> Dict[str, SimResult]:
-    """Run one cell in-process with the policy's transient-retry loop."""
-    return call_with_retries(lambda: run_cell(cell), policy)
-
-
 class _PoolFailure(Exception):
     """Internal: the current pool must be abandoned (broken or hung)."""
 
@@ -356,7 +345,6 @@ def _drain_pool(
     pool: ProcessPoolExecutor,
     worker: Callable,
     pending: Dict[int, SweepCell],
-    results: Dict[int, Dict[str, SimResult]],
     failures: Dict[int, str],
     attempts: Dict[int, int],
     policy: FaultPolicy,
@@ -364,9 +352,9 @@ def _drain_pool(
 ) -> None:
     """Submit every pending cell and collect what completes.
 
-    Mutates ``pending``/``results``/``failures`` in place.  Transiently
-    failed cells stay in ``pending`` (the caller loops and resubmits);
-    raises :class:`_PoolFailure` when the pool itself must go.
+    Mutates ``pending``/``failures`` in place.  Transiently failed cells
+    stay in ``pending`` (the caller loops and resubmits); raises
+    :class:`_PoolFailure` when the pool itself must go.
     """
     try:
         futures = {
@@ -417,12 +405,29 @@ def _drain_pool(
             collect(index, value)
 
 
-def _run_pool(
+def run_cells(
     cells: Sequence[SweepCell],
-    jobs: int,
-    policy: FaultPolicy,
-    on_result: Optional[OnResult],
+    jobs: Optional[int] = None,
+    policy: Optional[FaultPolicy] = None,
+    on_result: Optional[OnResult] = None,
 ) -> List[Dict[str, SimResult]]:
+    """Run cells across a pool of ``min(jobs, len(cells))`` worker
+    processes, fault-tolerantly (``jobs`` as :func:`resolve_jobs`).
+
+    Results are returned in input order regardless of completion order,
+    so parallel runs are output-identical to serial ones.  ``policy``
+    (default: :meth:`FaultPolicy.from_env`) governs timeout, retry and
+    pool recovery; ``on_result`` fires once per completed cell in
+    completion order (the checkpoint journal's hook).  When some cells
+    are unrecoverable the completed ones are never discarded: a
+    :class:`~repro.errors.PartialResultError` carries them all.
+    """
+    cells = list(cells)
+    if not cells:
+        return []
+    jobs = resolve_jobs(jobs)
+    if policy is None:
+        policy = FaultPolicy.from_env()
     observe = _metrics.enabled()
     worker = _run_cell_observed if observe else run_cell
     pending: Dict[int, SweepCell] = dict(enumerate(cells))
@@ -441,7 +446,7 @@ def _run_pool(
                 on_result(index, cells[index], value)
             progress.tick()
 
-        respawns_left = policy.pool_respawns
+        respawned = False
         pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
             max_workers=min(jobs, len(cells))
         )
@@ -449,14 +454,14 @@ def _run_pool(
             while pending and pool is not None:
                 try:
                     _drain_pool(
-                        pool, worker, pending, results, failures,
-                        attempts, policy, collect,
+                        pool, worker, pending, failures, attempts, policy,
+                        collect,
                     )
                 except _PoolFailure:
                     _abandon_pool(pool)
                     pool = None
-                    if pending and respawns_left > 0:
-                        respawns_left -= 1
+                    if pending and not respawned:
+                        respawned = True
                         _metrics.counter_add("parallel.pool_respawns")
                         pool = ProcessPoolExecutor(
                             max_workers=min(jobs, len(pending))
@@ -465,7 +470,7 @@ def _run_pool(
             if pool is not None:
                 pool.shutdown(wait=True)
 
-        # Out of pool respawns: finish the survivors in-process.
+        # The respawned pool went too: finish the survivors in-process.
         if pending:
             _metrics.counter_add("parallel.serial_fallback_cells", len(pending))
             for index in sorted(pending):
@@ -484,55 +489,3 @@ def _run_pool(
             failures=failures,
         )
     return [results[index] for index in range(len(cells))]
-
-
-def _run_serial(
-    cells: Sequence[SweepCell],
-    policy: FaultPolicy,
-    on_result: Optional[OnResult],
-) -> List[Dict[str, SimResult]]:
-    results: Dict[int, Dict[str, SimResult]] = {}
-    failures: Dict[int, str] = {}
-    for index, cell in enumerate(cells):
-        try:
-            value = _retrying_run(cell, policy)
-        except Exception as error:
-            failures[index] = f"{type(error).__name__}: {error}"
-            continue
-        results[index] = value
-        if on_result is not None:
-            on_result(index, cell, value)
-    if failures:
-        raise PartialResultError(
-            f"{len(failures)} of {len(cells)} cells failed "
-            f"({len(results)} completed): "
-            + "; ".join(failures[i] for i in sorted(failures)[:3]),
-            completed=results,
-            failures=failures,
-        )
-    return [results[index] for index in range(len(cells))]
-
-
-def run_cells(
-    cells: Sequence[SweepCell],
-    jobs: Optional[int] = None,
-    policy: Optional[FaultPolicy] = None,
-    on_result: Optional[OnResult] = None,
-) -> List[Dict[str, SimResult]]:
-    """Run cells, serially or across a process pool, fault-tolerantly.
-
-    Results are returned in input order regardless of completion order,
-    so parallel runs are output-identical to serial ones.  ``policy``
-    (default: :meth:`FaultPolicy.from_env`) governs timeout, retry and
-    pool recovery; ``on_result`` fires once per completed cell in
-    completion order (the checkpoint journal's hook).  When some cells
-    are unrecoverable the completed ones are never discarded: a
-    :class:`~repro.errors.PartialResultError` carries them all.
-    """
-    cells = list(cells)
-    jobs = resolve_jobs(jobs)
-    if policy is None:
-        policy = FaultPolicy.from_env()
-    if jobs <= 1 or len(cells) <= 1:
-        return _run_serial(cells, policy, on_result)
-    return _run_pool(cells, jobs, policy, on_result)

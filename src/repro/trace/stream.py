@@ -9,25 +9,13 @@ tests and small tools.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.access import BLOCK_BITS, AccessType, MemoryAccess
-
-#: Directory under which parallel sweeps spill trace columns for
-#: zero-copy sharing with worker processes (unset = system temp dir).
-SPILL_DIR_ENV = "REPRO_SPILL_DIR"
-
-
-def resolve_spill_dir() -> Optional[str]:
-    """The configured spill root, or None for the system temp dir."""
-    raw = os.environ.get(SPILL_DIR_ENV, "").strip()
-    return raw or None
-
 
 @dataclass
 class Trace:
@@ -177,23 +165,6 @@ class Trace:
             name=self.name,
         )
 
-    # -- spilling -----------------------------------------------------------
-
-    def spill(self, directory: str, prefix: str = "trace") -> "TraceSpill":
-        """Write the four columns as ``.npy`` files; return the handle.
-
-        The handle is a small picklable key (paths only) that worker
-        processes can :meth:`~TraceSpill.load` back as read-only memory
-        maps — the columns are shared through the page cache instead of
-        being pickled through the pool pipe once per worker.
-        """
-        paths = {}
-        for column in ("addresses", "writes", "thread_ids", "gaps"):
-            path = os.path.join(directory, f"{prefix}.{column}.npy")
-            np.save(path, getattr(self, column))
-            paths[column + "_path"] = path
-        return TraceSpill(name=self.name, **paths)
-
     # -- scalar access ------------------------------------------------------
 
     def __getitem__(self, index: int) -> MemoryAccess:
@@ -207,43 +178,6 @@ class Trace:
     def __iter__(self) -> Iterator[MemoryAccess]:
         for i in range(len(self)):
             yield self[i]
-
-
-@dataclass(frozen=True)
-class TraceSpill:
-    """Picklable handle to a trace spilled as per-column ``.npy`` files.
-
-    Produced by :meth:`Trace.spill`; :meth:`load` maps the columns back
-    read-only (``mmap_mode="r"``), so every process loading the same
-    handle shares one page-cache copy of the data.  The files must
-    outlive every loaded view — the spilling side owns their lifetime
-    (the experiment layer uses a temporary directory scoped to the
-    sweep).
-    """
-
-    addresses_path: str
-    writes_path: str
-    thread_ids_path: str
-    gaps_path: str
-    name: str = ""
-
-    def load(self) -> Trace:
-        """Map the spilled columns back as a read-only trace.
-
-        Loading never copies: the columns are saved with their final
-        dtypes, so the trace constructor's dtype coercion is a no-op
-        view over the memory map.
-        """
-        try:
-            return Trace(
-                addresses=np.load(self.addresses_path, mmap_mode="r"),
-                writes=np.load(self.writes_path, mmap_mode="r"),
-                thread_ids=np.load(self.thread_ids_path, mmap_mode="r"),
-                gaps=np.load(self.gaps_path, mmap_mode="r"),
-                name=self.name,
-            )
-        except OSError as error:
-            raise TraceError(f"cannot load spilled trace: {error}") from None
 
 
 def interleave_threads(per_thread: Sequence[Trace], name: str = "") -> Trace:

@@ -59,37 +59,6 @@ class TestExperimentContext:
         assert capped.counts_for(model) is not default.counts_for(model)
         assert slower.run(model).runtime_s > default.run(model).runtime_s
 
-    def test_parallel_sweep_spills_traces_once(self):
-        """The parallel path spills each distinct trace to disk once
-        (cells sharing a workload share the files) and the spilled run
-        matches the serial, in-process one."""
-        from repro.obs.metrics import scoped_registry
-        from repro.sim.parallel import SweepCell
-
-        def cells():
-            return [
-                SweepCell(
-                    workload="leela",
-                    configuration="fixed-capacity",
-                    model_names=models,
-                    seed=7,
-                    n_accesses=6000,
-                    n_threads=None,
-                    arch=None,
-                )
-                for models in (("SRAM",), ("Jan_S",))
-            ]
-
-        serial = ExperimentContext(scale=0.05).run_cells(cells())
-        with scoped_registry() as registry:
-            parallel = ExperimentContext(scale=0.05, jobs=2).run_cells(cells())
-        assert registry.counters.get("experiments.traces_spilled") == 1
-        for s, p in zip(serial, parallel):
-            assert set(s) == set(p)
-            for name in s:
-                assert s[name].counts == p[name].counts
-                assert s[name].runtime_s == p[name].runtime_s
-
     def test_normalized_sweep_structure(self):
         context = ExperimentContext(scale=0.05)
         results = context.normalized_sweep(

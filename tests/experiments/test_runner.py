@@ -54,6 +54,31 @@ class TestMain:
         with pytest.raises(SystemExit):
             runner.main(["--only", "table9"])
 
+    @pytest.mark.parametrize("timeout", ["inf", "nan"])
+    def test_non_finite_cell_timeout_fails_before_any_cell(
+        self, timeout, capfd, monkeypatch
+    ):
+        """Reaching the pool, an infinite timeout would fail every cell
+        with an OverflowError and nan would time each one out: both are
+        config errors, raised before the first cell runs."""
+        from repro.errors import ExperimentError
+        from repro.experiments.common import ExperimentContext
+
+        def no_cell(self, cell):
+            raise AssertionError(f"cell {cell.workload} ran")
+
+        monkeypatch.setattr(ExperimentContext, "run_cell", no_cell)
+        code = runner.main([
+            "--scale", "0.05", "--only", "figure1", "--jobs", "2",
+            "--cell-timeout", timeout,
+        ])
+        captured = capfd.readouterr()
+        assert code == ExperimentError.exit_code
+        assert "error[EXPERIMENT]" in captured.err
+        assert "--cell-timeout" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_unwritable_replay_cache_does_not_change_the_run(
         self, capfd, monkeypatch, tmp_path
     ):

@@ -1,7 +1,9 @@
 """Fault-injection hooks fired inside sweep workers.
 
-:mod:`repro.sim.parallel` calls ``REPRO_FAULT_HOOK`` (``module:function``)
-with each cell before running it.  These hooks implement the harness's
+``ExperimentContext.run_cell`` calls ``REPRO_FAULT_HOOK``
+(``module:function``, through :func:`repro.sim.parallel.fire_fault_hook`)
+with each cell before running it, in a pool worker or in-process.
+These hooks implement the harness's
 deliberate failures — killing, stalling or crashing a worker at a
 deterministic point.  They coordinate across processes through files in
 ``REPRO_FAULT_STATE`` (``O_EXCL`` creation = exactly-once semantics),

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.common import ExperimentContext
 from repro.sim.parallel import SweepCell, run_cells
 from repro.sim.replay_cache import CACHE_DIR_ENV, default_cache, reset_default_cache
 
@@ -40,6 +41,11 @@ def _cells():
     ]
 
 
+def _serial_sweep(cells):
+    """The serial path: one fresh context, cells run in-process."""
+    return ExperimentContext().run_cells(cells)
+
+
 def _cache_dir() -> Path:
     return Path(os.environ[CACHE_DIR_ENV])
 
@@ -62,14 +68,14 @@ def _zero(path: Path) -> None:
 class TestCorruptEntries:
     @pytest.mark.parametrize("damage", [_truncate, _bit_flip, _zero])
     def test_damaged_entries_recompute_identically(self, damage):
-        reference = run_cells(_cells(), jobs=1)
+        reference = _serial_sweep(_cells())
         entries = sorted(_cache_dir().glob("*.pkl"))
         assert entries, "warm run must populate the replay cache"
         for path in entries:
             damage(path)
 
         reset_default_cache()  # fresh instance: no in-memory shadow
-        rerun = run_cells(_cells(), jobs=1)
+        rerun = _serial_sweep(_cells())
 
         assert default_cache().corrupt >= 1
         assert len(rerun) == len(reference)
@@ -78,14 +84,14 @@ class TestCorruptEntries:
                 assert got[name] == want[name]
 
     def test_quarantined_entries_are_rewritten(self):
-        run_cells(_cells()[:1], jobs=1)
+        _serial_sweep(_cells()[:1])
         entries = sorted(_cache_dir().glob("*.pkl"))
         before = {p.name for p in entries}
         for path in entries:
             _bit_flip(path)
 
         reset_default_cache()
-        run_cells(_cells()[:1], jobs=1)
+        _serial_sweep(_cells()[:1])
 
         after = {p.name for p in _cache_dir().glob("*.pkl")}
         assert after == before  # same keys, freshly re-stored
@@ -96,7 +102,7 @@ class TestCorruptEntries:
 
     def test_corruption_in_parallel_sweep_recovers(self):
         """Workers probing damaged entries recompute instead of dying."""
-        reference = run_cells(_cells(), jobs=1)
+        reference = _serial_sweep(_cells())
         for path in _cache_dir().glob("*.pkl"):
             _truncate(path)
         reset_default_cache()

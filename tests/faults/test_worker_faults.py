@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PartialResultError, WorkloadError
+from repro.experiments.common import ExperimentContext
 from repro.sim.parallel import FaultPolicy, SweepCell, run_cells
 
 from tests.faults.conftest import arm_hook
@@ -45,7 +46,7 @@ def _assert_identical(results, reference):
 @pytest.fixture(scope="module")
 def reference():
     """Undisturbed serial results for the standard cell set."""
-    return run_cells(_cells(), jobs=1)
+    return ExperimentContext().run_cells(_cells())
 
 
 class TestWorkerKill:
@@ -58,7 +59,7 @@ class TestWorkerKill:
         arm_hook(monkeypatch, "kill_once", workload="gamess")
         results = run_cells(
             _cells(), jobs=2,
-            policy=FaultPolicy(max_retries=2, backoff_s=0.01, pool_respawns=1),
+            policy=FaultPolicy(max_retries=2, backoff_s=0.01),
         )
         _assert_identical(results, reference)
 
@@ -71,7 +72,7 @@ class TestWorkerKill:
         arm_hook(monkeypatch, "kill_always", workload="gamess")
         results = run_cells(
             _cells(), jobs=2,
-            policy=FaultPolicy(max_retries=3, backoff_s=0.01, pool_respawns=1),
+            policy=FaultPolicy(max_retries=3, backoff_s=0.01),
         )
         _assert_identical(results, reference)
 
@@ -105,20 +106,12 @@ class TestTransientFailures:
         for index, results in error.completed.items():
             _assert_identical([results], [reference[index]])
 
-    def test_serial_path_preserves_partial_results(
-        self, reference, fault_state, monkeypatch
-    ):
-        arm_hook(monkeypatch, "always_fail", workload="gamess")
-        with pytest.raises(PartialResultError) as excinfo:
-            run_cells(_cells(), jobs=1, policy=FaultPolicy(max_retries=0))
-        assert set(excinfo.value.completed) == {0, 1, 3}
-
     def test_library_errors_fail_fast_without_retry(self, fault_state):
         """Deterministic ReproErrors (here: unknown workload) must not
         burn retries — every attempt would fail identically."""
         bad = [SweepCell("no-such-workload", "fixed-capacity", ("SRAM",), seed=1)]
         with pytest.raises((PartialResultError, WorkloadError)):
-            run_cells(bad, jobs=1, policy=FaultPolicy(max_retries=5, backoff_s=60.0))
+            run_cells(bad, jobs=2, policy=FaultPolicy(max_retries=5, backoff_s=60.0))
 
 
 class TestHangingWorker:
@@ -132,9 +125,7 @@ class TestHangingWorker:
         with pytest.raises(PartialResultError) as excinfo:
             run_cells(
                 _cells(), jobs=2,
-                policy=FaultPolicy(
-                    cell_timeout_s=1.5, max_retries=0, pool_respawns=1
-                ),
+                policy=FaultPolicy(cell_timeout_s=1.5, max_retries=0),
             )
         error = excinfo.value
         assert set(error.failures) == {2}
@@ -152,7 +143,7 @@ class TestOnResultCallback:
         seen = []
         run_cells(
             _cells(), jobs=2,
-            policy=FaultPolicy(max_retries=2, backoff_s=0.01, pool_respawns=1),
+            policy=FaultPolicy(max_retries=2, backoff_s=0.01),
             on_result=lambda index, cell, results: seen.append(index),
         )
         assert sorted(seen) == [0, 1, 2, 3]

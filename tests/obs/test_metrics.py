@@ -3,6 +3,7 @@
 import json
 import pickle
 
+from repro.experiments.common import ExperimentContext
 from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry, scoped_registry
 from repro.sim.parallel import SweepCell, run_cells
@@ -204,6 +205,7 @@ class TestProcessBoundary:
 
         assert len(results) == 3
         assert registry.counters["parallel.cells"] == 3
+        assert registry.counters["experiments.cells"] == 3
         worker_timers = {
             name: stats
             for name, stats in registry.timers.items()
@@ -216,7 +218,7 @@ class TestProcessBoundary:
 
     def test_parallel_results_identical_with_metrics_on(self):
         cells = [_cell(seed=5)]
-        plain = run_cells(cells, jobs=1)
+        plain = ExperimentContext().run_cells(cells)
         metrics.enable()
         try:
             observed = run_cells(cells, jobs=2)

@@ -26,8 +26,6 @@ generator (:func:`cases`) feeds one matrix of relations:
   (``test_out_of_range_size_fails_alike``);
 - ``replay_with_wear`` == the reference loop's wear:
   ``test_wear_replay_matches_reference``;
-- spilled memmap trace == its in-memory original:
-  ``test_spilled_trace_matches_in_memory``;
 - every Table V workload at scale 0.05, filter and LLC, == reference:
   ``test_table5_workload_matches_reference``.
 
@@ -47,7 +45,6 @@ The technique columns add a six-set LLC.
 from __future__ import annotations
 
 import dataclasses
-import tempfile
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -576,20 +573,6 @@ def test_wear_replay_matches_reference(case):
             geometry["block_bytes"],
         ),
         replay_with_technique_reference(stream, Technique(), **geometry).wear,
-    )
-
-
-@given(case=cases())
-@example(case=EMPTY)
-@settings(max_examples=50, deadline=None)
-def test_spilled_trace_matches_in_memory(case):
-    trace, arch = case.trace(), case.arch()
-    in_memory = filter_private(trace, arch)
-    with tempfile.TemporaryDirectory(prefix="repro-conformance-") as spill_dir:
-        spilled = filter_private(trace.spill(spill_dir).load(), arch)
-    assert_private_equal(spilled, in_memory)
-    assert simulate_llc(spilled.stream, **case.geometry) == simulate_llc(
-        in_memory.stream, **case.geometry
     )
 
 

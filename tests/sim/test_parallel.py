@@ -1,10 +1,13 @@
 """Tests for the sweep-cell fan-out (:mod:`repro.sim.parallel`)."""
 
+import math
+
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.common import ExperimentContext
+from repro.obs.metrics import scoped_registry
 from repro.sim.parallel import (
-    BACKOFF_ENV,
     FaultPolicy,
     RETRIES_ENV,
     SweepCell,
@@ -79,13 +82,13 @@ class TestRunCell:
 class TestRunCells:
     def test_serial_preserves_order(self):
         cells = [_cell(seed=1), _cell(seed=2)]
-        results = run_cells(cells, jobs=1)
+        results = ExperimentContext().run_cells(cells)
         assert len(results) == 2
         assert results[0]["SRAM"].counts != results[1]["SRAM"].counts
 
     def test_parallel_matches_serial(self):
         cells = [_cell(seed=1), _cell(seed=2, model_names=("SRAM",))]
-        serial = run_cells(cells, jobs=1)
+        serial = ExperimentContext().run_cells(cells)
         parallel = run_cells(cells, jobs=2)
         assert len(parallel) == len(serial)
         for s, p in zip(serial, parallel):
@@ -97,57 +100,19 @@ class TestRunCells:
 
     def test_single_cell_stays_inline(self):
         # jobs > 1 with one cell must not pay pool startup.
-        results = run_cells([_cell()], jobs=4)
+        with scoped_registry() as registry:
+            results = ExperimentContext(jobs=4).run_cells([_cell()])
         assert len(results) == 1
+        assert registry.counters["experiments.cells"] == 1
+        assert "parallel.cells" not in registry.counters
 
-
-class TestSpilledCells:
-    def _spilled(self, cell, tmp_path):
-        import dataclasses
-
-        from repro.workloads.generators import generate_from_profile
-        from repro.workloads.profiles import profile
-
-        trace = generate_from_profile(
-            profile(cell.workload),
-            seed=cell.seed,
-            n_accesses=cell.n_accesses,
-            n_threads=cell.n_threads,
-        )
-        # Prefix must be unique per cell: same-named spills in one
-        # directory overwrite each other.
-        handle = trace.spill(str(tmp_path), prefix=f"{cell.workload}-{cell.seed}")
-        return dataclasses.replace(cell, trace_spill=handle)
-
-    def test_spilled_cell_matches_inline(self, tmp_path):
-        """A memmap-backed spill handle must be invisible in the
-        results — same trace, same replay, same numbers."""
-        cell = _cell()
-        inline = run_cell(cell)
-        spilled = run_cell(self._spilled(cell, tmp_path))
-        assert set(spilled) == set(inline)
-        for name in inline:
-            assert spilled[name].counts == inline[name].counts
-            assert spilled[name].runtime_s == inline[name].runtime_s
-            assert spilled[name].energy == inline[name].energy
-
-    def test_spilled_cells_across_pool_match_serial(self, tmp_path):
-        """Workers map the spilled columns read-only; fan-out over the
-        handle must equal the regenerate-in-worker serial path."""
-        cells = [_cell(seed=1), _cell(seed=2, model_names=("SRAM",))]
-        spilled = [self._spilled(c, tmp_path) for c in cells]
-        serial = run_cells(cells, jobs=1)
-        parallel = run_cells(spilled, jobs=2)
-        for s, p in zip(serial, parallel):
-            assert set(s) == set(p)
-            for name in s:
-                assert s[name].counts == p[name].counts
-                assert s[name].runtime_s == p[name].runtime_s
+    def test_no_cells_start_no_pool(self):
+        assert run_cells([], jobs=2) == []
 
 
 class TestFaultPolicy:
     def test_defaults(self, monkeypatch):
-        for env in (TIMEOUT_ENV, RETRIES_ENV, BACKOFF_ENV):
+        for env in (TIMEOUT_ENV, RETRIES_ENV):
             monkeypatch.delenv(env, raising=False)
         policy = FaultPolicy.from_env()
         assert policy.cell_timeout_s is None
@@ -157,11 +122,9 @@ class TestFaultPolicy:
     def test_env_values_parsed(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "45.5")
         monkeypatch.setenv(RETRIES_ENV, "5")
-        monkeypatch.setenv(BACKOFF_ENV, "0.25")
         policy = FaultPolicy.from_env()
         assert policy.cell_timeout_s == 45.5
         assert policy.max_retries == 5
-        assert policy.backoff_s == 0.25
 
     def test_explicit_args_beat_env(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "45.5")
@@ -176,16 +139,41 @@ class TestFaultPolicy:
         with pytest.raises(ExperimentError):
             FaultPolicy.from_env()
 
-    def test_negative_backoff_clamps_to_zero(self, monkeypatch):
-        monkeypatch.delenv(TIMEOUT_ENV, raising=False)
-        monkeypatch.delenv(RETRIES_ENV, raising=False)
-        monkeypatch.setenv(BACKOFF_ENV, "-1")
-        assert FaultPolicy.from_env().backoff_s == 0.0
-
     def test_invalid_values_rejected(self, monkeypatch):
-        for env in (TIMEOUT_ENV, RETRIES_ENV, BACKOFF_ENV):
+        for env in (TIMEOUT_ENV, RETRIES_ENV):
             monkeypatch.delenv(env, raising=False)
         with pytest.raises(ExperimentError):
             FaultPolicy.from_env(max_retries=-1)
         with pytest.raises(ExperimentError):
             FaultPolicy.from_env(cell_timeout_s=0.0)
+
+    @pytest.mark.parametrize("raw", ["2.5", "-0.5", "inf", "nan", "-1"])
+    def test_retries_must_be_a_whole_number(self, raw, monkeypatch):
+        """A fractional count must not be truncated (2.5 -> 2, -0.5 -> 0)
+        and inf or nan must not escape as untyped errors."""
+        monkeypatch.delenv(TIMEOUT_ENV, raising=False)
+        monkeypatch.setenv(RETRIES_ENV, raw)
+        with pytest.raises(ExperimentError, match=RETRIES_ENV):
+            FaultPolicy.from_env()
+
+    def test_whole_float_retries_are_an_int_count(self, monkeypatch):
+        monkeypatch.delenv(TIMEOUT_ENV, raising=False)
+        monkeypatch.setenv(RETRIES_ENV, "3.0")
+        retries = FaultPolicy.from_env().max_retries
+        assert retries == 3 and isinstance(retries, int)
+
+    @pytest.mark.parametrize("raw", ["inf", "nan", "-inf", "0"])
+    def test_timeout_must_be_finite_and_positive(self, raw, monkeypatch):
+        monkeypatch.delenv(RETRIES_ENV, raising=False)
+        monkeypatch.setenv(TIMEOUT_ENV, raw)
+        with pytest.raises(ExperimentError, match=TIMEOUT_ENV):
+            FaultPolicy.from_env()
+
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan])
+    def test_policy_is_checked_when_built(self, timeout):
+        """Built directly, an infinite timeout would fail every pool cell
+        ("timestamp out of range") and nan would time each one out."""
+        with pytest.raises(ExperimentError, match="--cell-timeout"):
+            FaultPolicy(cell_timeout_s=timeout, max_retries=0)
+        with pytest.raises(ExperimentError, match="--cell-retries"):
+            FaultPolicy(max_retries=2.5)

@@ -5,12 +5,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace.access import AccessType, MemoryAccess
-from repro.trace.stream import (
-    SPILL_DIR_ENV,
-    Trace,
-    interleave_threads,
-    resolve_spill_dir,
-)
+from repro.trace.stream import Trace, interleave_threads
 
 
 def _toy_trace():
@@ -92,57 +87,6 @@ class TestViews:
         trace = _toy_trace()
         assert len(trace.head(2)) == 2
         assert trace.head(2)[0].address == trace[0].address
-
-
-class TestSpill:
-    def test_round_trip(self, tmp_path):
-        trace = _toy_trace()
-        loaded = trace.spill(str(tmp_path)).load()
-        assert loaded.name == trace.name
-        np.testing.assert_array_equal(loaded.addresses, trace.addresses)
-        np.testing.assert_array_equal(loaded.writes, trace.writes)
-        np.testing.assert_array_equal(loaded.thread_ids, trace.thread_ids)
-        np.testing.assert_array_equal(loaded.gaps, trace.gaps)
-
-    def test_loaded_columns_are_memmap_backed(self, tmp_path):
-        """The point of spilling: workers map the files read-only
-        instead of receiving pickled copies."""
-        loaded = _toy_trace().spill(str(tmp_path)).load()
-        for column in (loaded.addresses, loaded.writes, loaded.thread_ids, loaded.gaps):
-            assert isinstance(column, np.memmap) or isinstance(
-                column.base, np.memmap
-            )
-
-    def test_handle_is_picklable(self, tmp_path):
-        import pickle
-
-        handle = _toy_trace().spill(str(tmp_path))
-        clone = pickle.loads(pickle.dumps(handle))
-        np.testing.assert_array_equal(
-            clone.load().addresses, _toy_trace().addresses
-        )
-
-    def test_prefix_separates_traces(self, tmp_path):
-        a = _toy_trace().spill(str(tmp_path), prefix="a")
-        b = Trace.empty("none").spill(str(tmp_path), prefix="b")
-        assert len(a.load()) == 4
-        assert len(b.load()) == 0
-
-    def test_missing_file_is_a_trace_error(self, tmp_path):
-        import os
-
-        handle = _toy_trace().spill(str(tmp_path))
-        os.remove(handle.writes_path)
-        with pytest.raises(TraceError):
-            handle.load()
-
-    def test_resolve_spill_dir(self, monkeypatch):
-        monkeypatch.delenv(SPILL_DIR_ENV, raising=False)
-        assert resolve_spill_dir() is None
-        monkeypatch.setenv(SPILL_DIR_ENV, "  ")
-        assert resolve_spill_dir() is None
-        monkeypatch.setenv(SPILL_DIR_ENV, "/dev/shm")
-        assert resolve_spill_dir() == "/dev/shm"
 
 
 class TestInterleave:
