@@ -14,8 +14,7 @@ paper's comparison rests on heuristic-filled parameters (equations
 fail loudly, naming the heuristic that produced the number:
 :func:`require_plausible` raises
 :class:`~repro.errors.PlausibilityError` carrying the parameter, value,
-bound and full provenance chain under the strict validation policy
-(:mod:`repro.validate.policy`).
+bound and full provenance chain.
 """
 
 from __future__ import annotations
@@ -275,31 +274,21 @@ def check_plausibility(cell: NVMCell) -> List[PlausibilityViolation]:
     return violations
 
 
-def require_plausible(cell: NVMCell, policy=None) -> List[PlausibilityViolation]:
-    """Enforce :func:`check_plausibility` per the validation policy.
-
-    ``strict`` raises :class:`~repro.errors.PlausibilityError` on the
-    first violation; ``lenient`` counts them (``validate.cells.
-    violations`` metric) and returns the list; ``off`` skips the scan.
-    """
+def require_plausible(cell: NVMCell) -> None:
+    """Enforce :func:`check_plausibility`: raise
+    :class:`~repro.errors.PlausibilityError` on the first violation."""
     from repro.obs import metrics as _metrics
-    from repro.validate.policy import Policy, resolve_policy
 
-    policy = resolve_policy(policy)
-    if not policy.active:
-        return []
     violations = check_plausibility(cell)
     if not violations:
-        return []
+        return
     _metrics.counter_add("validate.cells.violations", len(violations))
-    if policy is Policy.STRICT:
-        first = violations[0]
-        raise PlausibilityError(
-            first.message(),
-            subject=first.cell_name,
-            field=first.parameter,
-            value=first.value,
-            bound=first.bound,
-            provenance=first.provenance,
-        )
-    return violations
+    first = violations[0]
+    raise PlausibilityError(
+        first.message(),
+        subject=first.cell_name,
+        field=first.parameter,
+        value=first.value,
+        bound=first.bound,
+        provenance=first.provenance,
+    )

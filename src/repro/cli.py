@@ -23,9 +23,8 @@ Subcommands (each prints a small report to stdout):
 The global ``--metrics`` flag (before the subcommand) collects
 :mod:`repro.obs` telemetry for the invocation — replay events, cache
 hits — and prints the summary to stderr afterwards.
-The global ``--validate`` flag (or ``REPRO_VALIDATE``) selects the
-input/output validation policy: ``strict`` (default), ``lenient`` or
-``off`` — see :mod:`repro.validate`.
+Every input and model output passes the validation firewall
+(:mod:`repro.validate`); a violation is an ``error[<CODE>]`` exit.
 
 ``repro-experiments`` (see :mod:`repro.experiments.runner`) remains the
 paper-regeneration entry point; this CLI serves ad-hoc use.
@@ -435,13 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect run telemetry (repro.obs) and print a summary to "
         "stderr after the command",
     )
-    parser.add_argument(
-        "--validate",
-        choices=("strict", "lenient", "off"),
-        default=None,
-        help="input/output validation policy "
-        "(also: REPRO_VALIDATE; default: strict)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("workloads", help="list the benchmark suite")
@@ -663,16 +655,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.validate is not None:
-        import os
-
-        from repro.validate.policy import POLICY_ENV, resolve_policy, set_policy
-
-        policy = resolve_policy(args.validate)
-        set_policy(policy)
-        # Export so worker processes spawned by this run see the same
-        # policy the parent enforces.
-        os.environ[POLICY_ENV] = policy.value
     registry = obs.enable() if args.metrics else None
     try:
         return _HANDLERS[args.command](args)

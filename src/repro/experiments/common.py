@@ -27,17 +27,19 @@ from repro.obs.progress import ProgressLine
 from repro.sim.checkpoint import CheckpointJournal, cell_digest
 from repro.sim.config import ArchitectureConfig, gainestown
 from repro.sim.parallel import (
+    FAULT_HOOK_ENV,
     FaultPolicy,
     SweepCell,
-    fire_fault_hook,
+    fire_hook,
+    raise_for_failures,
     resolve_jobs,
     resolve_model,
     run_cells,
+    run_in_process,
 )
 from repro.sim.results import NormalizedResult, SimResult, normalize
 from repro.sim.system import SimulationSession
 from repro.trace.stream import Trace
-from repro.validate.policy import POLICY_ENV, current_policy, resolve_policy, set_policy
 from repro.workloads.generators import DEFAULT_SEED, generate_from_profile
 from repro.workloads.profiles import profile
 
@@ -76,13 +78,8 @@ class ExperimentContext:
     fault_policy:
         Timeout/retry/pool-recovery policy for sweeps
         (:class:`~repro.sim.parallel.FaultPolicy`); defaults to the
-        environment configuration.
-    validate:
-        Validation policy for this run (``strict``/``lenient``/``off``,
-        see :mod:`repro.validate.policy`).  When given it overrides the
-        ``REPRO_VALIDATE`` environment variable and is exported to it so
-        parallel worker processes apply the same policy; when omitted
-        the environment (default ``strict``) decides.
+        environment configuration.  Retries apply to serial and pool
+        sweeps alike; the timeout bounds only pool cells.
     """
 
     def __init__(
@@ -93,17 +90,9 @@ class ExperimentContext:
         jobs: Optional[int] = None,
         checkpoint: Optional[CheckpointJournal] = None,
         fault_policy: Optional[FaultPolicy] = None,
-        validate: Optional[str] = None,
     ) -> None:
         if not 0.0 < scale <= 1.0:
             raise ExperimentError("scale must be in (0, 1]")
-        if validate is not None:
-            import os
-
-            policy = resolve_policy(validate)
-            set_policy(policy)
-            os.environ[POLICY_ENV] = policy.value
-        self.validate_policy = current_policy()
         self.scale = scale
         self.seed = seed
         self.arch = arch or gainestown()
@@ -222,7 +211,7 @@ class ExperimentContext:
         span: serial sweeps and serve jobs call it on their context,
         pool workers on a fresh one (:func:`~repro.sim.parallel.run_cell`).
         """
-        fire_fault_hook(cell)
+        fire_hook(FAULT_HOOK_ENV, cell)
         with _metrics.span("experiments.cell"):
             session = self.session(
                 cell.workload,
@@ -259,12 +248,16 @@ class ExperimentContext:
 
     def run_cells(self, cells: Sequence[SweepCell]) -> List[Dict[str, SimResult]]:
         """Run cells honouring ``jobs``: serial runs go through the
-        context's caches; with ``jobs > 1`` and more than one cell left
-        they fan out over a process pool
-        (:func:`~repro.sim.parallel.run_cells`), whose workers regenerate
-        each trace from its cell key and share replays with the parent
-        through the on-disk replay cache.  Results are in input order
-        either way.
+        context's caches (:func:`~repro.sim.parallel.run_in_process`);
+        with ``jobs > 1`` and more than one cell left they fan out over
+        a process pool (:func:`~repro.sim.parallel.run_cells`), whose
+        workers regenerate each trace from its cell key and share
+        replays with the parent through the on-disk replay cache.
+        Results are in input order either way, and both paths retry
+        transient failures under the fault policy.  A cell that still
+        fails does not stop the others: once they have run,
+        :class:`~repro.errors.PartialResultError` carries every
+        completed cell.
 
         With a checkpoint journal attached, cells already journaled are
         skipped (their recorded results are returned — byte-identical
@@ -293,12 +286,24 @@ class ExperimentContext:
         if not todo:
             return done  # type: ignore[return-value]
 
+        policy = self.fault_policy
+        if policy is None:
+            policy = FaultPolicy.from_env()
         if self.jobs <= 1 or len(todo) <= 1:
             with ProgressLine(total=len(todo), label="cells") as progress:
-                for index, cell in todo:
-                    done[index] = self.run_cell(cell)
-                    self._record_checkpoint(cell, done[index])
+
+                def collect(index: int, results: Dict[str, SimResult]) -> None:
+                    cell = cells[index]
+                    done[index] = results
+                    self._record_checkpoint(cell, results)
                     progress.tick(f"{cell.workload} ({cell.configuration})")
+
+                failures = run_in_process(todo, self.run_cell, policy, collect)
+            raise_for_failures(
+                failures,
+                {i: value for i, value in enumerate(done) if value is not None},
+                len(cells),
+            )
             return done  # type: ignore[return-value]
 
         def on_result(position: int, cell: SweepCell, results: Dict[str, SimResult]) -> None:
@@ -308,7 +313,7 @@ class ExperimentContext:
             fresh = run_cells(
                 [cell for _, cell in todo],
                 self.jobs,
-                policy=self.fault_policy,
+                policy=policy,
                 on_result=on_result,
             )
         except PartialResultError as error:

@@ -163,7 +163,6 @@ def _run_settings(
     """The provenance settings recorded in the run manifest."""
     from repro.sim.parallel import resolve_jobs
     from repro.sim.replay_cache import cache_enabled, default_cache_dir
-    from repro.validate.policy import current_policy
 
     return {
         "scale": scale,
@@ -178,7 +177,6 @@ def _run_settings(
         "resumed_from": resumed_from,
         "cell_timeout_s": policy.cell_timeout_s if policy else None,
         "cell_retries": policy.max_retries if policy else None,
-        "validate": current_policy().value,
     }
 
 
@@ -195,7 +193,6 @@ def run_all(
     resume: Optional[str] = None,
     cell_timeout: Optional[float] = None,
     cell_retries: Optional[int] = None,
-    validate: Optional[str] = None,
 ) -> None:
     """Run the requested experiments; print renders and optionally write
     a markdown report (``write_path``).
@@ -213,7 +210,8 @@ def run_all(
     ``resume`` — which reuses the journal and skips completed cells,
     producing output byte-identical to an uninterrupted run.
     ``cell_timeout`` / ``cell_retries`` configure the sweep fault
-    policy (:class:`~repro.sim.parallel.FaultPolicy`).
+    policy (:class:`~repro.sim.parallel.FaultPolicy`): retries apply at
+    every ``jobs`` value, the timeout only to pool cells.
     """
     from repro.report.builder import ReportBuilder
     from repro.sim.checkpoint import CheckpointJournal
@@ -242,10 +240,7 @@ def run_all(
 
     context = ExperimentContext(
         scale=scale, jobs=jobs, checkpoint=checkpoint, fault_policy=policy,
-        validate=validate,
     )
-    # Settings are gathered after the context resolves the validation
-    # policy so the manifest records what the run actually enforced.
     settings = _run_settings(
         scale, only, jobs, write_path, trace_file, DEFAULT_SEED,
         run_dir=run_dir, resumed_from=resume, policy=policy,
@@ -423,16 +418,16 @@ def main(argv: Optional[list] = None) -> int:
         type=float,
         metavar="SECONDS",
         default=None,
-        help="per-cell timeout for parallel sweeps "
-        "(also: REPRO_CELL_TIMEOUT; default: no timeout)",
+        help="per-cell timeout for pool cells (--jobs > 1); an in-process "
+        "cell cannot be killed (also: REPRO_CELL_TIMEOUT; default: no timeout)",
     )
     parser.add_argument(
         "--cell-retries",
         type=int,
         metavar="N",
         default=None,
-        help="retries per cell for transient worker failures "
-        "(also: REPRO_CELL_RETRIES; default: 2)",
+        help="retries per cell for transient failures, at every --jobs "
+        "value (also: REPRO_CELL_RETRIES; default: 2)",
     )
     parser.add_argument(
         "--metrics",
@@ -455,13 +450,6 @@ def main(argv: Optional[list] = None) -> int:
         help="directory for manifest.json/metrics.json (default: the "
         "--write report's directory, else results/)",
     )
-    parser.add_argument(
-        "--validate",
-        choices=("strict", "lenient", "off"),
-        default=None,
-        help="input/output validation policy for this run "
-        "(also: REPRO_VALIDATE; default: strict)",
-    )
     args = parser.parse_args(argv)
     from repro.errors import PartialResultError, ReproError, render_error
 
@@ -478,7 +466,6 @@ def main(argv: Optional[list] = None) -> int:
             resume=args.resume,
             cell_timeout=args.cell_timeout,
             cell_retries=args.cell_retries,
-            validate=args.validate,
         )
     except PartialResultError as error:
         print(render_error(error), file=sys.stderr)

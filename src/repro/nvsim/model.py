@@ -124,8 +124,8 @@ def generate_llc_model(cell: NVMCell, design: CacheDesign) -> LLCModel:
     then pass :func:`repro.cells.validation.require_complete` and — so
     a heuristic-derived value that is physically impossible fails here,
     naming the heuristic, rather than skewing a sweep —
-    :func:`repro.cells.validation.require_plausible` under the active
-    validation policy.  The finished model passes
+    :func:`repro.cells.validation.require_plausible`.  The finished
+    model passes
     :func:`repro.validate.guard.guard_model` before being returned.
     """
     from repro.validate.guard import guard_model

@@ -6,7 +6,10 @@ layer's :class:`~repro.sim.parallel.FaultPolicy` retry discipline
 (:func:`~repro.sim.parallel.call_with_retries`): deterministic library
 errors fail the job immediately — rerunning them reproduces the
 failure — while anything else is treated as transient and retried with
-exponential backoff before the job is marked FAILED.
+exponential backoff before the job is marked FAILED.  A job's sweep
+cells run serially and retry their own transient failures under the
+same policy (:func:`~repro.sim.parallel.run_in_process`); a cell that
+exhausts its retries fails the job as a typed ``PARTIAL`` error.
 
 Threads (not processes) are the right pool here: one job already
 amortises its heavy lifting through numpy replays, the on-disk replay
@@ -23,8 +26,9 @@ cross-instance dedup — and publishes every computed payload back for
 the rest of the fleet.
 
 ``REPRO_SERVE_JOB_HOOK`` (``module:function``, called with the job
-spec just before execution) is the service-level twin of the sweep
-layer's ``REPRO_FAULT_HOOK`` seam: the load harness uses it to emulate
+spec just before execution through
+:func:`~repro.sim.parallel.fire_hook`) is the service-level twin of
+the sweep layer's ``REPRO_FAULT_HOOK`` seam: the load harness uses it to emulate
 calibrated service times (:mod:`repro.loadgen.pacing`) and the fault
 tests to stall or fail jobs at a deterministic point.  No-op when
 unset.
@@ -42,7 +46,7 @@ from repro.obs import metrics as _metrics
 from repro.serve.jobs import JobSpec, execute_spec
 from repro.serve.queue import JobQueue
 from repro.serve.store import FileResultStore
-from repro.sim.parallel import FaultPolicy, call_with_retries
+from repro.sim.parallel import FaultPolicy, call_with_retries, fire_hook
 
 #: Environment variable bounding the worker thread count.
 WORKERS_ENV = "REPRO_SERVE_WORKERS"
@@ -55,17 +59,6 @@ DEFAULT_WORKERS = 2
 
 #: How long an idle worker waits on the queue before re-checking stop.
 _POLL_S = 0.1
-
-
-def fire_job_hook(spec: JobSpec) -> None:
-    """Invoke the ``REPRO_SERVE_JOB_HOOK`` injection point, if set."""
-    hook = os.environ.get(JOB_HOOK_ENV)
-    if not hook:
-        return
-    import importlib
-
-    module_name, _, func_name = hook.partition(":")
-    getattr(importlib.import_module(module_name), func_name)(spec)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -168,5 +161,5 @@ class WorkerPool:
             )
 
     def _execute(self, spec: JobSpec) -> bytes:
-        fire_job_hook(spec)
+        fire_hook(JOB_HOOK_ENV, spec)
         return execute_spec(spec, self.state_dir)

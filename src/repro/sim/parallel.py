@@ -1,13 +1,14 @@
-"""Fault-tolerant process-pool fan-out of sweep cells.
+"""Fault-tolerant execution of sweep cells: a process pool and one
+in-process loop, under one retry discipline.
 
 The experiment suite is embarrassingly parallel at the granularity of
 one cell: a workload under one configuration (or core count) replayed
 against a set of LLC models.
 :meth:`ExperimentContext.run_cells
 <repro.experiments.common.ExperimentContext.run_cells>` is the one
-place that chooses between running cells serially in-process and
-fanning them out here; this module is only the pool, a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+place that chooses between running cells serially in-process
+(:func:`run_in_process`) and fanning them out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` (:func:`run_cells`).
 
 Workers receive only small, picklable :class:`SweepCell` keys —
 (workload, seed, length, threads, architecture, model names) — and run
@@ -29,28 +30,30 @@ always uses a pool, of ``min(jobs, cells)`` workers.
 Fault tolerance
 ---------------
 
-Long sweeps die in three characteristic ways, and :func:`run_cells`
-survives each (policy knobs in :class:`FaultPolicy`, environment
+Long sweeps die in three characteristic ways, and both paths survive
+what they can (policy knobs in :class:`FaultPolicy`, environment
 defaults below):
 
-- *A worker raises or is killed.*  Non-library exceptions are treated
-  as transient and the cell retries with exponential backoff
-  (``max_retries``); a killed worker breaks the whole pool
+- *A cell raises or its worker is killed.*  Non-library exceptions are
+  treated as transient and the cell retries with exponential backoff
+  (``max_retries``), in a worker or in-process alike
+  (:func:`call_with_retries`); a killed worker breaks the whole pool
   (``BrokenProcessPool``), which is recovered by respawning the pool
-  once and, if it breaks again, finishing the surviving cells
-  in-process.  Deterministic library errors
+  once and, if it breaks again, finishing the surviving cells through
+  :func:`run_in_process`.  Deterministic library errors
   (:class:`~repro.errors.ReproError`) fail fast — the cell would fail
   identically on every retry.
 - *A worker hangs.*  ``cell_timeout_s`` bounds the wait per collected
-  cell (``REPRO_CELL_TIMEOUT``); on timeout the pool — which still owns
-  the hung process — is abandoned and force-killed, and the timed-out
-  cell is charged an attempt.
+  pool cell (``REPRO_CELL_TIMEOUT``); on timeout the pool — which
+  still owns the hung process — is abandoned and force-killed, and the
+  timed-out cell is charged an attempt.  An in-process cell cannot be
+  killed, so the timeout does not bound it.
 - *Some cells are unrecoverable.*  The sweep never discards finished
-  work: it raises :class:`~repro.errors.PartialResultError` carrying
-  every completed :class:`~repro.sim.results.SimResult`, and the
-  ``on_result`` callback (the checkpoint journal's hook,
-  :mod:`repro.sim.checkpoint`) has already been invoked for each of
-  them in completion order.
+  work: a failed cell is recorded and the remaining cells still run,
+  then :class:`~repro.errors.PartialResultError` carries every
+  completed :class:`~repro.sim.results.SimResult`; the result callback
+  (the checkpoint journal's hook, :mod:`repro.sim.checkpoint`) has
+  already been invoked for each of them in completion order.
 
 Environment defaults: ``REPRO_CELL_TIMEOUT`` (seconds, unset = no
 timeout) and ``REPRO_CELL_RETRIES`` (default 2).  Both are checked when
@@ -58,9 +61,9 @@ the policy is built: a timeout must be finite and > 0, a retry count a
 whole number >= 0, and anything else is an
 :class:`~repro.errors.ExperimentError` naming the setting.
 ``REPRO_FAULT_HOOK`` names a ``module:function`` invoked with each cell
-before it runs — the fault injection point the ``tests/faults`` harness
-uses to kill or delay workers deliberately; leave it unset in
-production.
+before it runs (:func:`fire_hook`) — the fault injection point the
+``tests/faults`` harness uses to kill or delay workers deliberately;
+leave it unset in production.
 
 Invariants
 ----------
@@ -106,7 +109,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError, PartialResultError, ReproError
 from repro.obs import metrics as _metrics
@@ -162,7 +166,8 @@ class FaultPolicy:
     :class:`~repro.errors.ExperimentError` naming it when the policy is
     built.  Backoff doubles per attempt (``backoff_s * 2**(attempt-1)``).
     A broken or abandoned pool is rebuilt once; if the rebuilt pool
-    goes too, the surviving cells finish in-process.
+    goes too, the surviving cells finish in-process.  The timeout
+    bounds only pool cells: an in-process cell cannot be killed.
     """
 
     cell_timeout_s: Optional[float] = None
@@ -232,20 +237,23 @@ def resolve_model(name: str, configuration: str):
     return published_model(name, configuration)
 
 
-def fire_fault_hook(cell: SweepCell) -> None:
-    """Invoke the ``REPRO_FAULT_HOOK`` injection point, if configured.
+def fire_hook(env_name: str, arg: Any) -> None:
+    """Call the ``module:function`` hook named by ``env_name`` with
+    ``arg``; a no-op when the variable is unset.
 
-    The hook — ``module:function``, called with the cell — exists so the
-    fault-injection test harness can kill, delay or fail a worker at a
-    deterministic point; it is a no-op when the variable is unset.
+    The fault-injection seams: ``REPRO_FAULT_HOOK`` fires with each
+    sweep cell (``ExperimentContext.run_cell``) and
+    ``REPRO_SERVE_JOB_HOOK`` with each serve job spec
+    (:class:`~repro.serve.executor.WorkerPool`), so the test harness
+    can kill, delay or fail work at a deterministic point.
     """
-    spec = os.environ.get(FAULT_HOOK_ENV)
+    spec = os.environ.get(env_name)
     if not spec:
         return
     import importlib
 
     module_name, _, func_name = spec.partition(":")
-    getattr(importlib.import_module(module_name), func_name)(cell)
+    getattr(importlib.import_module(module_name), func_name)(arg)
 
 
 def run_cell(cell: SweepCell) -> Dict[str, SimResult]:
@@ -288,9 +296,9 @@ def call_with_retries(
 ) -> Any:
     """Call ``fn`` with the policy's transient-retry loop.
 
-    The retry discipline of a sweep cell, exposed for any caller with
-    the same failure taxonomy (the experiment service's worker threads
-    use it per job): deterministic library failures
+    The retry discipline of an in-process sweep cell, exposed for any
+    caller with the same failure taxonomy (the experiment service's
+    worker threads use it per job): deterministic library failures
     (:class:`~repro.errors.ReproError`) fail fast — a retry would
     reproduce them — while any other exception is treated as transient
     and retried up to ``policy.max_retries`` times with exponential
@@ -308,6 +316,55 @@ def call_with_retries(
                 raise
             _metrics.counter_add(retry_counter)
             _backoff(policy, attempt)
+
+
+def _describe(error: Exception) -> str:
+    """A failed cell's message: a library error speaks for itself, any
+    other exception is prefixed with its type."""
+    if isinstance(error, ReproError):
+        return str(error)
+    return f"{type(error).__name__}: {error}"
+
+
+def run_in_process(
+    cells: Iterable[Tuple[int, SweepCell]],
+    execute: Callable[[SweepCell], Any],
+    policy: FaultPolicy,
+    collect: Callable[[int, Any], None],
+) -> Dict[int, str]:
+    """Run ``(index, cell)`` pairs one after another in this process.
+
+    The serial sweep (``execute`` is the context's own ``run_cell``)
+    and the pool's last resort after its respawn is spent both run
+    here.  Each cell runs under :func:`call_with_retries`; a completed
+    cell goes to ``collect(index, value)``, and a cell that still fails
+    is recorded while the remaining cells run on.  Returns
+    ``{index: message}`` for the failed cells.
+    """
+    failures: Dict[int, str] = {}
+    for index, cell in cells:
+        try:
+            value = call_with_retries(partial(execute, cell), policy)
+        except Exception as error:
+            failures[index] = _describe(error)
+        else:
+            collect(index, value)
+    return failures
+
+
+def raise_for_failures(
+    failures: Dict[int, str], completed: Dict[int, Any], total: int
+) -> None:
+    """Raise :class:`~repro.errors.PartialResultError` carrying every
+    completed cell when any of ``total`` cells failed."""
+    if failures:
+        raise PartialResultError(
+            f"{len(failures)} of {total} cells failed "
+            f"({len(completed)} completed): "
+            + "; ".join(failures[i] for i in sorted(failures)[:3]),
+            completed=completed,
+            failures=failures,
+        )
 
 
 class _PoolFailure(Exception):
@@ -390,12 +447,12 @@ def _drain_pool(
             raise _PoolFailure("worker died: pool broken")
         except ReproError as error:
             # Deterministic library failure: every retry would reproduce it.
-            failures[index] = str(error)
+            failures[index] = _describe(error)
             del pending[index]
         except Exception as error:
             attempts[index] += 1
             if attempts[index] > policy.max_retries:
-                failures[index] = f"{type(error).__name__}: {error}"
+                failures[index] = _describe(error)
                 del pending[index]
             else:
                 _metrics.counter_add("parallel.retries")
@@ -473,19 +530,9 @@ def run_cells(
         # The respawned pool went too: finish the survivors in-process.
         if pending:
             _metrics.counter_add("parallel.serial_fallback_cells", len(pending))
-            for index in sorted(pending):
-                cell = pending.pop(index)
-                try:
-                    collect(index, worker(cell))
-                except Exception as error:
-                    failures[index] = f"{type(error).__name__}: {error}"
+            failures.update(
+                run_in_process(sorted(pending.items()), worker, policy, collect)
+            )
 
-    if failures:
-        raise PartialResultError(
-            f"{len(failures)} of {len(cells)} cells failed "
-            f"({len(results)} completed): "
-            + "; ".join(failures[i] for i in sorted(failures)[:3]),
-            completed=results,
-            failures=failures,
-        )
+    raise_for_failures(failures, results, len(cells))
     return [results[index] for index in range(len(cells))]

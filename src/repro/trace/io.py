@@ -21,10 +21,6 @@ Ingestion hardening (the firewall's first layer):
   addresses over 2^64-1, thread ids over 65535, gaps over 2^32-1 —
   are rejected *before* array construction; the old code's silent
   ``uint16``/``uint32`` wraparound cannot happen.
-- Under the ``lenient`` policy (:mod:`repro.validate.policy`)
-  malformed lines are *quarantined* instead: skipped, counted in the
-  ``validate.trace.quarantined_lines`` metric (surfaced in run
-  manifests), and summarised once on stderr.
 - :func:`load_npz` schema-checks the archive — required arrays, one
   dimension each, equal lengths, integer dtypes, value ranges that fit
   the column dtypes — and wraps every decode failure (truncated zip,
@@ -35,16 +31,13 @@ Ingestion hardening (the firewall's first layer):
 from __future__ import annotations
 
 import io
-import sys
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.obs import metrics as _metrics
 from repro.trace.stream import Trace
-from repro.validate.policy import Policy, resolve_policy
 
 #: Required arrays in a trace .npz file.
 _NPZ_KEYS = ("addresses", "writes", "thread_ids", "gaps")
@@ -72,17 +65,13 @@ def save_npz(trace: Trace, path: Union[str, Path]) -> None:
     )
 
 
-def _check_npz_column(
-    path: Path, key: str, array: np.ndarray, policy: Policy
-) -> None:
+def _check_npz_column(path: Path, key: str, array: np.ndarray) -> None:
     """Schema- and range-check one column array from an npz trace."""
     if array.ndim != 1:
         raise TraceError(
             f"{path}: array {key!r} has {array.ndim} dimensions, expected 1",
             field=key,
         )
-    if not policy.active:
-        return
     kind = array.dtype.kind
     if key == "writes":
         if kind not in "biu":
@@ -123,18 +112,15 @@ def _check_npz_column(
         )
 
 
-def load_npz(path: Union[str, Path], policy=None) -> Trace:
+def load_npz(path: Union[str, Path]) -> Trace:
     """Load a trace from an ``.npz`` file, schema-checked.
 
     A file that is not a well-formed trace archive — truncated,
-    hand-edited, pickled, wrong arrays, mismatched lengths,
-    out-of-range values — raises :class:`TraceError` naming the array
-    and problem.  ``policy`` (default: the ambient validation policy)
-    set to ``off`` skips the value-range scan but keeps the structural
-    checks, which predate the firewall.
+    hand-edited, pickled, wrong arrays, mismatched lengths, non-integer
+    dtypes, out-of-range values — raises :class:`TraceError` naming the
+    array and problem.
     """
     path = Path(path)
-    policy = resolve_policy(policy)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
     try:
@@ -162,7 +148,7 @@ def load_npz(path: Union[str, Path], policy=None) -> Trace:
                 "the file is truncated or hand-edited",
             )
         for key, array in arrays.items():
-            _check_npz_column(path, key, array, policy)
+            _check_npz_column(path, key, array)
         return Trace(
             addresses=arrays["addresses"],
             writes=arrays["writes"],
@@ -307,42 +293,17 @@ class _ColumnChunks:
 def parse_text(
     source: Union[str, Path, io.TextIOBase],
     name: str = "",
-    policy=None,
 ) -> Trace:
     """Parse the text format from a path, string, or file object.
 
     Lines: ``R|W <address> [thread] [gap]``; addresses accept ``0x``
     hex or decimal; blank lines and ``#`` comments are skipped.
-
     Malformed or out-of-range lines raise :class:`TraceError` with the
-    line number and field — or, under the ``lenient`` validation
-    policy, are quarantined: skipped, counted in the
-    ``validate.trace.quarantined_lines`` metric and summarised once on
-    stderr.  ``policy`` defaults to the ambient policy
-    (:func:`repro.validate.policy.current_policy`).
+    line number and field.
     """
-    policy = resolve_policy(policy)
     columns = _ColumnChunks()
-    quarantined = 0
-    first_problem: Optional[TraceError] = None
     for lineno, raw in enumerate(_iter_lines(source), start=1):
-        try:
-            row = _parse_line(lineno, raw)
-        except TraceError as error:
-            if policy is not Policy.LENIENT:
-                raise
-            quarantined += 1
-            if first_problem is None:
-                first_problem = error
-            continue
+        row = _parse_line(lineno, raw)
         if row is not None:
             columns.append(*row)
-    if quarantined:
-        _metrics.counter_add("validate.trace.quarantined_lines", quarantined)
-        print(
-            f"warning: quarantined {quarantined} malformed trace "
-            f"line{'s' if quarantined != 1 else ''} in {name or 'trace'} "
-            f"(first: {first_problem}) — lenient validation",
-            file=sys.stderr,
-        )
     return columns.trace(name)

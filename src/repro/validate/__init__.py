@@ -1,9 +1,8 @@
 """repro.validate — the input-boundary validation firewall.
 
-Gates every external input and every model output behind a
-``strict | lenient | off`` policy (``REPRO_VALIDATE`` / ``--validate``):
+Gates every external input and every model output: a violation always
+raises a structured :class:`~repro.errors.ReproError` subclass.
 
-- :mod:`repro.validate.policy` — the policy knob itself;
 - :mod:`repro.validate.guard` — model/result/counts plausibility
   guards run before anything is journaled, cached or rendered;
 - :mod:`repro.validate.schema` — did-you-mean name lookups and
@@ -12,12 +11,11 @@ Gates every external input and every model output behind a
 
 The trace-ingestion layer lives with the formats it validates
 (:mod:`repro.trace.io`) and cell plausibility with the cell schema
-(:mod:`repro.cells.validation`); both consult this package's policy.
+(:mod:`repro.cells.validation`).
 
 Design rule: validation *rejects, never repairs* — no value is ever
-modified on the way through, so a passing run's outputs are
-byte-identical whatever the policy, and ``off`` restores pre-firewall
-behavior exactly.
+modified on the way through, so the firewall never changes a passing
+run's output.
 """
 
 from repro.validate.guard import (
@@ -28,14 +26,6 @@ from repro.validate.guard import (
     guard_result,
     guard_value,
 )
-from repro.validate.policy import (
-    POLICY_ENV,
-    Policy,
-    current_policy,
-    policy_from_env,
-    resolve_policy,
-    set_policy,
-)
 from repro.validate.schema import (
     architecture_from_mapping,
     did_you_mean,
@@ -44,20 +34,14 @@ from repro.validate.schema import (
 )
 
 __all__ = [
-    "POLICY_ENV",
-    "Policy",
     "architecture_from_mapping",
     "check_sweep_models",
-    "current_policy",
     "did_you_mean",
     "guard_compression",
     "guard_counts",
     "guard_model",
     "guard_result",
     "guard_value",
-    "policy_from_env",
-    "resolve_policy",
-    "set_policy",
     "unknown_key_message",
     "validate_keys",
 ]

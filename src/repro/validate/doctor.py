@@ -8,7 +8,7 @@ code (``docs/CONFIGURATION.md``, "Exit codes"):
   checkpoint journal, worker-process spawn;
 - **cell library** (exit :data:`EXIT_CELLS`): every Table II cell
   passes completeness (:func:`~repro.cells.validation.require_complete`
-  after heuristic 1) and strict plausibility
+  after heuristic 1) and plausibility
   (:func:`~repro.cells.validation.require_plausible`);
 - **model generation** (exit :data:`EXIT_MODELS`): the circuit model
   produces a guard-clean LLC model for every NVM cell, and the
@@ -101,7 +101,7 @@ def _check_cell_library() -> str:
         filled = apply_electrical_properties(cell)
         if cell.cell_class.is_nvm:
             require_complete(filled)
-        require_plausible(filled, policy="strict")
+        require_plausible(filled)
     return f"{len(ALL_CELLS)} cells complete and plausible"
 
 
@@ -114,7 +114,7 @@ def _check_generated_models() -> str:
 
     design = CacheDesign(capacity_bytes=2 * units.MB)
     for cell in NVM_CELLS:
-        guard_model(generate_llc_model(cell, design), policy="strict")
+        guard_model(generate_llc_model(cell, design))
     return f"{len(NVM_CELLS)} generated models guard-clean"
 
 
@@ -128,13 +128,12 @@ def _check_published_models() -> str:
     for configuration in ("fixed-capacity", "fixed-area"):
         models = published_models(configuration)
         for model in models:
-            guard_model(model, policy="strict")
+            guard_model(model)
             count += 1
         check_sweep_models(
             models, configuration,
             area_budget_mm2=FIXED_AREA_BUDGET_MM2,
             min_capacity_bytes=CAPACITY_LADDER[0],
-            policy="strict",
         )
     return f"{count} published models guard-clean, invariants hold"
 
@@ -148,10 +147,8 @@ def _check_golden_sweep() -> str:
 
     trace = generate_trace(GOLDEN_WORKLOAD, n_accesses=GOLDEN_ACCESSES)
     session = SimulationSession(trace)
-    baseline = guard_result(session.run(sram_baseline()), policy="strict")
-    result = guard_result(
-        session.run(published_model(GOLDEN_MODEL)), policy="strict"
-    )
+    baseline = guard_result(session.run(sram_baseline()))
+    result = guard_result(session.run(published_model(GOLDEN_MODEL)))
     norm = normalize(result, baseline)
     if not 0.01 < norm.speedup < 100.0:
         raise RuntimeError(f"golden speedup {norm.speedup:.3f} out of range")

@@ -23,23 +23,21 @@ shares one capacity; every model in a *fixed-area* sweep fits the
 silicon budget (with the paper's own exemption: the smallest ladder
 capacity is allowed to exceed it slightly — Jan_S's 1 MB case).
 
-Guards never modify values — they only reject — so enabling them never
-changes a passing run's output, and ``REPRO_VALIDATE=off`` is
-byte-identical by construction.  A failed guard raises
+Guards never modify values — they only reject — so they never change
+a passing run's output.  Every guard always runs: a failed one raises
 :class:`~repro.errors.PlausibilityError` carrying the offending field,
 value, violated bound and provenance chain.  Cost per guarded result
-is a few dozen float comparisons — bounded well under the 2% strict-
-mode budget that ``tests/validate/test_overhead.py`` pins.
+is a few dozen float comparisons — bounded well under the 2% budget
+that ``tests/validate/test_overhead.py`` pins.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.errors import PlausibilityError
 from repro.obs import metrics as _metrics
-from repro.validate.policy import Policy, resolve_policy
 
 #: Physical upper bounds for LLC model outputs.  Generous by an order
 #: of magnitude over anything in Table III — they exist to catch unit
@@ -64,41 +62,27 @@ _MODEL_FIELDS = (
     ("area_mm2", MAX_AREA_MM2),
 )
 
-_lenient_warned = False
-
 
 def _fail(
-    policy: Policy,
     subject: str,
     field: str,
     value: object,
     bound: str,
     provenance: str = "",
 ) -> None:
-    """Reject one implausible value per the active policy."""
-    global _lenient_warned
+    """Reject one implausible value: count it and raise."""
     _metrics.counter_add("validate.guard.violations")
     message = f"{subject}: {field}={value!r} violates {bound}"
     if provenance:
         message += f" (provenance: {provenance})"
-    if policy is Policy.STRICT:
-        raise PlausibilityError(
-            message,
-            subject=subject,
-            field=field,
-            value=value,
-            bound=bound,
-            provenance=provenance,
-        )
-    if not _lenient_warned:
-        _lenient_warned = True
-        import sys
-
-        print(
-            f"warning: {message} — continuing under lenient validation; "
-            "further guard violations are counted, not printed",
-            file=sys.stderr,
-        )
+    raise PlausibilityError(
+        message,
+        subject=subject,
+        field=field,
+        value=value,
+        bound=bound,
+        provenance=provenance,
+    )
 
 
 def _bad_number(value: float) -> bool:
@@ -112,7 +96,6 @@ def guard_value(
     lo: float = 0.0,
     hi: float = math.inf,
     provenance: str = "",
-    policy: Union[Policy, str, None] = None,
 ) -> float:
     """Guard one scalar: finite and within ``[lo, hi]``.
 
@@ -120,17 +103,14 @@ def guard_value(
     expressions.  The workhorse behind the composite guards, exposed
     for ad-hoc checks in experiment code.
     """
-    policy = resolve_policy(policy)
-    if not policy.active:
-        return value
     if _bad_number(value):
-        _fail(policy, subject, field, value, "finite-number requirement", provenance)
+        _fail(subject, field, value, "finite-number requirement", provenance)
     elif not lo <= value <= hi:
-        _fail(policy, subject, field, value, f"range [{lo:g}, {hi:g}]", provenance)
+        _fail(subject, field, value, f"range [{lo:g}, {hi:g}]", provenance)
     return value
 
 
-def guard_model(model, policy: Union[Policy, str, None] = None):
+def guard_model(model):
     """Reject an LLC model with impossible outputs; return it unchanged.
 
     Called by :func:`repro.nvsim.model.generate_llc_model` on every
@@ -138,9 +118,6 @@ def guard_model(model, policy: Union[Policy, str, None] = None):
     start from a NaN latency or negative energy regardless of which
     source produced the model.
     """
-    policy = resolve_policy(policy)
-    if not policy.active:
-        return model
     subject = f"LLC model {model.name} ({model.source})"
     provenance = f"source={model.source}"
     if (
@@ -148,58 +125,50 @@ def guard_model(model, policy: Union[Policy, str, None] = None):
         or not 0 < model.capacity_bytes <= MAX_CAPACITY_BYTES
     ):
         _fail(
-            policy, subject, "capacity_bytes", model.capacity_bytes,
+            subject, "capacity_bytes", model.capacity_bytes,
             f"range (0, {MAX_CAPACITY_BYTES}]", provenance,
         )
     for field, bound in _MODEL_FIELDS:
         value = getattr(model, field)
         if _bad_number(value):
-            _fail(policy, subject, field, value,
-                  "finite-number requirement", provenance)
+            _fail(subject, field, value, "finite-number requirement", provenance)
         elif not 0.0 <= value <= bound:
-            _fail(policy, subject, field, value,
-                  f"range [0, {bound:g}]", provenance)
+            _fail(subject, field, value, f"range [0, {bound:g}]", provenance)
     return model
 
 
-def guard_counts(counts, subject: str = "LLC replay",
-                 policy: Union[Policy, str, None] = None):
+def guard_counts(counts, subject: str = "LLC replay"):
     """Reject inconsistent LLC counts before they reach the replay cache.
 
     Checks every counter is a non-negative integer and the hit/miss
     split sums to the lookups that produced it.
     """
-    policy = resolve_policy(policy)
-    if not policy.active:
-        return counts
     for field in (
         "read_lookups", "read_hits", "read_misses",
         "write_accesses", "write_hits", "write_misses", "dirty_evictions",
     ):
         value = getattr(counts, field)
         if not isinstance(value, int) or value < 0:
-            _fail(policy, subject, field, value,
-                  "non-negative integer requirement")
+            _fail(subject, field, value, "non-negative integer requirement")
     if counts.read_hits + counts.read_misses != counts.read_lookups:
         _fail(
-            policy, subject, "read_hits+read_misses",
+            subject, "read_hits+read_misses",
             counts.read_hits + counts.read_misses,
             f"exact-sum invariant (read_lookups={counts.read_lookups})",
         )
     if counts.write_hits + counts.write_misses != counts.write_accesses:
         _fail(
-            policy, subject, "write_hits+write_misses",
+            subject, "write_hits+write_misses",
             counts.write_hits + counts.write_misses,
             f"exact-sum invariant (write_accesses={counts.write_accesses})",
         )
     if counts.dirty_evictions > counts.fills:
-        _fail(policy, subject, "dirty_evictions", counts.dirty_evictions,
+        _fail(subject, "dirty_evictions", counts.dirty_evictions,
               f"at-most-fills invariant (fills={counts.fills})")
     return counts
 
 
-def guard_compression(outcome, subject: str = "compressed replay",
-                      policy: Union[Policy, str, None] = None):
+def guard_compression(outcome, subject: str = "compressed replay"):
     """Reject an inconsistent compressed-replay outcome.
 
     Extends the count-sum discipline of :func:`guard_counts` to the
@@ -209,36 +178,31 @@ def guard_compression(outcome, subject: str = "compressed replay",
     none fewer than an eighth of it (the hardest size class the
     compressor emits, ratio 8).
     """
-    policy = resolve_policy(policy)
-    if not policy.active:
-        return outcome
     for field in ("write_bytes", "compressed_writes", "uncompressed_writes"):
         value = getattr(outcome, field)
         if not isinstance(value, int) or value < 0:
-            _fail(policy, subject, field, value,
-                  "non-negative integer requirement")
+            _fail(subject, field, value, "non-negative integer requirement")
     total = outcome.wear.total_writes
     if outcome.compressed_writes + outcome.uncompressed_writes != total:
         _fail(
-            policy, subject, "compressed_writes+uncompressed_writes",
+            subject, "compressed_writes+uncompressed_writes",
             outcome.compressed_writes + outcome.uncompressed_writes,
             f"exact-sum invariant (total_writes={total})",
         )
     full_bytes = total * outcome.block_bytes
     if outcome.write_bytes > full_bytes:
-        _fail(policy, subject, "write_bytes", outcome.write_bytes,
+        _fail(subject, "write_bytes", outcome.write_bytes,
               f"at-most-full-size invariant ({full_bytes} bytes)")
     if 8 * outcome.write_bytes < full_bytes:
-        _fail(policy, subject, "write_bytes", outcome.write_bytes,
+        _fail(subject, "write_bytes", outcome.write_bytes,
               f"ratio-8 floor invariant (>= {full_bytes} / 8 bytes)")
     fraction = outcome.write_bytes_fraction
     if not 0.125 <= fraction <= 1.0:
-        _fail(policy, subject, "write_bytes_fraction", fraction,
-              "range [0.125, 1]")
+        _fail(subject, "write_bytes_fraction", fraction, "range [0.125, 1]")
     return outcome
 
 
-def guard_result(result, policy: Union[Policy, str, None] = None):
+def guard_result(result):
     """Reject an implausible simulation result; return it unchanged.
 
     The checkpoint the tentpole names: runs on every assembled
@@ -246,23 +210,20 @@ def guard_result(result, policy: Union[Policy, str, None] = None):
     resumed paths all converge on ``assemble_result`` — *before* the
     result can be journaled, cached or rendered.
     """
-    policy = resolve_policy(policy)
-    if not policy.active:
-        return result
     subject = f"result {result.workload}/{result.llc_name}"
     provenance = f"model {result.llc_name}, configuration {result.configuration}"
     if _bad_number(result.runtime_s) or result.runtime_s < 0:
-        _fail(policy, subject, "runtime_s", result.runtime_s,
+        _fail(subject, "runtime_s", result.runtime_s,
               "finite non-negative requirement", provenance)
     energy = result.energy
     for field in ("hit_energy_j", "miss_energy_j",
                   "write_energy_j", "leakage_energy_j"):
         value = getattr(energy, field)
         if _bad_number(value) or value < 0:
-            _fail(policy, subject, f"energy.{field}", value,
+            _fail(subject, f"energy.{field}", value,
                   "finite non-negative requirement", provenance)
     if result.total_instructions < 0:
-        _fail(policy, subject, "total_instructions",
+        _fail(subject, "total_instructions",
               result.total_instructions, "non-negative requirement", provenance)
     return result
 
@@ -272,7 +233,6 @@ def check_sweep_models(
     configuration: str,
     area_budget_mm2: Optional[float] = None,
     min_capacity_bytes: Optional[int] = None,
-    policy: Union[Policy, str, None] = None,
 ) -> None:
     """The paper's configuration invariants (equations (4)-(8)).
 
@@ -282,15 +242,14 @@ def check_sweep_models(
     the smallest ladder capacity (``min_capacity_bytes``), which the
     paper keeps despite overshooting (Jan_S at 1 MB / 9.17 mm^2).
     """
-    policy = resolve_policy(policy)
-    if not policy.active or not models:
+    if not models:
         return
     if configuration == "fixed-capacity":
         capacity = models[0].capacity_bytes
         for model in models:
             if model.capacity_bytes != capacity:
                 _fail(
-                    policy, f"fixed-capacity sweep ({model.name})",
+                    f"fixed-capacity sweep ({model.name})",
                     "capacity_bytes", model.capacity_bytes,
                     f"equal-capacity invariant ({models[0].name} has "
                     f"{capacity})", f"source={model.source}",
@@ -305,14 +264,8 @@ def check_sweep_models(
                 or model.capacity_bytes > min_capacity_bytes
             ):
                 _fail(
-                    policy, f"fixed-area sweep ({model.name})",
+                    f"fixed-area sweep ({model.name})",
                     "area_mm2", model.area_mm2,
                     f"area budget {area_budget_mm2:g} mm^2",
                     f"source={model.source}",
                 )
-
-
-def reset_lenient_warning() -> None:
-    """Re-arm the once-per-process lenient warning (test hook)."""
-    global _lenient_warned
-    _lenient_warned = False

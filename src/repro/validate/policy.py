@@ -1,100 +1,25 @@
-"""The validation firewall's policy knob: ``strict | lenient | off``.
+"""The validation firewall's mode, which is always ``strict``.
 
-One policy governs every boundary the firewall gates — trace ingestion
+Every boundary the firewall gates — trace ingestion
 (:mod:`repro.trace.io`), cell plausibility
 (:mod:`repro.cells.validation`), model-output guards
-(:mod:`repro.validate.guard`):
-
-- ``strict`` (default) — any violation raises a structured
-  :class:`~repro.errors.ReproError` subclass before the bad value can
-  reach a sweep, the replay cache or the checkpoint journal.
-- ``lenient`` — recoverable violations are *quarantined*: counted in
-  :mod:`repro.obs` metrics (``validate.*`` counters, surfaced in the
-  run manifest), warned once to stderr, and execution continues.
-  Structural garbage (a truncated npz, an unparseable config) still
-  raises — there is nothing to continue with.
-- ``off`` — the firewall's *added* checks are skipped entirely; the
-  library behaves exactly as it did before the firewall existed
-  (outputs byte-identical).  Intrinsic errors (missing files,
-  malformed lines) still raise as they always have.
-
-Resolution order: an explicit ``--validate`` flag (which also exports
-``REPRO_VALIDATE`` so parallel workers inherit it) > a
-:func:`set_policy` override > the ``REPRO_VALIDATE`` environment
-variable > ``strict``.  Like every knob in this library, the
-environment is read at call time, never at import time.
+(:mod:`repro.validate.guard`) — raises a structured
+:class:`~repro.errors.ReproError` subclass on the first violation,
+before the bad value can reach a sweep, the replay cache or the
+checkpoint journal.  There is no weaker mode and no switch.
+:func:`current_policy` remains for run fingerprints that record the
+mode.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-from typing import Optional, Union
-
-from repro.errors import ConfigurationError
-
-#: Environment variable selecting the validation policy.
-POLICY_ENV = "REPRO_VALIDATE"
 
 
-class Policy(enum.Enum):
-    """Validation firewall mode (see module docstring)."""
-
+class _Policy(enum.Enum):
     STRICT = "strict"
-    LENIENT = "lenient"
-    OFF = "off"
-
-    @property
-    def active(self) -> bool:
-        """True when the firewall performs its added checks at all."""
-        return self is not Policy.OFF
 
 
-#: Process-local override installed by :func:`set_policy` (tests, CLIs).
-_OVERRIDE: Optional[Policy] = None
-
-
-def _parse(value: str, source: str) -> Policy:
-    try:
-        return Policy(value.strip().lower())
-    except ValueError:
-        known = ", ".join(p.value for p in Policy)
-        raise ConfigurationError(
-            f"{source} must be one of {known}; got {value!r}"
-        ) from None
-
-
-def policy_from_env() -> Policy:
-    """The policy the environment selects (default ``strict``)."""
-    raw = os.environ.get(POLICY_ENV, "")
-    if not raw.strip():
-        return Policy.STRICT
-    return _parse(raw, POLICY_ENV)
-
-
-def current_policy() -> Policy:
-    """The policy in force right now (override, else environment)."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return policy_from_env()
-
-
-def resolve_policy(value: Union[Policy, str, None]) -> Policy:
-    """Normalise an explicit policy argument (None = current policy)."""
-    if value is None:
-        return current_policy()
-    if isinstance(value, Policy):
-        return value
-    return _parse(value, "validation policy")
-
-
-def set_policy(value: Union[Policy, str, None]) -> Policy:
-    """Install a process-local policy override (None removes it).
-
-    Returns the policy now in force.  The CLIs prefer exporting
-    ``REPRO_VALIDATE`` instead, so worker processes inherit the choice;
-    this function exists for tests and embedding code.
-    """
-    global _OVERRIDE
-    _OVERRIDE = None if value is None else resolve_policy(value)
-    return current_policy()
+def current_policy() -> _Policy:
+    """The firewall's mode: always ``strict``."""
+    return _Policy.STRICT

@@ -87,7 +87,7 @@ class TestPlausibility:
             set_pulse_ns=Param(1e7, Provenance.INTERPOLATED)
         )
         with pytest.raises(PlausibilityError) as excinfo:
-            require_plausible(broken, policy="strict")
+            require_plausible(broken)
         error = excinfo.value
         assert "heuristic 2" in error.provenance
         assert error.field == "set_pulse_ns"
@@ -110,19 +110,6 @@ class TestPlausibility:
         )
         violations = check_plausibility(cheap_write)
         assert any("write>=read" in v.bound for v in violations)
-
-    def test_lenient_returns_violations(self):
-        broken = OH.with_params(
-            set_pulse_ns=Param(1e7, Provenance.INTERPOLATED)
-        )
-        violations = require_plausible(broken, policy="lenient")
-        assert violations and violations[0].parameter == "set_pulse_ns"
-
-    def test_off_skips_scan(self):
-        broken = OH.with_params(
-            set_pulse_ns=Param(1e7, Provenance.INTERPOLATED)
-        )
-        assert require_plausible(broken, policy="off") == []
 
     def test_describe_provenance_labels(self):
         assert "reported" in describe_provenance(

@@ -54,6 +54,12 @@ class TestMain:
         with pytest.raises(SystemExit):
             runner.main(["--only", "table9"])
 
+    def test_validation_cannot_be_weakened(self):
+        # The firewall is always strict: there is no --validate flag.
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["--only", "table2", "--validate", "off"])
+        assert exit_info.value.code == 2
+
     @pytest.mark.parametrize("timeout", ["inf", "nan"])
     def test_non_finite_cell_timeout_fails_before_any_cell(
         self, timeout, capfd, monkeypatch

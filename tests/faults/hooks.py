@@ -1,7 +1,7 @@
 """Fault-injection hooks fired inside sweep workers.
 
 ``ExperimentContext.run_cell`` calls ``REPRO_FAULT_HOOK``
-(``module:function``, through :func:`repro.sim.parallel.fire_fault_hook`)
+(``module:function``, through :func:`repro.sim.parallel.fire_hook`)
 with each cell before running it, in a pool worker or in-process.
 These hooks implement the harness's
 deliberate failures — killing, stalling or crashing a worker at a

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import PartialResultError, WorkloadError
+from repro.errors import PartialResultError
 from repro.experiments.common import ExperimentContext
 from repro.sim.parallel import FaultPolicy, SweepCell, run_cells
 
@@ -77,41 +77,55 @@ class TestWorkerKill:
         _assert_identical(results, reference)
 
 
+def _pool_sweep(policy):
+    return lambda cells: run_cells(cells, jobs=2, policy=policy)
+
+
+def _serial_sweep(policy):
+    return ExperimentContext(jobs=1, fault_policy=policy).run_cells
+
+
+@pytest.fixture(params=[_pool_sweep, _serial_sweep], ids=["pool", "serial"])
+def sweep(request):
+    """``policy -> run(cells)`` through the process pool or the serial
+    in-process path: both honour the same fault policy."""
+    return request.param
+
+
 class TestTransientFailures:
     def test_two_transient_failures_then_success(
-        self, reference, fault_state, monkeypatch
+        self, sweep, reference, fault_state, monkeypatch
     ):
-        """Retries with backoff absorb transient worker exceptions."""
+        """Retries with backoff absorb transient cell exceptions."""
         arm_hook(monkeypatch, "fail_twice", workload="exchange2")
-        results = run_cells(
-            _cells(), jobs=2,
-            policy=FaultPolicy(max_retries=2, backoff_s=0.01),
-        )
+        results = sweep(FaultPolicy(max_retries=2, backoff_s=0.01))(_cells())
         _assert_identical(results, reference)
 
     def test_exhausted_retries_yield_partial_result(
-        self, reference, fault_state, monkeypatch
+        self, sweep, reference, fault_state, monkeypatch
     ):
         """An unrecoverable cell fails the sweep with every completed
         result preserved — nothing is discarded."""
         arm_hook(monkeypatch, "always_fail", workload="gamess")
         with pytest.raises(PartialResultError) as excinfo:
-            run_cells(
-                _cells(), jobs=2,
-                policy=FaultPolicy(max_retries=1, backoff_s=0.01),
-            )
+            sweep(FaultPolicy(max_retries=1, backoff_s=0.01))(_cells())
         error = excinfo.value
         assert set(error.failures) == {2}  # gamess is the third cell
         assert set(error.completed) == {0, 1, 3}
         for index, results in error.completed.items():
             _assert_identical([results], [reference[index]])
 
-    def test_library_errors_fail_fast_without_retry(self, fault_state):
+    def test_library_errors_fail_fast_without_retry(self, sweep, fault_state):
         """Deterministic ReproErrors (here: unknown workload) must not
-        burn retries — every attempt would fail identically."""
+        burn retries — every attempt would fail identically, and a
+        retry would sleep out the minute-long backoff."""
         bad = [SweepCell("no-such-workload", "fixed-capacity", ("SRAM",), seed=1)]
-        with pytest.raises((PartialResultError, WorkloadError)):
-            run_cells(bad, jobs=2, policy=FaultPolicy(max_retries=5, backoff_s=60.0))
+        bad += _cells(("leela",))
+        with pytest.raises(PartialResultError) as excinfo:
+            sweep(FaultPolicy(max_retries=5, backoff_s=60.0))(bad)
+        assert set(excinfo.value.failures) == {0}
+        assert "no-such-workload" in excinfo.value.failures[0]
+        assert set(excinfo.value.completed) == {1}
 
 
 class TestHangingWorker:

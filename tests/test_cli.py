@@ -28,6 +28,12 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    def test_validation_cannot_be_weakened(self):
+        # The firewall is always strict: there is no --validate flag.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--validate", "off", "workloads"])
+        assert exit_info.value.code == 2
+
 
 class TestCommands:
     def test_workloads(self, capsys):

@@ -112,12 +112,12 @@ class TestStructuredLineErrors:
         assert excinfo.value.lineno == 1
         assert excinfo.value.field == "gap"
 
-    def test_errors_raise_under_every_policy(self):
-        # Malformed lines are intrinsic errors, not firewall additions:
-        # `off` restores pre-firewall behavior, which also raised.
-        for policy in ("strict", "off"):
-            with pytest.raises(TraceError):
-                parse_text("R zebra\n", policy=policy)
+    def test_errors_raise_under_every_policy(self, monkeypatch):
+        # No setting weakens the parser: the old REPRO_VALIDATE=off is
+        # ignored and a malformed line still raises.
+        monkeypatch.setenv("REPRO_VALIDATE", "off")
+        with pytest.raises(TraceError):
+            parse_text("R zebra\n")
 
 
 class TestRangeValidation:
@@ -148,28 +148,6 @@ class TestRangeValidation:
         assert int(trace.addresses[0]) == MAX_ADDRESS
         assert int(trace.thread_ids[0]) == MAX_THREAD_ID
         assert int(trace.gaps[0]) == MAX_GAP
-
-
-class TestLenientQuarantine:
-    def test_bad_lines_quarantined_good_kept(self, capsys):
-        text = "R 0x10 0 1\nR zebra\nW 0x40 70000 1\nW 0x80\n"
-        trace = parse_text(text, name="mixed", policy="lenient")
-        assert len(trace) == 2
-        assert int(trace.addresses[0]) == 0x10
-        assert int(trace.addresses[1]) == 0x80
-        err = capsys.readouterr().err
-        assert "quarantined 2 malformed trace lines" in err
-        assert "zebra" in err  # the first problem is named
-
-    def test_quarantine_counted_in_metrics(self, capsys):
-        from repro import obs
-
-        registry = obs.enable()
-        try:
-            parse_text("R zebra\nR 0x10\n", policy="lenient")
-        finally:
-            obs.disable()
-        assert registry.counters["validate.trace.quarantined_lines"] == 1
 
 
 class TestNpzSchema:
@@ -240,20 +218,6 @@ class TestNpzSchema:
         )
         with pytest.raises(TraceError, match="maximum"):
             load_npz(path)
-
-    def test_off_policy_keeps_structural_checks(self, tmp_path):
-        # Truncation and shape checks predate the firewall; `off` keeps
-        # them while skipping the added value-range scan.
-        path = tmp_path / "bad.npz"
-        np.savez(
-            path,
-            addresses=np.arange(4, dtype=np.uint64),
-            writes=np.zeros(4, dtype=bool),
-            thread_ids=np.zeros(3, dtype=np.uint16),
-            gaps=np.zeros(4, dtype=np.uint32),
-        )
-        with pytest.raises(TraceError):
-            load_npz(path, policy="off")
 
 
 class TestBoundedMemoryStreaming:

@@ -1,8 +1,8 @@
 """Tests for the model/counts/result output guards."""
 
 import dataclasses
-import math
 
+import numpy as np
 import pytest
 
 from repro.errors import PlausibilityError
@@ -55,9 +55,6 @@ class TestGuardValue:
         assert "[0, 1]" in error.bound
         assert "heuristic 2" in str(error)
 
-    def test_off_skips_everything(self):
-        assert math.isnan(guard_value("s", "f", float("nan"), policy="off"))
-
 
 class TestGuardModel:
     def test_all_published_models_pass(self):
@@ -89,10 +86,6 @@ class TestGuardModel:
         with pytest.raises(PlausibilityError) as excinfo:
             guard_model(broken)
         assert "published-table3" in excinfo.value.provenance
-
-    def test_off_passes_broken_model(self, xue_model):
-        broken = dataclasses.replace(xue_model, read_latency_s=float("nan"))
-        assert guard_model(broken, policy="off") is broken
 
 
 class TestGuardCounts:
@@ -140,30 +133,45 @@ class TestGuardResult:
             guard_result(broken)
         assert excinfo.value.field == "energy.leakage_energy_j"
 
-    def test_off_passes_broken_result(self, leela_session, xue_model):
-        result = leela_session.run(xue_model)
-        broken = dataclasses.replace(result, runtime_s=float("inf"))
-        assert guard_result(broken, policy="off") is broken
 
-
-class TestLenient:
-    def test_warns_once_and_continues(self, capsys):
-        counts = _counts(read_hits=61)
-        assert guard_counts(counts, policy="lenient") is counts
-        assert guard_counts(counts, policy="lenient") is counts
-        err = capsys.readouterr().err
-        assert err.count("warning:") == 1
-        assert "lenient" in err
-
+class TestAlwaysStrict:
     def test_violations_counted_in_metrics(self):
         from repro import obs
 
         registry = obs.enable()
         try:
-            guard_counts(_counts(read_hits=61), policy="lenient")
+            with pytest.raises(PlausibilityError):
+                guard_counts(_counts(read_hits=61))
         finally:
             obs.disable()
-        assert registry.counters.get("validate.guard.violations", 0) >= 1
+        assert registry.counters.get("validate.guard.violations", 0) == 1
+
+    def test_environment_cannot_switch_the_firewall_off(
+        self, monkeypatch, tmp_path, leela_session, xue_model
+    ):
+        """No environment setting weakens the firewall: with
+        ``REPRO_VALIDATE=off`` set, a float npz column and a NaN runtime
+        are still rejected."""
+        from repro.errors import TraceError
+        from repro.trace.io import load_npz
+        from repro.validate.policy import current_policy
+
+        monkeypatch.setenv("REPRO_VALIDATE", "off")
+        path = tmp_path / "float.npz"
+        np.savez(
+            path,
+            addresses=np.array([1.5, 2.5]),
+            writes=np.zeros(2, dtype=bool),
+            thread_ids=np.zeros(2, dtype=np.uint16),
+            gaps=np.zeros(2, dtype=np.uint32),
+        )
+        with pytest.raises(TraceError, match="integer dtype"):
+            load_npz(path)
+        result = leela_session.run(xue_model)
+        broken = dataclasses.replace(result, runtime_s=float("nan"))
+        with pytest.raises(PlausibilityError, match="runtime_s"):
+            guard_result(broken)
+        assert current_policy().value == "strict"
 
 
 class TestSweepInvariants:

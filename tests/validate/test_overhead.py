@@ -52,9 +52,9 @@ def test_strict_guards_cost_under_two_percent_of_a_replay(
 
     def guard_storm():
         for _ in range(N_CALLS):
-            guard_model(xue_model, policy="strict")
-            guard_counts(counts, policy="strict")
-            guard_result(result, policy="strict")
+            guard_model(xue_model)
+            guard_counts(counts)
+            guard_result(result)
 
     storm_s = _best_of(5, guard_storm)
     per_call_s = storm_s / (N_CALLS * 3)
@@ -66,19 +66,3 @@ def test_strict_guards_cost_under_two_percent_of_a_replay(
         f"time {replay_s * 1e3:.1f}ms"
     )
 
-
-def test_off_mode_is_byte_identical(leela_session, xue_model, sram_model):
-    """REPRO_VALIDATE=off must not change a passing run's numbers —
-    guards reject, they never repair."""
-    from repro.validate.policy import set_policy
-
-    strict = leela_session.run(xue_model)
-    baseline = leela_session.run(sram_model)
-    set_policy("off")
-    try:
-        off = leela_session.run(xue_model)
-        off_baseline = leela_session.run(sram_model)
-    finally:
-        set_policy(None)
-    assert off == strict
-    assert off_baseline == baseline
