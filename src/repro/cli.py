@@ -199,28 +199,28 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ExperimentServer
+    from repro.serve import ExperimentServer, FileResultStore
 
+    given = {"host": args.host, "port": args.port, "workers": args.workers,
+             "max_queued": args.queue_max}
     server = ExperimentServer(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_queued=args.queue_max,
         state_dir=args.dir,
-        store_dir=args.store_dir,
+        store=(
+            FileResultStore(args.store_dir)
+            if args.store_dir is not None else None
+        ),
+        **{name: value for name, value in given.items() if value is not None},
     )
     server.serve_until_drained()
     return 0
 
 
 def _cmd_router(args: argparse.Namespace) -> int:
-    from repro.serve import ShardRouter, resolve_shards
+    from repro.serve import ShardRouter
 
-    shards = resolve_shards(
-        args.shards.split(",") if args.shards else None
-    )
     router = ShardRouter(
-        shards, host=args.host or "127.0.0.1", port=args.port or 0
+        args.shards.split(",") if args.shards else [],
+        host=args.host or "127.0.0.1", port=args.port or 0,
     )
     router.serve_until_drained()
     return 0
@@ -484,23 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the experiment service daemon (SIGTERM drains gracefully)",
     )
     p.add_argument("--host", default=None,
-                   help="bind address (also: REPRO_SERVE_HOST; "
-                   "default 127.0.0.1)")
+                   help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=None,
-                   help="bind port, 0 = ephemeral (also: REPRO_SERVE_PORT; "
-                   "default 8765)")
+                   help="bind port, 0 = ephemeral (default 8765)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (also: REPRO_SERVE_WORKERS; "
-                   "default 2)")
+                   help="worker threads (default 2)")
     p.add_argument("--queue-max", type=int, default=None,
                    help="queued-job bound before 429 backpressure "
-                   "(also: REPRO_SERVE_QUEUE_MAX; default 64)")
+                   "(default 64)")
     p.add_argument("--dir", default=None,
                    help="state directory for the drain journal and per-job "
-                   "checkpoints (also: REPRO_SERVE_DIR)")
+                   "checkpoints")
     p.add_argument("--store-dir", default=None,
                    help="shared result-store directory for cross-instance "
-                   "dedup (also: REPRO_SERVE_STORE_DIR)")
+                   "dedup")
 
     p = sub.add_parser(
         "router",
@@ -508,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "digest over a consistent-hash ring",
     )
     p.add_argument("--shards", default=None,
-                   help="comma-separated shard base URLs "
-                   "(also: REPRO_SERVE_SHARDS)")
+                   help="comma-separated shard base URLs")
     p.add_argument("--host", default=None,
                    help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=None,
@@ -527,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "ring version, per-shard health, store occupancy")
     p.add_argument("--url", default=None,
                    help="with 'status': router base URL "
-                   "(also: REPRO_SERVE_URL)")
+                   "(default http://127.0.0.1:8765)")
     p.add_argument("--supervise", action="store_true",
                    help="restart crashed shards in place with exponential "
                    "backoff (self-healing fleet)")
@@ -553,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "duplicate_storm, compute) or a JSON/YAML profile path")
     p.add_argument("--url", default=None,
                    help="target base URL — a daemon or a router "
-                   "(also: REPRO_SERVE_URL)")
+                   "(default http://127.0.0.1:8765)")
     p.add_argument("--shard-counts", default=None,
                    help="comma-separated shard counts (e.g. 1,2,4): boot a "
                    "fresh fleet per count and sweep the scenario's rates")
@@ -565,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_url(p: argparse.ArgumentParser) -> None:
         p.add_argument("--url", default=None,
-                       help="service base URL (also: REPRO_SERVE_URL; "
-                       "default http://127.0.0.1:8765)")
+                       help="service base URL "
+                       "(default http://127.0.0.1:8765)")
 
     p = sub.add_parser(
         "submit", help="submit a job to a running service or fleet router"

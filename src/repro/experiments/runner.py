@@ -17,7 +17,6 @@ renders a saved pair back as a human-readable report.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -432,16 +431,15 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        default=_metrics.metrics_env_enabled(),
         help="collect run telemetry and write manifest.json + metrics.json "
-        "beside the results (also: REPRO_METRICS=1)",
+        "beside the results",
     )
     parser.add_argument(
         "--trace-file",
         metavar="PATH",
-        default=os.environ.get(_metrics.TRACE_FILE_ENV) or None,
+        default=None,
         help="stream completed tracing spans to PATH as JSON lines "
-        "(implies --metrics; also: REPRO_TRACE_FILE)",
+        "(implies --metrics)",
     )
     parser.add_argument(
         "--metrics-dir",

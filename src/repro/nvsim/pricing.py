@@ -3,7 +3,8 @@
 The single place where access counts meet an :class:`LLCModel`'s
 latencies, energies and leakage.  Both consumers share it, so a cell
 is priced identically whether its counts came from a plain LLC replay
-(:func:`repro.sim.system.assemble_result` delegates here) or from a
+(:func:`repro.sim.system.simulate_system` and
+:meth:`repro.sim.system.SimulationSession.run` call it) or from a
 compressed-LLC replay (:mod:`repro.experiments.compression` scales the
 write energy by the bytes actually written).
 

@@ -14,8 +14,8 @@ imported from the layers it observes):
   renderer;
 - :mod:`repro.obs.progress` — a live progress line for long sweeps.
 
-Switch collection on with ``repro-experiments --metrics`` (or
-``REPRO_METRICS=1``), or programmatically::
+Switch collection on with ``repro-experiments --metrics``, or
+programmatically::
 
     from repro import obs
 
@@ -33,8 +33,6 @@ pool boundary), :mod:`repro.experiments` (per-experiment spans) and
 """
 
 from repro.obs.metrics import (
-    METRICS_ENV,
-    TRACE_FILE_ENV,
     MetricsRegistry,
     TimerStats,
     counter_add,
@@ -44,7 +42,6 @@ from repro.obs.metrics import (
     gauge_set,
     get_registry,
     merge_snapshot,
-    metrics_env_enabled,
     scoped_registry,
     span,
     timer_record,
@@ -64,8 +61,6 @@ from repro.obs.progress import ProgressLine
 from repro.obs.report import render_summary
 
 __all__ = [
-    "METRICS_ENV",
-    "TRACE_FILE_ENV",
     "MANIFEST_NAME",
     "METRICS_NAME",
     "MetricsRegistry",
@@ -83,7 +78,6 @@ __all__ = [
     "load_metrics",
     "load_run",
     "merge_snapshot",
-    "metrics_env_enabled",
     "render_summary",
     "scoped_registry",
     "span",

@@ -41,19 +41,8 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
-#: Environment variable that switches metrics collection on ("1"/"true").
-METRICS_ENV = "REPRO_METRICS"
-
-#: Environment variable naming a JSONL span-trace file.
-TRACE_FILE_ENV = "REPRO_TRACE_FILE"
-
 #: Snapshot schema version (bump on incompatible snapshot changes).
 SNAPSHOT_SCHEMA = 1
-
-
-def metrics_env_enabled() -> bool:
-    """Whether ``$REPRO_METRICS`` asks for metrics collection."""
-    return os.environ.get(METRICS_ENV, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 class TimerStats:

@@ -20,18 +20,14 @@ endpoint accepts store bytes.  :mod:`repro.serve.fleet` launches the
 whole topology.
 """
 
-from repro.serve.chaos import CHAOS_LOG_ENV, log_computation
 from repro.serve.client import (
     DEFAULT_URL,
-    URL_ENV,
     ServeClient,
-    resolve_url,
     submit_with_backoff,
 )
 from repro.serve.executor import (
     DEFAULT_WORKERS,
     JOB_HOOK_ENV,
-    WORKERS_ENV,
     WorkerPool,
 )
 from repro.serve.fleet import (
@@ -64,29 +60,20 @@ from repro.serve.router import (
     DEFAULT_EJECT_AFTER,
     DEFAULT_HEARTBEAT_S,
     DEFAULT_HEARTBEAT_TIMEOUT_S,
-    SHARDS_ENV,
     ShardRouter,
-    resolve_shards,
 )
 from repro.serve.server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
-    DIR_ENV,
-    HOST_ENV,
-    PORT_ENV,
-    QUEUE_MAX_ENV,
     ExperimentServer,
 )
 from repro.serve.store import (
-    STORE_DIR_ENV,
     STORE_MAX_MB_ENV,
     FileResultStore,
-    resolve_store,
     store_max_bytes,
 )
 
 __all__ = [
-    "CHAOS_LOG_ENV",
     "DEFAULT_EJECT_AFTER",
     "DEFAULT_HEARTBEAT_S",
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
@@ -97,12 +84,10 @@ __all__ = [
     "DEFAULT_RING_REPLICAS",
     "DEFAULT_URL",
     "DEFAULT_WORKERS",
-    "DIR_ENV",
     "ExperimentServer",
     "FileResultStore",
     "Fleet",
     "FleetSupervisor",
-    "HOST_ENV",
     "HashRing",
     "InProcessFleet",
     "JOB_HOOK_ENV",
@@ -112,25 +97,15 @@ __all__ = [
     "JobQueue",
     "JobSpec",
     "JobState",
-    "PORT_ENV",
-    "QUEUE_MAX_ENV",
-    "SHARDS_ENV",
-    "STORE_DIR_ENV",
     "STORE_MAX_MB_ENV",
     "ServeClient",
     "ShardProcess",
     "ShardRouter",
-    "URL_ENV",
     "VersionedRing",
-    "WORKERS_ENV",
     "WorkerPool",
     "execute_spec",
-    "log_computation",
     "moved_keys",
     "normalize_spec",
-    "resolve_shards",
-    "resolve_store",
-    "resolve_url",
     "spec_digest",
     "store_max_bytes",
     "submit_with_backoff",

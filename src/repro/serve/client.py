@@ -22,7 +22,6 @@ within one wire round-trip instead of a poll interval.
 from __future__ import annotations
 
 import json
-import os
 import time
 import urllib.error
 import urllib.request
@@ -30,10 +29,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import DegradedError, QueueFullError, ServeError
 
-#: Environment variable naming the service base URL.
-URL_ENV = "REPRO_SERVE_URL"
-
-#: Default base URL (the daemon's default bind address).
+#: Base URL when the caller names none (the daemon's default bind
+#: address).
 DEFAULT_URL = "http://127.0.0.1:8765"
 
 #: Transport allowance on top of a long-poll round: the socket read
@@ -43,20 +40,13 @@ DEFAULT_URL = "http://127.0.0.1:8765"
 LONG_POLL_GRACE_S = 10.0
 
 
-def resolve_url(url: Optional[str] = None) -> str:
-    """Base URL: explicit argument > ``REPRO_SERVE_URL`` > default."""
-    if url is None:
-        url = os.environ.get(URL_ENV, "").strip() or DEFAULT_URL
-    return url.rstrip("/")
-
-
 class ServeClient:
     """Thin JSON client over one service base URL."""
 
     def __init__(
         self, url: Optional[str] = None, timeout_s: float = 30.0
     ) -> None:
-        self.url = resolve_url(url)
+        self.url = (DEFAULT_URL if url is None else url).rstrip("/")
         self.timeout_s = timeout_s
 
     # -- transport --------------------------------------------------------

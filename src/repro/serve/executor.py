@@ -14,9 +14,9 @@ exhausts its retries fails the job as a typed ``PARTIAL`` error.
 Threads (not processes) are the right pool here: one job already
 amortises its heavy lifting through numpy replays, the on-disk replay
 cache and per-job cell checkpoints, and results must land in the shared
-queue under one lock.  ``REPRO_SERVE_WORKERS`` (or the ``workers``
-argument) bounds concurrency; the default of 2 keeps a small host
-responsive while still overlapping a long job with short ones.
+queue under one lock.  The ``workers`` argument (``serve --workers``)
+bounds concurrency; the default of 2 keeps a small host responsive
+while still overlapping a long job with short ones.
 
 With a shared :class:`~repro.serve.store.FileResultStore` attached, a
 worker probes the store before executing — a hit (another shard, or a
@@ -36,7 +36,6 @@ unset.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import List, Optional
@@ -48,35 +47,14 @@ from repro.serve.queue import JobQueue
 from repro.serve.store import FileResultStore
 from repro.sim.parallel import FaultPolicy, call_with_retries, fire_hook
 
-#: Environment variable bounding the worker thread count.
-WORKERS_ENV = "REPRO_SERVE_WORKERS"
-
 #: ``module:function`` hook fired with the spec before each execution.
 JOB_HOOK_ENV = "REPRO_SERVE_JOB_HOOK"
 
-#: Default worker threads when neither argument nor environment decide.
+#: Worker threads when the caller names no count.
 DEFAULT_WORKERS = 2
 
 #: How long an idle worker waits on the queue before re-checking stop.
 _POLL_S = 0.1
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit argument > environment > default (2)."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ExperimentError(
-                    f"{WORKERS_ENV} must be an integer, got {raw!r}"
-                )
-        else:
-            workers = DEFAULT_WORKERS
-    if workers < 1:
-        raise ExperimentError("serve workers must be >= 1")
-    return workers
 
 
 class WorkerPool:
@@ -85,13 +63,15 @@ class WorkerPool:
     def __init__(
         self,
         queue: JobQueue,
-        workers: Optional[int] = None,
+        workers: int = DEFAULT_WORKERS,
         policy: Optional[FaultPolicy] = None,
         state_dir: Optional[str] = None,
         store: Optional[FileResultStore] = None,
     ) -> None:
+        if workers < 1:
+            raise ExperimentError("serve workers must be >= 1")
         self.queue = queue
-        self.workers = resolve_workers(workers)
+        self.workers = workers
         self.policy = policy if policy is not None else FaultPolicy.from_env()
         self.state_dir = state_dir
         self.store = store

@@ -4,8 +4,8 @@ Two launchers with the same shape:
 
 - :class:`Fleet` — each shard is a real ``repro-cli serve`` *process*
   (spawned with ``--port 0``, base URL parsed from the startup banner),
-  all pointed at one shared :class:`~repro.serve.store.FileResultStore`
-  directory, fronted by an in-process
+  all given one shared :class:`~repro.serve.store.FileResultStore`
+  directory with ``--store-dir``, fronted by an in-process
   :class:`~repro.serve.router.ShardRouter`.  This is what
   ``repro-cli fleet``, ``repro-cli loadgen`` and the identity tests
   run: true process isolation, real SIGTERM drains, per-shard metrics.
@@ -20,8 +20,10 @@ Two launchers with the same shape:
 Shards restart in place: :meth:`Fleet.restart_shard` SIGTERMs one
 shard (it drains — in-flight jobs finish, queued jobs journal) and
 relaunches it on the *same* port and state directory, so the ring
-placement is unchanged and the journal restores.  This is the seam the
-mid-run fault tests pull.
+placement is unchanged and the journal restores.  If another process
+has taken the port meanwhile, the relaunch fails with a
+:class:`~repro.errors.ServeError` and the journal stays on disk.  This
+is the seam the mid-run fault tests pull.
 
 Self-healing: with ``supervise=True`` a :class:`FleetSupervisor`
 thread polls the shard processes, notices crashes (SIGKILL included —
@@ -55,7 +57,7 @@ from repro.serve.router import (
     ShardRouter,
 )
 from repro.serve.server import ExperimentServer
-from repro.serve.store import STORE_DIR_ENV, FileResultStore
+from repro.serve.store import FileResultStore
 from repro.sim.parallel import FaultPolicy
 
 #: Seconds to wait for a shard banner / drain before giving up.
@@ -66,12 +68,11 @@ _DRAIN_TIMEOUT_S = 60.0
 _LOG_JOIN_TIMEOUT_S = 5.0
 
 
-def _repo_pythonpath() -> str:
-    """A PYTHONPATH that resolves :mod:`repro` for child processes."""
+def _repo_pythonpath(existing: str) -> str:
+    """``existing`` with the directory that holds :mod:`repro` in front."""
     import repro
 
     src = str(Path(repro.__file__).resolve().parents[1])
-    existing = os.environ.get("PYTHONPATH", "")
     return src + (os.pathsep + existing if existing else "")
 
 
@@ -125,15 +126,14 @@ class ShardProcess:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         env = dict(os.environ)
         env.update(self.extra_env)
-        env["PYTHONPATH"] = _repo_pythonpath()
-        env[STORE_DIR_ENV] = str(self.store_dir)
-        env.pop("REPRO_SERVE_PORT", None)
+        env["PYTHONPATH"] = _repo_pythonpath(env.get("PYTHONPATH", ""))
         self.process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 "--port", str(self.port),
                 "--workers", str(self.workers),
                 "--dir", str(self.state_dir),
+                "--store-dir", str(self.store_dir),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

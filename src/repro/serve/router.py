@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -85,10 +84,6 @@ UPSTREAM_TIMEOUT_S = 30.0
 #: Cap on a client request body the router will buffer.
 _MAX_BODY = 8 * 1024 * 1024
 
-#: Environment variable listing shard base URLs (comma-separated): the
-#: default for ``repro-cli router --shards``.
-SHARDS_ENV = "REPRO_SERVE_SHARDS"
-
 #: Heartbeat period in seconds (0 disables the monitor; failures are
 #: then only noticed by traffic).
 DEFAULT_HEARTBEAT_S = 2.0
@@ -98,14 +93,6 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 1.0
 
 #: Consecutive failures before a member is ejected from the ring.
 DEFAULT_EJECT_AFTER = 3
-
-
-def resolve_shards(shards=None) -> List[str]:
-    """Shard URL list: explicit argument > ``REPRO_SERVE_SHARDS`` > []."""
-    if shards is None:
-        raw = os.environ.get(SHARDS_ENV, "").strip()
-        shards = [part for part in raw.split(",") if part.strip()]
-    return [url.strip().rstrip("/") for url in shards]
 
 
 def _error_response(error: ReproError) -> "_Response":
@@ -201,6 +188,7 @@ class ShardRouter:
         self._server: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
+        self._bind_error: Optional[Exception] = None
         self._drain_requested = threading.Event()
         self._bound: Optional[Tuple[str, int]] = None
 
@@ -240,16 +228,27 @@ class ShardRouter:
         if not self._started.wait(timeout=10.0):
             raise ServeError("router failed to start within 10s",
                              http_status=500)
+        error = self._bind_error
+        if error is not None:
+            self._thread.join(timeout=10.0)
+            raise ServeError(
+                f"router cannot bind {self.host}:{self.port}: {error}"
+            ) from error
         return self
 
     def _run_loop(self) -> None:
         asyncio.run(self._main())
 
     async def _main(self) -> None:
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port
+            )
+        except (OSError, OverflowError) as error:
+            self._bind_error = error
+            self._started.set()
+            return
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
         sockname = self._server.sockets[0].getsockname()
         self._bound = (sockname[0], sockname[1])
         self._stop_event = asyncio.Event()

@@ -31,8 +31,10 @@ Endpoints (all JSON; errors use the ``error[<code>]`` contract)::
                                result store (404 miss, 503 if no store);
                                read-only — only workers write the store
 
-Lifecycle: :meth:`ExperimentServer.start` binds, restores any journaled
-queued jobs from a previous drain, and spawns workers;
+Lifecycle: :meth:`ExperimentServer.start` binds (an address it cannot
+bind is a :class:`~repro.errors.ServeError`, and the journal stays for
+the next start), restores any journaled queued jobs from a previous
+drain, and spawns workers;
 :meth:`~ExperimentServer.drain` (normally triggered by SIGTERM through
 :meth:`~ExperimentServer.install_signal_handlers`) stops accepting,
 lets in-flight jobs finish, journals the still-queued ones and shuts
@@ -51,7 +53,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (
-    ExperimentError,
     QueueFullError,
     ReproError,
     ServeError,
@@ -59,41 +60,21 @@ from repro.errors import (
 )
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.executor import WorkerPool
+from repro.serve.executor import DEFAULT_WORKERS, WorkerPool
 from repro.serve.journal import JobJournal
 from repro.serve.jobs import PLAN_PRIORITY, JobState, normalize_spec
 from repro.serve.queue import DEFAULT_MAX_QUEUED, JobQueue
-from repro.serve.store import FileResultStore, resolve_store
+from repro.serve.store import FileResultStore
 from repro.sim.parallel import FaultPolicy
 
-#: Environment variables configuring the daemon (flags win over these).
-HOST_ENV = "REPRO_SERVE_HOST"
-PORT_ENV = "REPRO_SERVE_PORT"
-QUEUE_MAX_ENV = "REPRO_SERVE_QUEUE_MAX"
-DIR_ENV = "REPRO_SERVE_DIR"
-
-#: Defaults when neither argument nor environment decide.
+#: Bind address and port when the caller names none (``serve --host``
+#: and ``--port``).
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 
 #: Hard ceiling on one long-poll round; clients re-issue rounds, so the
 #: cap bounds how long a dead client can pin a handler thread.
 LONG_POLL_MAX_S = 60.0
-
-
-def _env_str(name: str, default: str) -> str:
-    raw = os.environ.get(name, "").strip()
-    return raw if raw else default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ExperimentError(f"{name} must be an integer, got {raw!r}")
 
 
 class _ServeHTTPServer(ThreadingHTTPServer):
@@ -193,32 +174,23 @@ class ExperimentServer:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        workers: Optional[int] = None,
-        max_queued: Optional[int] = None,
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
+        workers: int = DEFAULT_WORKERS,
+        max_queued: int = DEFAULT_MAX_QUEUED,
         state_dir: Optional[str] = None,
         policy: Optional[FaultPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
-        store_dir: Optional[str] = None,
         store: Optional[FileResultStore] = None,
     ) -> None:
-        self.host = host if host is not None else _env_str(HOST_ENV, DEFAULT_HOST)
-        self.port = (
-            port if port is not None else _env_int(PORT_ENV, DEFAULT_PORT)
-        )
-        if max_queued is None:
-            max_queued = _env_int(QUEUE_MAX_ENV, DEFAULT_MAX_QUEUED)
-        self.state_dir = (
-            state_dir
-            if state_dir is not None
-            else (os.environ.get(DIR_ENV, "").strip() or None)
-        )
-        self.store = store if store is not None else resolve_store(store_dir)
+        self.host = host
+        self.port = port
+        self.state_dir = state_dir
+        self.store = store
         self.queue = JobQueue(max_queued=max_queued)
         self.pool = WorkerPool(
             self.queue, workers=workers, policy=policy,
-            state_dir=self.state_dir, store=self.store,
+            state_dir=state_dir, store=store,
         )
         self.journal = (
             JobJournal(self.state_dir) if self.state_dir is not None else None
@@ -248,14 +220,24 @@ class ExperimentServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ExperimentServer":
-        """Bind, restore journaled jobs, spawn workers and the listener."""
+        """Bind, restore journaled jobs, spawn workers and the listener.
+
+        Binding comes first: a start that cannot bind raises
+        :class:`~repro.errors.ServeError` with the journal still on disk
+        and the process's registry untouched.
+        """
         if self._httpd is not None:
             raise ServeError("server already started", http_status=500)
+        try:
+            self._httpd = _ServeHTTPServer((self.host, self.port), _Handler)
+        except (OSError, OverflowError) as error:
+            raise ServeError(
+                f"cannot bind {self.host}:{self.port}: {error}"
+            ) from error
+        self._httpd.experiment_server = self
         self._previous_registry = _metrics.get_registry()
         _metrics.enable(self.registry)
         self._restore_journal()
-        self._httpd = _ServeHTTPServer((self.host, self.port), _Handler)
-        self._httpd.experiment_server = self
         self.pool.start()
         self._listener = threading.Thread(
             target=self._httpd.serve_forever,

@@ -17,8 +17,8 @@ contract the single daemon already guarantees (pinned by
 The store is :class:`FileResultStore`: a directory of checksummed
 payload files (a :class:`repro.store.BlobStore`: magic ``RSV1``, suffix
 ``.res``, counters ``serve.store.*``), safe for any number of shard
-processes sharing one filesystem.  Every shard of a fleet points
-``REPRO_SERVE_STORE_DIR`` at the same directory.  Only workers write
+processes sharing one filesystem.  Every shard of a fleet is started
+with the same ``serve --store-dir`` directory.  Only workers write
 to it: no HTTP endpoint accepts store bytes, so every entry is a
 payload some worker computed.
 
@@ -38,16 +38,12 @@ and the owning worker's store probe.
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.errors import ServeError
 from repro.store import BlobStore, env_max_bytes
-
-#: Environment variable naming a shared store directory.
-STORE_DIR_ENV = "REPRO_SERVE_STORE_DIR"
 
 #: Environment variable capping the store's size in megabytes.
 STORE_MAX_MB_ENV = "REPRO_SERVE_STORE_MAX_MB"
@@ -105,18 +101,3 @@ class FileResultStore(BlobStore):
     def stats(self) -> Dict[str, object]:
         return {"backend": "file", **super().stats()}
 
-
-def resolve_store(
-    store_dir: Optional[str] = None,
-) -> Optional[FileResultStore]:
-    """The configured store, or None when unconfigured.
-
-    An explicit directory wins over ``REPRO_SERVE_STORE_DIR``.  No
-    configuration means no cross-instance sharing — exactly the
-    single-daemon behaviour before the fleet existed.
-    """
-    if store_dir is None:
-        store_dir = os.environ.get(STORE_DIR_ENV, "").strip() or None
-    if store_dir is None:
-        return None
-    return FileResultStore(store_dir)

@@ -23,7 +23,6 @@ from repro.sim.replacement import POLICIES, RandomCache, SRRIPCache, make_cache
 from repro.sim.results import NormalizedResult, SimResult, normalize
 from repro.sim.system import (
     SimulationSession,
-    assemble_result,
     replay_llc,
     simulate_system,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "SimResult",
     "normalize",
     "SimulationSession",
-    "assemble_result",
     "replay_llc",
     "simulate_system",
     "CoreBreakdown",

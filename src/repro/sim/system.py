@@ -2,10 +2,14 @@
 
 ``simulate_system`` is the one-call entry point; the staged functions
 (:func:`repro.sim.hierarchy.filter_private`,
-:func:`repro.sim.llc.simulate_llc`, :func:`assemble_result`) are public
-so experiment drivers can reuse the technology-independent stages across
-many LLC models — private filtering depends only on the architecture,
-and LLC replay only on the geometry.
+:func:`repro.sim.llc.simulate_llc`,
+:func:`repro.nvsim.pricing.price_counts`) are public so experiment
+drivers can reuse the technology-independent stages across many LLC
+models — private filtering depends only on the architecture, and LLC
+replay only on the geometry.  ``price_counts`` passes every result
+through the output guard (:func:`repro.validate.guard.guard_result`),
+so an implausible result never reaches the checkpoint journal, the
+replay cache or a rendered table.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.nvsim.model import LLCModel
+from repro.nvsim.pricing import price_counts
 from repro.sim.config import ArchitectureConfig, gainestown
 from repro.sim.hierarchy import PrivateResult, filter_private
 from repro.sim.llc import LLCCounts, simulate_llc
@@ -36,31 +41,6 @@ def replay_llc(
     )
 
 
-def assemble_result(
-    workload: str,
-    configuration: str,
-    private: PrivateResult,
-    counts: LLCCounts,
-    llc_model: LLCModel,
-    arch: ArchitectureConfig,
-) -> SimResult:
-    """Resolve timing and energy from precomputed counts.
-
-    Every assembled result — serial, parallel-worker and resumed paths
-    all converge here — is priced through the shared
-    :func:`repro.nvsim.pricing.price_counts` hook (also used by the
-    compressed-LLC study) and passes the output guard
-    (:func:`repro.validate.guard.guard_result`) before it is returned,
-    so an implausible result can never reach the checkpoint journal,
-    the replay cache or a rendered table.
-    """
-    from repro.nvsim.pricing import price_counts
-
-    return price_counts(
-        workload, configuration, private, counts, llc_model, arch
-    )
-
-
 def simulate_system(
     trace: Trace,
     llc_model: LLCModel,
@@ -80,13 +60,9 @@ def simulate_system(
         private = filter_private(trace, arch)
     if llc_counts is None:
         llc_counts = replay_llc(private, llc_model, arch)
-    return assemble_result(
-        workload=trace.name or "trace",
-        configuration=configuration,
-        private=private,
-        counts=llc_counts,
-        llc_model=llc_model,
-        arch=arch,
+    return price_counts(
+        trace.name or "trace", configuration, private, llc_counts,
+        llc_model, arch,
     )
 
 
@@ -185,11 +161,11 @@ class SimulationSession:
         self, llc_model: LLCModel, configuration: Optional[str] = None
     ) -> SimResult:
         """Simulate this session's workload on one LLC model."""
-        return assemble_result(
-            workload=self.trace.name or "trace",
-            configuration=configuration or self.configuration,
-            private=self.private,
-            counts=self.counts_for(llc_model),
-            llc_model=llc_model,
-            arch=self.arch,
+        return price_counts(
+            self.trace.name or "trace",
+            configuration or self.configuration,
+            self.private,
+            self.counts_for(llc_model),
+            llc_model,
+            self.arch,
         )

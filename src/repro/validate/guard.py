@@ -205,10 +205,10 @@ def guard_compression(outcome, subject: str = "compressed replay"):
 def guard_result(result):
     """Reject an implausible simulation result; return it unchanged.
 
-    The checkpoint the tentpole names: runs on every assembled
-    :class:`~repro.sim.results.SimResult` — serial, parallel-worker and
-    resumed paths all converge on ``assemble_result`` — *before* the
-    result can be journaled, cached or rendered.
+    Runs on every priced :class:`~repro.sim.results.SimResult` —
+    serial, parallel-worker and resumed paths all converge on
+    :func:`repro.nvsim.pricing.price_counts` — *before* the result can
+    be journaled, cached or rendered.
     """
     subject = f"result {result.workload}/{result.llc_name}"
     provenance = f"model {result.llc_name}, configuration {result.configuration}"

@@ -53,7 +53,6 @@ def run_env(tmp_path):
     env["PYTHONPATH"] = f"{REPO / 'src'}{os.pathsep}{REPO}"
     env["REPRO_CACHE_DIR"] = str(tmp_path / "replay-cache")
     env.pop("REPRO_FAULT_HOOK", None)
-    env.pop("REPRO_METRICS", None)
     return env
 
 

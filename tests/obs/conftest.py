@@ -8,12 +8,8 @@ from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
-def clean_metrics_state(monkeypatch):
-    """Every obs test starts with no registry installed and no ambient
-    observability environment (a developer's REPRO_METRICS must not
-    leak into CLI-default assertions)."""
-    monkeypatch.delenv(obs_metrics.METRICS_ENV, raising=False)
-    monkeypatch.delenv(obs_metrics.TRACE_FILE_ENV, raising=False)
+def clean_metrics_state():
+    """Every obs test starts with no registry installed."""
     obs_metrics.disable()
     yield
     obs_metrics.disable()

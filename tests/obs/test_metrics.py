@@ -145,16 +145,6 @@ class TestModuleHelpers:
         assert "seen" in inner.counters
         assert "seen" not in outer.counters
 
-    def test_env_switch_values(self, monkeypatch):
-        for value, expected in (
-            ("1", True), ("true", True), ("YES", True), ("on", True),
-            ("0", False), ("", False), ("off", False),
-        ):
-            monkeypatch.setenv(metrics.METRICS_ENV, value)
-            assert metrics.metrics_env_enabled() is expected
-        monkeypatch.delenv(metrics.METRICS_ENV)
-        assert metrics.metrics_env_enabled() is False
-
 
 class TestMergeSnapshot:
     def test_merge_semantics(self):

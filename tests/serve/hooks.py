@@ -1,22 +1,23 @@
-"""Chaos-harness seams: computation logging for loss accounting.
+"""Serve job hooks for the fleet tests: the computation ledger.
 
 The fleet chaos tests (``tests/serve/test_chaos.py``) need to know
-*how many times each spec
-digest was actually computed* across every shard process — that is the
-"exactly one computation per digest" half of the zero-loss contract,
-and no single process can see it because computations happen in shard
-subprocesses.
+*how many times each spec digest was actually computed* across every
+shard process — that is the "exactly one computation per digest" half
+of the zero-loss contract, and no single process can see it because
+computations happen in shard subprocesses.
 
-:func:`log_computation` is a :data:`~repro.serve.executor.JOB_HOOK_ENV`
-hook (``REPRO_SERVE_JOB_HOOK=repro.serve.chaos:log_computation``) that
-appends the job's spec digest to the file named by
-:data:`CHAOS_LOG_ENV`, one digest per line.  The append is a single
-``O_APPEND`` write — atomic on POSIX for these short lines — so any
-number of worker threads in any number of shard processes share one
-log without locks.  After logging it delegates to
+:func:`log_computation` is a ``REPRO_SERVE_JOB_HOOK`` target
+(``REPRO_SERVE_JOB_HOOK=tests.serve.hooks:log_computation``, fired
+through :func:`repro.sim.parallel.fire_hook`) that appends the job's
+spec digest to the file named by :data:`LOG_ENV`, one digest per line.
+The append is a single ``O_APPEND`` write — atomic on POSIX for these
+short lines — so any number of worker threads in any number of shard
+processes share one log without locks.  After logging it delegates to
 :func:`repro.loadgen.pacing.emulate_service_time`, so one hook gives
 the chaos tests both the accounting *and* the calibrated service-time
-window they need to SIGKILL a shard mid-computation.
+window they need to SIGKILL a shard mid-computation.  Shard
+subprocesses import this module by name, so their ``PYTHONPATH`` must
+hold :data:`REPO_ROOT`.
 
 A SIGKILL can land *after* a worker logged a digest but *before* the
 result reached the store, so the recovery recomputes it: the invariant
@@ -28,17 +29,21 @@ excess is bounded by what was in flight at the moment of the kill.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 from repro.loadgen.pacing import emulate_service_time
 from repro.serve.jobs import JobSpec, spec_digest
 
 #: Environment variable naming the shared computation-log file.
-CHAOS_LOG_ENV = "REPRO_CHAOS_LOG"
+LOG_ENV = "REPRO_CHAOS_LOG"
+
+#: The directory that makes ``tests.serve.hooks`` importable.
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def log_computation(spec: JobSpec) -> None:
-    """Append the spec's digest to the chaos log, then pace the job."""
-    path = os.environ.get(CHAOS_LOG_ENV, "").strip()
+    """Append the spec's digest to the ledger, then pace the job."""
+    path = os.environ.get(LOG_ENV, "").strip()
     if path:
         line = (spec_digest(spec) + "\n").encode("ascii")
         fd = os.open(path, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
@@ -50,7 +55,7 @@ def log_computation(spec: JobSpec) -> None:
 
 
 def read_log(path: str) -> dict:
-    """``{digest: computation_count}`` from a chaos log file."""
+    """``{digest: computation_count}`` from a ledger file."""
     counts: dict = {}
     try:
         with open(path, "r", encoding="ascii") as handle:

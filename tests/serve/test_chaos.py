@@ -19,7 +19,7 @@ subprocesses:
 - **Store corruption** — a flipped byte in a shared-store entry is
   quarantined and recomputed, never served.
 
-Computation counting rides the :mod:`repro.serve.chaos` seam
+Computation counting rides the :mod:`tests.serve.hooks` ledger
 (``REPRO_CHAOS_LOG`` + the job hook), which also paces jobs so kills
 provably land mid-computation.  Ground truth is
 :func:`~repro.serve.jobs.execute_spec` in this process, as in
@@ -39,10 +39,10 @@ import pytest
 
 from repro.errors import DegradedError, ServeError
 from repro.serve import Fleet, InProcessFleet, ServeClient, submit_with_backoff
-from repro.serve.chaos import CHAOS_LOG_ENV, read_log
 from repro.serve.executor import JOB_HOOK_ENV
 from repro.serve.jobs import JobSpec, execute_spec, normalize_spec, spec_digest
 from repro.loadgen.pacing import SERVICE_MS_ENV
+from tests.serve.hooks import LOG_ENV, REPO_ROOT, read_log
 
 pytestmark = pytest.mark.serial
 
@@ -108,9 +108,10 @@ class TestKillMidStorm:
     ):
         chaos_log = str(tmp_path / "chaos.log")
         extra_env = {
-            JOB_HOOK_ENV: "repro.serve.chaos:log_computation",
-            CHAOS_LOG_ENV: chaos_log,
+            JOB_HOOK_ENV: "tests.serve.hooks:log_computation",
+            LOG_ENV: chaos_log,
             SERVICE_MS_ENV: "200",
+            "PYTHONPATH": str(REPO_ROOT),
         }
         workers = 1
         with Fleet(

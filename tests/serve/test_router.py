@@ -21,10 +21,10 @@ import pytest
 
 from repro.errors import DegradedError, ServeError
 from repro.serve import InProcessFleet, ServeClient
-from repro.serve.chaos import CHAOS_LOG_ENV, read_log
 from repro.serve.executor import JOB_HOOK_ENV
 from repro.serve.ring import HashRing
 from repro.serve.router import ShardRouter
+from tests.serve.hooks import LOG_ENV, read_log
 
 pytestmark = pytest.mark.serial
 
@@ -116,8 +116,8 @@ class TestRouting:
         assert fleet.store.get(digest) is None
 
         ledger = tmp_path / "computed.log"
-        monkeypatch.setenv(JOB_HOOK_ENV, "repro.serve.chaos:log_computation")
-        monkeypatch.setenv(CHAOS_LOG_ENV, str(ledger))
+        monkeypatch.setenv(JOB_HOOK_ENV, "tests.serve.hooks:log_computation")
+        monkeypatch.setenv(LOG_ENV, str(ledger))
         job = router_client.submit(**spec)["job"]
         assert router_client.wait(job["id"], timeout_s=120)["state"] == "done"
         served = router_client.result_bytes(job["id"])
@@ -320,6 +320,25 @@ class TestDegradedFleet:
             router.start()
         router.stop()
         router.stop()  # idempotent
+
+    def test_held_port_fails_at_once_with_the_cause(self):
+        import errno
+        import socket
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            router = ShardRouter(["http://127.0.0.1:1"], port=port)
+            began = time.monotonic()
+            with pytest.raises(ServeError) as info:
+                router.start()
+            elapsed = time.monotonic() - began
+        assert elapsed < 2.0
+        cause = info.value.__cause__
+        assert isinstance(cause, OSError) and cause.errno == errno.EADDRINUSE
+        assert f"127.0.0.1:{port}: {cause}" in str(info.value)
+        router.stop()
 
 
 def _put_status(url: str, payload: bytes) -> int:

@@ -277,6 +277,38 @@ class TestDrainRestore:
         summary = server.drain()
         assert summary["journaled"] == 0
 
+    def test_start_on_a_held_port_keeps_the_journal(self, tmp_path):
+        """A start that cannot bind is a typed error that leaves the
+        journal for the next start and the process registry as it was."""
+        import socket
+
+        from repro.obs import metrics as _metrics
+        from repro.serve.journal import JobJournal
+        from repro.serve.queue import JobQueue
+
+        state = tmp_path / "state"
+        JobJournal(state).write_jobs(
+            [JobQueue().submit(JobSpec("table2", 0.02, 3))[0]]
+        )
+        previous = _metrics.get_registry()
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            with pytest.raises(ServeError, match=f"127.0.0.1:{port}"):
+                ExperimentServer(
+                    port=port, workers=1, state_dir=str(state)
+                ).start()
+        assert _metrics.get_registry() is previous
+        assert len(JobJournal(state).load()) == 1
+
+        server = ExperimentServer(port=0, workers=1, state_dir=str(state))
+        server.start()
+        try:
+            assert server.restored_jobs == 1
+        finally:
+            server.drain()
+
 
 def JobJournalEmpty(state_dir: str) -> bool:
     from repro.serve.journal import JobJournal

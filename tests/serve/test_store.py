@@ -8,13 +8,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.obs import metrics as _metrics
-from repro.serve.store import (
-    STORE_DIR_ENV,
-    STORE_MAGIC,
-    FileResultStore,
-    check_digest,
-    resolve_store,
-)
+from repro.serve.store import STORE_MAGIC, FileResultStore, check_digest
 
 DIGEST = "ab" * 16
 
@@ -84,24 +78,6 @@ class TestFileStore:
         assert store.stats()["tmp_files"] == 1
 
 
-class TestResolveStore:
-    def test_unconfigured_is_none(self, monkeypatch):
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
-        assert resolve_store() is None
-
-    def test_dir_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
-        store = resolve_store()
-        assert isinstance(store, FileResultStore)
-        assert store.root == tmp_path
-
-    def test_arguments_win_over_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "env"))
-        store = resolve_store(store_dir=str(tmp_path / "arg"))
-        assert isinstance(store, FileResultStore)
-        assert store.root == tmp_path / "arg"
-
-
 class TestHTTPStore:
     """The store behind a live daemon's HTTP surface."""
 
@@ -111,7 +87,7 @@ class TestHTTPStore:
 
         server = ExperimentServer(
             port=0, workers=1, state_dir=str(tmp_path / "state"),
-            store_dir=str(tmp_path / "store"),
+            store=FileResultStore(tmp_path / "store"),
         )
         server.start()
         yield server
@@ -143,7 +119,7 @@ class TestHTTPStore:
 
         first = ExperimentServer(
             port=0, workers=1, state_dir=str(tmp_path / "a"),
-            store_dir=store_dir,
+            store=FileResultStore(store_dir),
         ).start()
         try:
             client = ServeClient(first.url)
@@ -156,7 +132,7 @@ class TestHTTPStore:
 
         second = ExperimentServer(
             port=0, workers=1, state_dir=str(tmp_path / "b"),
-            store_dir=store_dir,
+            store=FileResultStore(store_dir),
         ).start()
         try:
             client = ServeClient(second.url)

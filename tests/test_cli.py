@@ -125,6 +125,29 @@ class TestCommands:
         assert "error[MODEL]:" in err
         assert "Traceback" not in err
 
+    def test_serve_on_a_held_port_is_a_serve_error(self, tmp_path):
+        """Run as a process: ``serve`` installs signal handlers."""
+        import os
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--port", str(port), "--dir", str(tmp_path / "state")],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        assert proc.returncode == 5, proc.stderr
+        assert f"error[SERVE]: cannot bind 127.0.0.1:{port}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 @pytest.mark.serial
 class TestFleetCommands:
