@@ -395,9 +395,13 @@ def _cmd_status(args: argparse.Namespace) -> int:
               f"seed={spec['seed']}")
         return 0
     health = client.health()
-    print(f"service {client.url}: {health['status']}  "
-          f"workers={health['workers']}  queued={health['queued']}  "
-          f"running={health['running']}")
+    # A router's health nests each shard's: add up the reachable ones.
+    views = [view for view in health.get("shards", {"": health}).values()
+             if "workers" in view]
+    print(f"service {client.url}: {health['status']}  " + "  ".join(
+        f"{key}={sum(view[key] for view in views)}"
+        for key in ("workers", "queued", "running")
+    ))
     jobs = client.list_jobs()
     if not jobs:
         print("no jobs")

@@ -10,7 +10,8 @@ endpoints plus a urllib client (:mod:`repro.serve.server`,
 :mod:`repro.serve.client`).  See ``docs/SERVING.md``.
 
 Fleet mode shards the service across N instances behind one front
-end, the multiplexed :class:`~repro.serve.router.ShardRouter`: jobs
+end, the :class:`~repro.serve.router.ShardRouter`, which answers
+through the shards' own threaded HTTP handler: jobs
 route by spec digest over a consistent-hash ring
 (:mod:`repro.serve.ring`), and shards share finished payloads through
 one content-addressed result-store directory

@@ -40,7 +40,7 @@ import threading
 import time
 from typing import List, Optional
 
-from repro.errors import ExperimentError
+from repro.errors import ServeError
 from repro.obs import metrics as _metrics
 from repro.serve.jobs import JobSpec, execute_spec
 from repro.serve.queue import JobQueue
@@ -69,7 +69,7 @@ class WorkerPool:
         store: Optional[FileResultStore] = None,
     ) -> None:
         if workers < 1:
-            raise ExperimentError("serve workers must be >= 1")
+            raise ServeError("serve workers must be >= 1")
         self.queue = queue
         self.workers = workers
         self.policy = policy if policy is not None else FaultPolicy.from_env()

@@ -173,7 +173,6 @@ class Job:
         #: Canonical result payload bytes (DONE jobs only).
         self.result_bytes: Optional[bytes] = None
         self.submissions = 1
-        self._done = threading.Event()
 
     # -- transitions (call under the queue lock) --------------------------
 
@@ -185,25 +184,18 @@ class Job:
         self.result_bytes = result_bytes
         self.state = JobState.DONE
         self.finished_unix = time.time()
-        self._done.set()
 
     def mark_failed(self, error: Exception) -> None:
         self.error = str(error)
         self.error_code = getattr(error, "code", type(error).__name__)
         self.state = JobState.FAILED
         self.finished_unix = time.time()
-        self._done.set()
 
     def mark_cancelled(self) -> None:
         self.state = JobState.CANCELLED
         self.finished_unix = time.time()
-        self._done.set()
 
     # -- inspection -------------------------------------------------------
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the job reaches a terminal state."""
-        return self._done.wait(timeout)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-ready status record (what ``GET /jobs/<id>`` returns)."""

@@ -272,14 +272,6 @@ class JobQueue:
                 if job.state is JobState.QUEUED
             ]
 
-    def running_jobs(self) -> List[Job]:
-        """Snapshot of RUNNING jobs."""
-        with self._lock:
-            return [
-                job for job in self.jobs.values()
-                if job.state is JobState.RUNNING
-            ]
-
     def counts(self) -> Dict[str, int]:
         """State histogram over every job this queue has accepted."""
         with self._lock:

@@ -31,6 +31,13 @@ Endpoints (all JSON; errors use the ``error[<code>]`` contract)::
                                result store (404 miss, 503 if no store);
                                read-only — only workers write the store
 
+The HTTP plumbing here is shared: :func:`bind` serves any object with
+a ``handle(method, target, http)`` method, so the fleet's
+:class:`~repro.serve.router.ShardRouter` answers through the same
+threaded handler, with the same body checks (a ``Content-Length`` that
+is not a non-negative integer is a 400, one over 8 MiB a 413, decided
+before any body byte is read) and the same error-to-HTTP mapping.
+
 Lifecycle: :meth:`ExperimentServer.start` binds (an address it cannot
 bind is a :class:`~repro.errors.ServeError`, and the journal stays for
 the next start), restores any journaled queued jobs from a previous
@@ -52,12 +59,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import (
-    QueueFullError,
-    ReproError,
-    ServeError,
-    render_error,
-)
+from repro.errors import ReproError, ServeError, render_error
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.executor import DEFAULT_WORKERS, WorkerPool
@@ -76,16 +78,53 @@ DEFAULT_PORT = 8765
 #: cap bounds how long a dead client can pin a handler thread.
 LONG_POLL_MAX_S = 60.0
 
+#: Largest request body either server reads; a longer one is a 413.
+_MAX_BODY = 8 * 1024 * 1024
+
 
 class _ServeHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying a back-pointer to the service."""
 
     daemon_threads = True
-    experiment_server: "ExperimentServer"
+    #: Listen backlog.  socketserver's default of 5 makes a burst of
+    #: concurrent connects wait out the kernel's 1 s SYN retransmit.
+    request_queue_size = 128
+    service: Any
+    _thread: Optional[threading.Thread] = None
+
+    def serve_in_thread(self, name: str) -> None:
+        """Answer requests from a daemon thread until :meth:`close`."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, name=name, daemon=True
+        )
+        self._thread.start()
+
+    def close(self) -> None:
+        """Stop answering and release the port."""
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join(timeout=5.0)
+        self.server_close()
+
+
+def bind(service: Any, host: str, port: int) -> _ServeHTTPServer:
+    """Bind the threaded HTTP server that answers for ``service``.
+
+    Each request runs ``service.handle(method, target, http)`` on its
+    own thread, with ``http`` the :class:`_Handler`; ``handle`` returns
+    False for an unknown endpoint.  An address that cannot be bound is
+    a :class:`~repro.errors.ServeError` naming host, port and cause.
+    """
+    try:
+        httpd = _ServeHTTPServer((host, port), _Handler)
+    except (OSError, OverflowError) as error:
+        raise ServeError(f"cannot bind {host}:{port}: {error}") from error
+    httpd.service = service
+    return httpd
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Request handler: thin routing over the owning server's queue."""
+    """Request handler: thin routing over the owning service."""
 
     server: _ServeHTTPServer
     protocol_version = "HTTP/1.1"
@@ -96,7 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
         if os.environ.get("REPRO_SERVE_LOG", "").strip():
             super().log_message(format, *args)
 
-    def _send(
+    def send(
         self,
         status: int,
         body: bytes,
@@ -106,33 +145,59 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_json(
+    def send_json(
         self,
         status: int,
         payload: Dict[str, Any],
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
-        self._send(status, body, extra_headers=extra_headers)
+        self.send(status, body, extra_headers=extra_headers)
 
     def _send_error_payload(self, error: ReproError) -> None:
         headers = {}
-        if isinstance(error, QueueFullError):
-            headers["Retry-After"] = f"{error.retry_after_s:g}"
-        self._send_json(
+        retry_after = getattr(error, "retry_after_s", None)
+        if retry_after is not None:
+            headers["Retry-After"] = f"{retry_after:g}"
+        self.send_json(
             getattr(error, "http_status", 400),
             {"error": render_error(error), "code": error.code},
             extra_headers=headers,
         )
 
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+    def read_body(self) -> bytes:
+        """The request body, refused from ``Content-Length`` alone.
+
+        A bad length leaves the body's end unknown, so the connection
+        closes after the error response.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise ServeError(
+                "Content-Length must be a non-negative integer, got "
+                f"{declared!r}"
+            )
+        length = int(declared)
+        if length > _MAX_BODY:
+            self.close_connection = True
+            raise ServeError(
+                f"Content-Length {length} is over the {_MAX_BODY}-byte "
+                "body limit",
+                http_status=413,
+            )
+        return self.rfile.read(length) if length else b""
+
+    def read_json(self) -> Dict[str, Any]:
+        """The request body as a JSON object."""
+        raw = self.read_body()
         if not raw:
             raise ServeError("request body must be a JSON object")
         try:
@@ -144,7 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _route(self, method: str) -> None:
-        service = self.server.experiment_server
+        service = self.server.service
         try:
             handled = service.handle(method, self.path, self)
         except ReproError as error:
@@ -198,7 +263,6 @@ class ExperimentServer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._previous_registry: Optional[MetricsRegistry] = None
         self._httpd: Optional[_ServeHTTPServer] = None
-        self._listener: Optional[threading.Thread] = None
         self._drain_requested = threading.Event()
         self._drained = False
         self.started_unix: Optional[float] = None
@@ -228,23 +292,12 @@ class ExperimentServer:
         """
         if self._httpd is not None:
             raise ServeError("server already started", http_status=500)
-        try:
-            self._httpd = _ServeHTTPServer((self.host, self.port), _Handler)
-        except (OSError, OverflowError) as error:
-            raise ServeError(
-                f"cannot bind {self.host}:{self.port}: {error}"
-            ) from error
-        self._httpd.experiment_server = self
+        self._httpd = bind(self, self.host, self.port)
         self._previous_registry = _metrics.get_registry()
         _metrics.enable(self.registry)
         self._restore_journal()
         self.pool.start()
-        self._listener = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="serve-listener",
-            daemon=True,
-        )
-        self._listener.start()
+        self._httpd.serve_in_thread("serve-listener")
         self.started_unix = time.time()
         return self
 
@@ -302,12 +355,8 @@ class ExperimentServer:
             journaled = self.journal.write_jobs(queued)
         self.pool.stop(wait=True)
         if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
+            self._httpd.close()
             self._httpd = None
-        if self._listener is not None:
-            self._listener.join(timeout=5.0)
-            self._listener = None
         if not self._drained:
             if self._previous_registry is not None:
                 _metrics.enable(self._previous_registry)
@@ -361,10 +410,10 @@ class ExperimentServer:
         query = parse_qs(query_string)
         path = path.rstrip("/") or "/"
         if method == "GET" and path == "/healthz":
-            http._send_json(200, self._health())
+            http.send_json(200, self._health())
             return True
         if method == "GET" and path == "/metrics":
-            http._send_json(200, self.registry.snapshot())
+            http.send_json(200, self.registry.snapshot())
             return True
         if method == "POST" and path == "/jobs":
             self._submit(http)
@@ -373,7 +422,7 @@ class ExperimentServer:
             self._plan(http)
             return True
         if method == "GET" and path == "/jobs":
-            http._send_json(200, {"jobs": self.queue.describe()})
+            http.send_json(200, {"jobs": self.queue.describe()})
             return True
         parts = path.strip("/").split("/")
         if method == "GET" and len(parts) == 2 and parts[0] == "store":
@@ -389,7 +438,7 @@ class ExperimentServer:
                 return True
             if method == "POST" and len(parts) == 3 and parts[2] == "cancel":
                 job = self.queue.cancel(job_id)
-                http._send_json(200, {"job": job.describe()})
+                http.send_json(200, {"job": job.describe()})
                 return True
         return False
 
@@ -427,7 +476,7 @@ class ExperimentServer:
                 raise ServeError(f"timeout_s must be a number, got {raw!r}")
             timeout = min(max(timeout, 0.0), LONG_POLL_MAX_S)
             job = self.queue.wait_for_state(job_id, wait, timeout=timeout)
-        http._send_json(200, {"job": job.describe()})
+        http.send_json(200, {"job": job.describe()})
 
     def _store_get(self, http: _Handler, digest: str) -> None:
         if self.store is None:
@@ -437,10 +486,10 @@ class ExperimentServer:
             raise ServeError(
                 f"no stored result for digest {digest!r}", http_status=404
             )
-        http._send(200, payload, content_type="application/octet-stream")
+        http.send(200, payload, content_type="application/octet-stream")
 
     def _submit(self, http: _Handler) -> None:
-        body = http._read_body()
+        body = http.read_json()
         priority = 0
         if "priority" in body:
             from repro.validate.schema import coerce_number
@@ -453,7 +502,7 @@ class ExperimentServer:
             )
         spec = normalize_spec(body)
         job, deduped = self.queue.submit(spec, priority=priority)
-        http._send_json(202, {"job": job.describe(), "deduped": deduped})
+        http.send_json(202, {"job": job.describe(), "deduped": deduped})
 
     def _plan(self, http: _Handler) -> None:
         """``POST /plan``: a ``dse`` job at the plan priority tier.
@@ -467,19 +516,19 @@ class ExperimentServer:
         """
         from repro.validate.schema import validate_keys
 
-        body = http._read_body()
+        body = http.read_json()
         validate_keys(body.keys(), ("scale", "seed"),
                       kind="plan request key", error=ServeError)
         spec = normalize_spec(dict(body, experiment="dse"))
         job, deduped = self.queue.submit(spec, priority=PLAN_PRIORITY)
         _metrics.counter_add("serve.plans.submitted")
-        http._send_json(202, {"job": job.describe(), "deduped": deduped})
+        http.send_json(202, {"job": job.describe(), "deduped": deduped})
 
     def _result(self, http: _Handler, job_id: str) -> None:
         job = self.queue.job(job_id)
         if job.state is JobState.DONE:
             assert job.result_bytes is not None
-            http._send(200, job.result_bytes)
+            http.send(200, job.result_bytes)
             return
         if job.state is JobState.FAILED:
             raise ServeError(

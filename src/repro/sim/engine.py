@@ -320,6 +320,11 @@ def _rounds(set_idx, tags, writes, n_sets: int, assoc: int, invalidate=None):
     perm, k_per_round, offsets, n_rows = _round_major(set_idx, n_sets)
     bs = tags[perm]
     ws = writes[perm]
+    # Calls without invalidations keep their own per-round updates
+    # below.  The general ones with an all-False mask give the same
+    # outcomes, but on the sweep experiments' 90 such calls (664,174
+    # accesses at scale 0.05) they took 572 ms against 418 ms (medians
+    # of 7 alternating runs), 37% slower.
     holes = invalidate is not None
     if holes:
         ivs = invalidate[perm]

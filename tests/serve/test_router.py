@@ -1,7 +1,7 @@
-"""Tests for the multiplexed fleet front end (in-process fleets).
+"""Tests for the fleet front end (in-process fleets).
 
 Marked ``serial`` like the other fleet tests: each case runs real
-daemons and a router event loop in this process.
+daemons and a router in this process.
 
 Metrics note: in-process shards share the process-global obs registry
 (the last-started shard's registry collects module-level counters), so
@@ -108,9 +108,10 @@ class TestRouting:
         spec = {"experiment": "table2", "scale": 0.02, "seed": 28}
         digest = spec_digest(normalize_spec(spec))
         forged = b'{"forged": true}'
-        # The router has no /store route; a shard serves GET only, so
-        # the stdlib answers PUT as an unsupported method.
-        assert _put_status(f"{fleet.url}/store/{digest}", forged) == 404
+        # The router has no /store route, and a shard serves GET only;
+        # both answer through one handler, so the stdlib answers PUT as
+        # an unsupported method.
+        assert _put_status(f"{fleet.url}/store/{digest}", forged) == 501
         for url in fleet.shard_urls:
             assert _put_status(f"{url}/store/{digest}", forged) == 501
         assert fleet.store.get(digest) is None

@@ -148,6 +148,24 @@ class TestCommands:
         assert f"error[SERVE]: cannot bind 127.0.0.1:{port}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_serve_without_workers_is_a_serve_error(self, tmp_path):
+        """Typed like ``--queue-max 0``: exit 5, ``error[SERVE]``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "0", "--dir", str(tmp_path / "state")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert "error[SERVE]: serve workers must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 @pytest.mark.serial
 class TestFleetCommands:
@@ -173,6 +191,13 @@ class TestFleetCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "Table II — NVM cell parameters" in out
+
+    def test_status_through_the_router_adds_up_the_shards(
+        self, fleet, capsys
+    ):
+        assert main(["status", "--url", fleet.url]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"service {fleet.url}: ok  workers=2  ")
 
     def test_fleet_status_prints_one_line_per_shard(self, fleet, capsys):
         assert main(["fleet", "status", "--url", fleet.url]) == 0
