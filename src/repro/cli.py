@@ -347,40 +347,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    if args.submit:
-        from repro.serve import ServeClient
-
-        client = ServeClient(args.url)
-        response = client.plan(scale=args.scale, seed=args.seed)
-        job = response["job"]
-        dedup = (
-            " (deduplicated onto an existing job)" if response["deduped"]
-            else ""
-        )
-        print(f"plan job {job['id']}  state={job['state']}  "
-              f"priority={job['priority']}{dedup}")
-        if not args.wait:
-            return 0
-        record = client.wait(job["id"], timeout_s=args.timeout)
-        if record["state"] != "done":
-            print(f"job {job['id']} {record['state']}: "
-                  f"{record['error'] or '(no detail)'}", file=sys.stderr)
-            return 5
-        sys.stdout.write(client.result(job["id"])["render"])
-        return 0
-
-    from repro.experiments import dse
-    from repro.experiments.common import ExperimentContext
-    from repro.workloads.generators import DEFAULT_SEED
-
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    context = ExperimentContext(scale=args.scale, seed=seed)
-    workloads = args.workloads.split(",") if args.workloads else None
-    sys.stdout.write(dse.render(dse.run(context, workloads=workloads)))
-    return 0
-
-
 def _cmd_status(args: argparse.Namespace) -> int:
     from repro.serve import ServeClient
 
@@ -550,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("scenario",
                    help="bundled profile name (smoke, scaling, "
-                   "duplicate_storm, compute) or a JSON/YAML profile path")
+                   "duplicate_storm, compute, churn) or a JSON profile path")
     p.add_argument("--url", default=None,
                    help="target base URL — a daemon or a router "
                    "(default http://127.0.0.1:8765)")
@@ -590,30 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_url(p)
 
     p = sub.add_parser(
-        "plan",
-        help="sweep the published-model grid and print its Pareto "
-        "frontier (the dse experiment, see EXPERIMENTS.md) locally, "
-        "or --submit it to a service",
-    )
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="trace-length scale factor in (0, 1]")
-    p.add_argument("--seed", type=int, default=None,
-                   help="workload generator seed")
-    grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--workloads", default=None,
-                      help="comma-separated workload names "
-                      "(default: the AI suite; local only)")
-    grid.add_argument("--submit", action="store_true",
-                      help="submit the default grid to a running service "
-                      "at the plan priority tier instead of running locally")
-    p.add_argument("--wait", action="store_true",
-                   help="with --submit: poll until done and print the "
-                   "rendered result")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="seconds to wait with --wait (default 600)")
-    add_url(p)
-
-    p = sub.add_parser(
         "status", help="poll the service (one job, or every job + health)"
     )
     p.add_argument("job_id", nargs="?", default=None,
@@ -643,7 +585,6 @@ _HANDLERS = {
     "fleet": _cmd_fleet,
     "loadgen": _cmd_loadgen,
     "submit": _cmd_submit,
-    "plan": _cmd_plan,
     "status": _cmd_status,
     "fetch": _cmd_fetch,
 }

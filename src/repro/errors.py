@@ -128,16 +128,6 @@ class CompressionError(ReproError):
     exit_code = 2
 
 
-class PlanError(ReproError):
-    """The ``dse`` grid names a workload that does not exist.
-
-    Raised by :func:`repro.experiments.dse.resolve_workloads` for an
-    unknown workload in ``plan --workloads``.
-    """
-
-    code = "PLAN"
-
-
 class PlausibilityError(ReproError):
     """A value passed structural checks but is physically impossible.
 

@@ -1,6 +1,6 @@
 """Experiment (extension): the Pareto frontier of the published-model grid.
 
-Runs every grid workload against every Table III model in both
+Runs every AI benchmark against every Table III model in both
 configurations and keeps, per (workload, configuration), the cells no
 other cell strictly dominates: higher speedup, lower LLC energy ratio.
 The grid goes through :meth:`ExperimentContext.normalized_sweep`, so
@@ -15,29 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.errors import PlanError
 from repro.experiments.common import ExperimentContext, TableWriter
 from repro.nvsim.published import CONFIGURATIONS
 from repro.sim.results import NormalizedResult
-
-
-def resolve_workloads(
-    workloads: Optional[Sequence[str]] = None,
-) -> List[str]:
-    """Grid workloads: the argument, else the AI subset."""
-    if not workloads:
-        from repro.workloads.registry import ai_benchmarks
-
-        return ai_benchmarks()
-    from repro.validate.schema import unknown_key_message
-    from repro.workloads.profiles import PROFILES
-
-    for name in workloads:
-        if name not in PROFILES:
-            raise PlanError(
-                unknown_key_message("DSE workload", name, list(PROFILES))
-            )
-    return list(workloads)
+from repro.workloads.registry import ai_benchmarks
 
 
 def dominates(a: NormalizedResult, b: NormalizedResult) -> bool:
@@ -66,14 +47,11 @@ class DSEResult:
     frontier: List[NormalizedResult]
 
 
-def run(
-    context: Optional[ExperimentContext] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> DSEResult:
+def run(context: Optional[ExperimentContext] = None) -> DSEResult:
     """Sweep the grid and take the frontier of each (workload,
     configuration) group."""
     context = context or ExperimentContext()
-    workloads = resolve_workloads(workloads)
+    workloads = ai_benchmarks()
     frontier: List[NormalizedResult] = []
     n_models = 0
     for configuration in CONFIGURATIONS:

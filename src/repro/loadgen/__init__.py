@@ -1,6 +1,6 @@
 """repro.loadgen — declarative load generation for the serve fleet.
 
-Scenario profiles (JSON; YAML when a parser exists) describe the job
+Scenario profiles (JSON) describe the job
 mix, duplicate rate, arrival process and rate sweep to offer a serve
 target (:mod:`repro.loadgen.scenario`); the launcher executes the
 timeline open-loop from a bounded client pool and, for fleet sweeps,

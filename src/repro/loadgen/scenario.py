@@ -1,12 +1,11 @@
 """Declarative load-generation scenarios (the llm-d-benchmark idea).
 
-A *scenario profile* is a small JSON (or YAML, when a parser is
-available) document describing the load to offer a serve fleet —
-job mix, duplicate rate, arrival process, rate sweep — rather than a
-script that hard-codes it.  The same profile drives a laptop smoke
-run, the CI ``repro-cli loadgen`` steps and the committed
-``BENCH_0008.json`` record, so results stay comparable across hosts
-and sessions.
+A *scenario profile* is a small JSON document describing the load to
+offer a serve fleet — job mix, duplicate rate, arrival process, rate
+sweep — rather than a script that hard-codes it.  The same profile
+drives a laptop smoke run, the CI ``repro-cli loadgen`` steps and the
+committed ``BENCH_0008.json`` record, so results stay comparable
+across hosts and sessions.
 
 Profile schema (all keys validated here, unknown keys rejected with
 did-you-mean suggestions)::
@@ -284,35 +283,16 @@ def parse_scenario(mapping: Mapping[str, Any]) -> Scenario:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    """Load a profile file: JSON always; YAML when a parser exists.
-
-    YAML support is gated on :mod:`yaml` being importable — the
-    toolchain does not depend on it, so JSON is the portable format and
-    ``.yaml``/``.yml`` profiles raise a clear error on hosts without a
-    parser instead of an ImportError.
-    """
+    """Load a JSON profile file."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as error:
         raise LoadGenError(f"cannot read scenario profile {path}: {error}")
-    if path.suffix.lower() in (".yaml", ".yml"):
-        try:
-            import yaml
-        except ImportError:
-            raise LoadGenError(
-                f"{path} is YAML but no YAML parser is installed; "
-                "convert the profile to JSON (the schemas are identical)"
-            )
-        try:
-            mapping = yaml.safe_load(text)
-        except yaml.YAMLError as error:
-            raise LoadGenError(f"{path} is not valid YAML: {error}")
-    else:
-        try:
-            mapping = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise LoadGenError(f"{path} is not valid JSON: {error}")
+    try:
+        mapping = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise LoadGenError(f"{path} is not valid JSON: {error}")
     return parse_scenario(mapping)
 
 
@@ -337,6 +317,6 @@ def bundled_profile(name: str) -> Scenario:
 
 def resolve_scenario(ref: str) -> Scenario:
     """A profile by bundled name, or by path when ``ref`` looks like one."""
-    if "/" in ref or ref.endswith((".json", ".yaml", ".yml")):
+    if "/" in ref or ref.endswith(".json"):
         return load_scenario(ref)
     return bundled_profile(ref)

@@ -6,7 +6,7 @@ onto one computation (:mod:`repro.serve.queue`), a bounded worker pool
 with the sweep layer's fault/retry discipline
 (:mod:`repro.serve.executor`), graceful SIGTERM drain with a durable
 queued-job journal (:mod:`repro.serve.journal`), and stdlib HTTP
-endpoints plus a urllib client (:mod:`repro.serve.server`,
+endpoints plus an :mod:`http.client` client (:mod:`repro.serve.server`,
 :mod:`repro.serve.client`).  See ``docs/SERVING.md``.
 
 Fleet mode shards the service across N instances behind one front

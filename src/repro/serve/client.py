@@ -1,9 +1,16 @@
-"""Client for the experiment service: urllib over the JSON API.
+"""Client for the experiment service, and the fleet's one HTTP exchange.
+
+:func:`exchange` sends one request over a fresh :mod:`http.client`
+connection; :class:`ServeClient` and the router's upstream side
+(:class:`~repro.serve.router.ShardRouter`) both go through it, so a
+failed transport maps one way: no connection, or a failure after
+connecting (the server hanging up included), is a 503
+:class:`TransportError`, and a timeout a 504.
 
 :class:`ServeClient` is what ``repro-cli submit|status|fetch`` and the
 serve tests (``tests/serve/test_load.py``, the fleet cases of
 ``tests/test_cli.py``) speak through, to one daemon or to a fleet's
-:class:`~repro.serve.router.ShardRouter` — the same API either way.
+router — the same API either way.
 Error responses are mapped back into the structured error hierarchy:
 a 429 becomes a :class:`~repro.errors.QueueFullError` carrying the
 server's ``Retry-After`` hint, a router 503 with code ``DEGRADED``
@@ -23,9 +30,8 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, List, Optional
+from http.client import HTTPConnection, HTTPException
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.errors import DegradedError, QueueFullError, ServeError
 
@@ -38,6 +44,68 @@ DEFAULT_URL = "http://127.0.0.1:8765"
 #: two expire in a dead heat and the client sees a raw socket timeout
 #: instead of the server's in-whatever-state-it-is response.
 LONG_POLL_GRACE_S = 10.0
+
+
+class Response(NamedTuple):
+    """One HTTP response, whatever its status."""
+
+    status: int
+    body: bytes
+    content_type: str = "application/json"
+    retry_after: Optional[str] = None
+
+
+class TransportError(ServeError):
+    """No response came back: 504 if the timeout ran out, else 503.
+
+    ``connected`` tells a failure to connect from one after the
+    connection was made (a hang-up included); the router counts them
+    apart.
+    """
+
+    def __init__(self, message: str, http_status: int, connected: bool):
+        super().__init__(message, http_status=http_status)
+        self.connected = connected
+
+
+def exchange(
+    url: str, method: str, path: str, body: bytes, timeout_s: float
+) -> Response:
+    """``method path`` to the server at base ``url``, on a fresh
+    connection; every HTTP request the fleet makes goes through here.
+
+    Returns the response whatever its status, or raises
+    :class:`TransportError` when none came back.
+    """
+    connected = False
+    try:
+        connection = HTTPConnection(
+            url.rpartition("://")[2], timeout=timeout_s
+        )
+        try:
+            connection.connect()
+            connected = True
+            connection.request(method, path, body=body, headers={
+                "Content-Type": "application/json", "Connection": "close",
+            })
+            reply = connection.getresponse()
+            return Response(
+                reply.status, reply.read(),
+                reply.getheader("Content-Type", "application/json"),
+                reply.getheader("Retry-After"),
+            )
+        finally:
+            connection.close()
+    except TimeoutError as error:
+        raise TransportError(
+            f"no response from {url} within {timeout_s:g}s", 504, connected
+        ) from error
+    except (OSError, HTTPException) as error:
+        raise TransportError(
+            f"{url} failed mid-request: {error}" if connected
+            else f"cannot reach {url}: {error}",
+            503, connected,
+        ) from error
 
 
 class ServeClient:
@@ -58,63 +126,36 @@ class ServeClient:
         body: Optional[Dict[str, Any]] = None,
         timeout_s: Optional[float] = None,
     ) -> bytes:
-        data = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode()
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.url + path, data=data, headers=headers, method=method
+        response = exchange(
+            self.url, method, path,
+            b"" if body is None else json.dumps(body).encode(),
+            self.timeout_s if timeout_s is None else timeout_s,
         )
-        timeout = self.timeout_s if timeout_s is None else timeout_s
-        try:
-            with urllib.request.urlopen(
-                request, timeout=timeout
-            ) as response:
-                return response.read()
-        except urllib.error.HTTPError as error:
-            raise self._to_error(error)
-        except urllib.error.URLError as error:
-            if isinstance(error.reason, TimeoutError):
-                raise ServeError(
-                    f"no response from {self.url} within {timeout:g}s",
-                    http_status=504,
-                )
-            raise ServeError(
-                f"cannot reach experiment service at {self.url}: "
-                f"{error.reason}",
-                http_status=503,
-            )
-        except TimeoutError:
-            # urllib wraps connect timeouts in URLError but lets read
-            # timeouts escape raw; both are the same transport failure.
-            raise ServeError(
-                f"no response from {self.url} within {timeout:g}s",
-                http_status=504,
-            )
+        if not 200 <= response.status < 300:
+            raise self._to_error(response)
+        return response.body
 
     @staticmethod
-    def _to_error(error: urllib.error.HTTPError) -> ServeError:
+    def _to_error(response: Response) -> ServeError:
         """Rebuild the server's structured error from an HTTP response."""
-        raw = error.read()
-        message = f"HTTP {error.code}"
+        message = f"HTTP {response.status}"
         code = None
         try:
-            payload = json.loads(raw)
+            payload = json.loads(response.body)
             message = str(payload.get("error", message))
             code = payload.get("code")
-        except (json.JSONDecodeError, AttributeError):
-            if raw:
-                message = f"{message}: {raw[:200]!r}"
+        except (ValueError, AttributeError):
+            if response.body:
+                message = f"{message}: {response.body[:200]!r}"
         try:
-            retry_after = float(error.headers.get("Retry-After", "1"))
-        except (TypeError, ValueError):
+            retry_after = float(response.retry_after or "1")
+        except ValueError:
             retry_after = 1.0
-        if error.code == 429:
+        if response.status == 429:
             return QueueFullError(message, retry_after_s=retry_after)
         if code == "DEGRADED":
             return DegradedError(message, retry_after_s=retry_after)
-        out = ServeError(message, http_status=error.code)
+        out = ServeError(message, http_status=response.status)
         if isinstance(code, str) and code:
             out.code = code
         return out
@@ -149,11 +190,10 @@ class ServeClient:
         """``POST /ring/join`` — add a shard to the router's live ring."""
         return self._json("POST", "/ring/join", {"url": url})
 
-    def ring_leave(self, url: str, forget: bool = False) -> Dict[str, Any]:
-        """``POST /ring/leave`` — remove a shard from the live ring."""
-        return self._json(
-            "POST", "/ring/leave", {"url": url, "forget": forget}
-        )
+    def ring_leave(self, url: str) -> Dict[str, Any]:
+        """``POST /ring/leave`` — remove a shard from the live ring and
+        forget it."""
+        return self._json("POST", "/ring/leave", {"url": url})
 
     def submit(
         self,
@@ -169,20 +209,6 @@ class ServeClient:
         if priority:
             body["priority"] = priority
         return self._json("POST", "/jobs", body)
-
-    def plan(
-        self, scale: float = 1.0, seed: Optional[int] = None
-    ) -> Dict[str, Any]:
-        """``POST /plan`` — a ``dse`` job at the plan priority tier.
-
-        Returns ``{"job": {...}, "deduped": bool}`` like :meth:`submit`;
-        the server forces ``experiment="dse"`` and queues the job above
-        the user priority band.
-        """
-        body: Dict[str, Any] = {"scale": scale}
-        if seed is not None:
-            body["seed"] = seed
-        return self._json("POST", "/plan", body)
 
     def status(self, job_id: str) -> Dict[str, Any]:
         """``GET /jobs/<id>`` — the job's status record."""

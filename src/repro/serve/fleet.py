@@ -34,7 +34,7 @@ the URL is unchanged, the router's heartbeat monitor rejoins the shard
 to the ring on its first healthy probe; the supervisor also nudges the
 ring directly so recovery does not wait a full heartbeat period.
 Membership is elastic at runtime via :meth:`Fleet.add_shard` /
-:meth:`Fleet.remove_shard` (mirrored on :class:`InProcessFleet`).
+:meth:`Fleet.remove_shard` (:class:`InProcessFleet` mirrors ``add_shard``).
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ class Fleet:
         shard = self.shards[index]
         if self.router is not None and shard.url:
             try:
-                self.router.remove_shard(shard.url, forget=True)
+                self.router.remove_shard(shard.url)
             except ServeError:
                 pass  # e.g. last ring node; still drain the process
         shard.terminate()

@@ -39,11 +39,6 @@ SPEC_KEYS = ("experiment", "scale", "seed", "priority")
 #: Result payload schema (bump on incompatible layout changes).
 RESULT_SCHEMA = 1
 
-#: Priority tier for ``dse`` jobs submitted via ``POST /plan``.  User
-#: submissions clamp to [-1000, 1000]; plan jobs ride above that band
-#: so a small design-space sweep never queues behind a full run.
-PLAN_PRIORITY = 2000
-
 
 @dataclass(frozen=True)
 class JobSpec:

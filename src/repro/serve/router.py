@@ -5,9 +5,9 @@ fleet launcher puts it in front of shards that share one result-store
 directory, and clients talk to it, not to the shards.  It answers
 client HTTP through the shards' own threaded handler
 (:func:`repro.serve.server.bind`, one thread per connection, so a
-parked long-poll costs one thread) and forwards each request with
-:mod:`http.client` to the shard chosen by the consistent-hash
-:class:`~repro.serve.ring.VersionedRing` over
+parked long-poll costs one thread) and forwards each request through
+the client's :func:`~repro.serve.client.exchange` to the shard chosen
+by the consistent-hash :class:`~repro.serve.ring.VersionedRing` over
 :func:`~repro.serve.jobs.spec_digest`.
 
 Because the ring keys on the *same* digest the per-shard queue dedups
@@ -20,7 +20,7 @@ route: store bytes enter the store only from a shard's workers.
 
 Routing rules::
 
-    POST /jobs, /plan      by spec digest -> owning shard
+    POST /jobs             by spec digest -> owning shard
     GET  /jobs/<id>[...]   by remembered id->shard home, else asking
                            every shard (only the owner knows the id)
     GET  /jobs             fan-out, concatenated, shard-tagged
@@ -28,7 +28,7 @@ Routing rules::
     GET  /ring             membership, ring version, per-shard health,
                            store occupancy (live-probed)
     POST /ring/join        {"url": ...} — add a shard to the live ring
-    POST /ring/leave       {"url": ...} — remove a shard from the ring
+    POST /ring/leave       {"url": ...} — remove and forget a shard
     GET  /metrics          every shard's snapshot folded together via
                            MetricsRegistry.merge_snapshot, plus the
                            router's own serve.router.* / serve.shard.*
@@ -72,13 +72,11 @@ import json
 import threading
 import time
 from concurrent.futures import Future
-from http.client import HTTPConnection, HTTPException
-from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DegradedError, ServeError
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.client import Response, TransportError, exchange
 from repro.serve.jobs import normalize_spec, spec_digest
 from repro.serve.ring import VersionedRing
 from repro.serve.server import LONG_POLL_MAX_S, bind
@@ -97,17 +95,8 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 1.0
 DEFAULT_EJECT_AFTER = 3
 
 
-class _Response(NamedTuple):
-    """One upstream response to relay."""
-
-    status: int
-    body: bytes
-    content_type: str = "application/json"
-    retry_after: Optional[str] = None
-
-
 #: What a route returns: a shard's response, or a JSON payload (200).
-_Reply = Union[_Response, Dict[str, Any]]
+_Reply = Union[Response, Dict[str, Any]]
 
 
 def _each(function: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
@@ -301,18 +290,12 @@ class ShardRouter:
         """Join a shard to the live ring (idempotent); returns /ring."""
         return self._membership("join", url)
 
-    def remove_shard(self, url: str, forget: bool = False) -> Dict[str, Any]:
-        """Remove a shard from the live ring; ``forget`` also drops its
-        membership record (no heartbeat re-probe, no auto-rejoin)."""
-        return self._membership("leave", url, forget=forget)
+    def remove_shard(self, url: str) -> Dict[str, Any]:
+        """Remove a shard from the live ring and forget it; returns
+        /ring."""
+        return self._membership("leave", url)
 
-    def ring_info(self, probe: bool = True) -> Dict[str, Any]:
-        """The /ring payload, optionally live-probing member health."""
-        return self._ring_payload(probe=probe)
-
-    def _membership(
-        self, action: str, url: str, forget: bool = False
-    ) -> Dict[str, Any]:
+    def _membership(self, action: str, url: str) -> Dict[str, Any]:
         url = (url or "").strip().rstrip("/")
         if not url:
             raise ServeError("membership change needs a shard 'url'")
@@ -324,7 +307,14 @@ class ShardRouter:
                     raise ServeError(
                         f"shard {url} is not a fleet member", http_status=404
                     )
-                self._apply_leave(url, reason="left", forget=forget)
+                self._apply_leave(url, reason="left")
+                # A shard that left is forgotten, or its next healthy
+                # heartbeat would rejoin it; an ejected one is kept so
+                # that it can.  Its job ids stop routing to it too.
+                del self._members[url]
+                for job_id, home in list(self._job_homes.items()):
+                    if home == url:
+                        del self._job_homes[job_id]
         return self._ring_payload(probe=False)
 
     def _apply_join(self, url: str, reason: str) -> None:
@@ -342,20 +332,11 @@ class ShardRouter:
         member.in_ring = True
         self._note_membership_change(reason)
 
-    def _apply_leave(self, url: str, reason: str, forget: bool = False) -> None:
-        member = self._members.get(url)
+    def _apply_leave(self, url: str, reason: str) -> None:
         if url in self._ring:
             self._ring = self._ring.leave(url)  # raises on the last node
             self._note_membership_change(reason)
-        if member is not None:
-            member.in_ring = False
-        if forget:
-            self._members.pop(url, None)
-            # Only forgetting drops id routing state: an ejected-but-
-            # remembered shard may come back and still owns its ids.
-            for job_id, home in list(self._job_homes.items()):
-                if home == url:
-                    del self._job_homes[job_id]
+        self._members[url].in_ring = False
 
     def _note_membership_change(self, reason: str) -> None:
         self.registry.counter_add(f"serve.router.{reason}")
@@ -437,50 +418,29 @@ class ShardRouter:
         path: str,
         body: bytes = b"",
         timeout_s: float = UPSTREAM_TIMEOUT_S,
-        content_type: str = "application/json",
         note: bool = True,
-    ) -> _Response:
-        """One request to one shard over a fresh connection.
+    ) -> Response:
+        """One request to one shard through
+        :func:`~repro.serve.client.exchange`.
 
-        ``note`` feeds connection failures into the shard's health
+        ``note`` feeds transport failures into the shard's health
         record (real traffic accelerates failure detection); heartbeat
         probes pass ``note=False`` and account for themselves.
         """
-        host, _, port = shard.rpartition("://")[2].partition(":")
-        connection = HTTPConnection(host, int(port or 80), timeout=timeout_s)
         try:
-            try:
-                connection.connect()
-            except OSError as error:
-                if note:
-                    self._count_shard(shard, "unreachable")
-                    self._note_failure(shard, f"unreachable: {error}")
-                raise DegradedError(
-                    f"shard {shard} unreachable: {error}; the fleet is "
-                    "degraded until the shard is ejected or restarted",
-                    retry_after_s=max(1.0, self.heartbeat_s),
+            return exchange(shard, method, path, body, timeout_s)
+        except TransportError as error:
+            if note:
+                self._count_shard(
+                    shard, "errors" if error.connected else "unreachable"
                 )
-            try:
-                connection.request(method, path, body=body, headers={
-                    "Content-Type": content_type, "Connection": "close",
-                })
-                reply = connection.getresponse()
-                return _Response(
-                    reply.status, reply.read(),
-                    reply.getheader("Content-Type", "application/json"),
-                    reply.getheader("Retry-After"),
-                )
-            except (OSError, HTTPException) as error:
-                if note:
-                    self._count_shard(shard, "errors")
-                    self._note_failure(shard, f"failed mid-request: {error}")
-                raise DegradedError(
-                    f"shard {shard} failed mid-request: {error}; safe to "
-                    "retry — submissions are idempotent by spec digest",
-                    retry_after_s=max(1.0, self.heartbeat_s),
-                )
-        finally:
-            connection.close()
+                self._note_failure(shard, str(error))
+            raise DegradedError(
+                f"{error}; the fleet is degraded until the shard "
+                "answers or is ejected, and a retry is safe: submissions "
+                "are idempotent by spec digest",
+                retry_after_s=max(1.0, self.heartbeat_s),
+            )
 
     def _count(self, name: str) -> None:
         with self._lock:
@@ -528,29 +488,25 @@ class ShardRouter:
         if method == "GET" and path == "/ring":
             return self._ring_payload(probe=True)
         if method == "POST" and path in ("/ring/join", "/ring/leave"):
-            payload = _json_object(body)
             return self._membership(
                 "join" if path.endswith("join") else "leave",
-                str(payload.get("url", "")),
-                forget=bool(payload.get("forget", False)),
+                str(_json_object(body).get("url", "")),
             )
-        if method == "POST" and path in ("/jobs", "/plan"):
-            return self._route_submission(path, body)
+        if method == "POST" and path == "/jobs":
+            return self._route_submission(body)
         if method == "GET" and path == "/jobs":
             return self._list_jobs()
         if len(parts) >= 2 and parts[0] == "jobs":
             return self._route_job(method, parts, query_string, body)
         return None
 
-    def _route_submission(self, path: str, body: bytes) -> _Response:
+    def _route_submission(self, body: bytes) -> Response:
         spec_mapping = dict(_json_object(body))
-        if path == "/plan":
-            spec_mapping["experiment"] = "dse"
         spec_mapping.pop("priority", None)
         digest = spec_digest(normalize_spec(spec_mapping))
         shard = self._ring.node_for(digest)
         self._count_shard(shard, "routed")
-        response = self._upstream(shard, "POST", path, body)
+        response = self._upstream(shard, "POST", "/jobs", body)
         if response.status in (200, 202):
             try:
                 job_id = json.loads(response.body)["job"]["id"]
@@ -567,7 +523,7 @@ class ShardRouter:
         parts: List[str],
         query_string: str,
         body: bytes,
-    ) -> _Response:
+    ) -> Response:
         job_id = parts[1]
         sub = "/".join(parts[2:])
         path = f"/jobs/{job_id}" + (f"/{sub}" if sub else "")
@@ -592,7 +548,7 @@ class ShardRouter:
                     return stored
             raise
 
-    def _store_fallback(self, job_id: str) -> Optional[_Response]:
+    def _store_fallback(self, job_id: str) -> Optional[Response]:
         digest = self._job_digests.get(job_id)
         if digest is None:
             return None
@@ -602,14 +558,13 @@ class ShardRouter:
                 continue
             try:
                 response = self._upstream(
-                    url, "GET", f"/store/{digest}",
-                    content_type="application/octet-stream", note=False,
+                    url, "GET", f"/store/{digest}", note=False
                 )
             except ServeError:
                 continue
             if response.status == 200:
                 self._count("serve.router.store_served")
-                return _Response(200, response.body)
+                return Response(200, response.body)
         return None
 
     def _find_home(self, job_id: str) -> str:
@@ -624,7 +579,7 @@ class ShardRouter:
             shards,
         )
         for url, result in zip(shards, results):
-            if isinstance(result, _Response) and result.status == 200:
+            if isinstance(result, Response) and result.status == 200:
                 with self._lock:
                     self._job_homes[job_id] = url
                 return url
@@ -632,7 +587,7 @@ class ShardRouter:
             f"unknown job id {job_id!r} on any shard", http_status=404
         )
 
-    def _coalesced_wait(self, shard: str, path: str) -> _Response:
+    def _coalesced_wait(self, shard: str, path: str) -> Response:
         """Share one upstream long-poll among identical waiters."""
         key = (shard, path)
         with self._lock:
@@ -669,7 +624,7 @@ class ShardRouter:
         )
         out: List[Tuple[str, Any]] = []
         for url, response in zip(shards, responses):
-            if isinstance(response, _Response):
+            if isinstance(response, Response):
                 try:
                     out.append((url, json.loads(response.body)))
                 except json.JSONDecodeError:

@@ -16,8 +16,6 @@ Endpoints (all JSON; errors use the ``error[<code>]`` contract)::
     POST /jobs                 submit a job spec -> 202 {job, deduped}
                                (429 + Retry-After on backpressure,
                                 503 while draining)
-    POST /plan                 submit a dse job ({scale, seed})
-                               at the plan priority tier -> 202
     GET  /jobs                 every job's status record
     GET  /jobs/<id>            one job's status record; with
                                ``?wait=running|terminal&timeout_s=N``
@@ -64,7 +62,7 @@ from repro.obs import metrics as _metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.executor import DEFAULT_WORKERS, WorkerPool
 from repro.serve.journal import JobJournal
-from repro.serve.jobs import PLAN_PRIORITY, JobState, normalize_spec
+from repro.serve.jobs import JobState, normalize_spec
 from repro.serve.queue import DEFAULT_MAX_QUEUED, JobQueue
 from repro.serve.store import FileResultStore
 from repro.sim.parallel import FaultPolicy
@@ -150,7 +148,8 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def send_json(
         self,
@@ -171,6 +170,24 @@ class _Handler(BaseHTTPRequestHandler):
             {"error": render_error(error), "code": error.code},
             extra_headers=headers,
         )
+
+    def send_error(
+        self,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """The errors the base class sends by itself (501 for a method
+        with no ``do_*``, 400 for a malformed request line, 414, 431),
+        in the JSON contract; the connection then closes."""
+        # A request line that did not parse leaves the HTTP/0.9
+        # default, under which no status line or header is written.
+        if self.request_version == "HTTP/0.9":
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        self._send_error_payload(ServeError(
+            message or self.responses[code][0], http_status=code
+        ))
 
     def read_body(self) -> bytes:
         """The request body, refused from ``Content-Length`` alone.
@@ -418,9 +435,6 @@ class ExperimentServer:
         if method == "POST" and path == "/jobs":
             self._submit(http)
             return True
-        if method == "POST" and path == "/plan":
-            self._plan(http)
-            return True
         if method == "GET" and path == "/jobs":
             http.send_json(200, {"jobs": self.queue.describe()})
             return True
@@ -502,26 +516,6 @@ class ExperimentServer:
             )
         spec = normalize_spec(body)
         job, deduped = self.queue.submit(spec, priority=priority)
-        http.send_json(202, {"job": job.describe(), "deduped": deduped})
-
-    def _plan(self, http: _Handler) -> None:
-        """``POST /plan``: a ``dse`` job at the plan priority tier.
-
-        The body carries only ``scale``/``seed`` — the experiment is
-        forced to ``dse``, and the job rides above the user priority
-        band (:data:`~repro.serve.jobs.PLAN_PRIORITY`): its grid is a
-        few workloads at one replay per distinct capacity, so letting
-        it jump the queue costs little and unblocks design decisions
-        early.
-        """
-        from repro.validate.schema import validate_keys
-
-        body = http.read_json()
-        validate_keys(body.keys(), ("scale", "seed"),
-                      kind="plan request key", error=ServeError)
-        spec = normalize_spec(dict(body, experiment="dse"))
-        job, deduped = self.queue.submit(spec, priority=PLAN_PRIORITY)
-        _metrics.counter_add("serve.plans.submitted")
         http.send_json(202, {"job": job.describe(), "deduped": deduped})
 
     def _result(self, http: _Handler, job_id: str) -> None:

@@ -1,9 +1,6 @@
-"""Tests for the ``dse`` experiment's Pareto machinery and workload axis."""
+"""Tests for the ``dse`` experiment's Pareto machinery."""
 
-import pytest
-
-from repro.errors import PlanError
-from repro.experiments.dse import dominates, pareto_frontier, resolve_workloads
+from repro.experiments.dse import dominates, pareto_frontier
 from repro.sim.results import NormalizedResult
 
 
@@ -27,14 +24,14 @@ class TestDominance:
         assert pareto_frontier([best, trade, loser, tie]) == [best, trade, tie]
 
 
-class TestWorkloads:
-    def test_resolve_workloads_default_env_and_validation(self, monkeypatch):
-        from repro.workloads.registry import ai_benchmarks
-
-        # The environment does not pick the grid: a served job's digest
-        # covers only its spec, so the grid must follow from the spec.
-        monkeypatch.setenv("REPRO_DSE_WORKLOADS", "leela")
-        assert resolve_workloads() == ai_benchmarks()
-        assert resolve_workloads(["leela", "x264"]) == ["leela", "x264"]
-        with pytest.raises(PlanError, match="fluidanimate"):
-            resolve_workloads(["leela", "fluidanimate"])
+class TestFrontier:
+    def test_keeps_every_frontier_cell(self, full_context):
+        """Chung_S and Umeki_S trade speedup for energy on lu at full
+        scale (0.978, 0.231) vs (0.976, 0.117), so both are on the
+        fixed-area frontier."""
+        sweep = full_context.normalized_sweep(["lu"], "fixed-area")
+        frontier = pareto_frontier(
+            [by_workload["lu"] for by_workload in sweep.values()]
+        )
+        names = {point.llc_name for point in frontier}
+        assert {"Chung_S", "Umeki_S"} <= names

@@ -7,7 +7,6 @@ summary.  The launcher against live servers is ``test_launcher.py``.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 
 import pytest
@@ -119,15 +118,6 @@ class TestProfileFiles:
         path.write_text("{nope")
         with pytest.raises(LoadGenError, match="not valid JSON"):
             load_scenario(path)
-
-    def test_yaml_gated_on_parser_availability(self, tmp_path):
-        path = tmp_path / "p.yaml"
-        path.write_text(json.dumps(MINIMAL))  # JSON is valid YAML
-        if importlib.util.find_spec("yaml") is None:
-            with pytest.raises(LoadGenError, match="no YAML parser"):
-                load_scenario(path)
-        else:
-            assert load_scenario(path).name == "t"
 
     def test_scaling_profile_uses_emulated_service_time(self):
         """The committed scaling claim must come from the emulated

@@ -25,7 +25,7 @@ provably land mid-computation.  Ground truth is
 :func:`~repro.serve.jobs.execute_spec` in this process, as in
 ``test_identity.py``.
 
-Marked ``serial``: every test spawns real daemons or an event loop.
+Marked ``serial``: every test spawns real daemons.
 """
 
 from __future__ import annotations

@@ -263,10 +263,26 @@ class TestDegradedFleet:
             # not possible in-process; instead verify the admin join
             # endpoint restores membership explicitly.
             survivor = fleet.shard_urls[1]
-            client.ring_leave(victim_url, forget=True)
+            client.ring_leave(victim_url)
             payload = client.ring()
             assert victim_url not in payload["members"]
             assert list(payload["ring"]["nodes"]) == [survivor]
+
+    def test_a_shard_that_left_stays_out(self):
+        """A leave forgets the shard, so its healthy heartbeats do not
+        rejoin it (an ejected shard is remembered, so that they do)."""
+        with InProcessFleet(
+            shards=2, workers=1, heartbeat_s=0.2, heartbeat_timeout_s=0.3,
+        ) as fleet:
+            client = ServeClient(fleet.url)
+            leaver, stayer = fleet.shard_urls
+            client.ring_leave(leaver)
+            version = fleet.router.ring_version
+            time.sleep(1.0)  # five heartbeat rounds
+            assert fleet.router.ring_version == version
+            payload = client.ring()
+            assert leaver not in payload["members"]
+            assert list(payload["ring"]["nodes"]) == [stayer]
 
     def test_last_shard_is_never_ejected(self):
         with InProcessFleet(

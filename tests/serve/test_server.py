@@ -67,14 +67,13 @@ class TestEndpoints:
         assert "Table II" in payload["render"]
         assert client.metrics()["counters"]["serve.jobs.executed"] == 1
 
-    def test_plan_runs_dse_at_the_plan_priority(self, client):
+    def test_dse_is_an_ordinary_job(self, client):
         from repro.experiments.common import ExperimentContext
         from repro.experiments.runner import run_experiment
-        from repro.serve.jobs import PLAN_PRIORITY
 
-        job = client.plan(scale=0.05)["job"]
+        job = client.submit("dse", scale=0.05)["job"]
         assert job["spec"]["experiment"] == "dse"
-        assert job["priority"] == PLAN_PRIORITY
+        assert job["priority"] == 0
         assert client.wait(job["id"], timeout_s=120)["state"] == "done"
         _, render, _ = run_experiment("dse", ExperimentContext(scale=0.05))
         assert client.result(job["id"])["render"] == render

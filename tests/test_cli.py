@@ -18,16 +18,6 @@ class TestParser:
                 ["characterize", "--workload", "leela", "--trace-file", "x.npz"]
             )
 
-    def test_plan_submit_rejects_workloads(self, capsys):
-        # --submit queues the default grid, so naming workloads with it
-        # is a usage error rather than a silently different grid.
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(
-                ["plan", "--submit", "--workloads", "leela"]
-            )
-        assert exit_info.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-
     def test_validation_cannot_be_weakened(self):
         # The firewall is always strict: there is no --validate flag.
         with pytest.raises(SystemExit) as exit_info:
@@ -93,28 +83,6 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "early-write-termination" in out
-
-    def test_plan(self, capsys):
-        assert main(["plan", "--scale", "0.05", "--workloads", "leela"]) == 0
-        out = capsys.readouterr().out
-        assert "grid: 1 workloads x 22 models = 22 cells" in out
-        assert "Pareto frontier (simulated)" in out
-        assert "| leela" in out
-
-    def test_plan_keeps_every_frontier_cell(self, capsys):
-        """Chung_S and Umeki_S trade speedup for energy on lu at full
-        scale (0.978, 0.231) vs (0.976, 0.117), so both are on the
-        fixed-area frontier."""
-        assert main(["plan", "--workloads", "lu"]) == 0
-        out = capsys.readouterr().out
-        frontier = out.split("Pareto frontier (simulated)\n", 1)[1]
-        frontier = frontier.split("\n\n", 1)[0]
-        rows = [
-            [cell.strip() for cell in line.strip("|").split("|")][:3]
-            for line in frontier.splitlines()
-        ]
-        assert ["lu", "fixed-area", "Chung_S"] in rows
-        assert ["lu", "fixed-area", "Umeki_S"] in rows
 
     def test_unknown_llc_is_clean_error(self, capsys):
         assert main([
