@@ -343,7 +343,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"job {job['id']} {record['state']}: "
               f"{record['error'] or '(no detail)'}", file=sys.stderr)
         return 5
-    sys.stdout.write(client.result(job["id"])["render"])
+    print(client.result(job["id"])["render"])
     return 0
 
 
@@ -389,7 +389,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         return 0
     payload = client.result(args.job_id)
     print(payload["title"])
-    sys.stdout.write(payload["render"])
+    print(payload["render"])
     return 0
 
 

@@ -1,11 +1,15 @@
 """Shared infrastructure for the experiment drivers.
 
 An :class:`ExperimentContext` owns trace generation and simulation
-caching for one run of the experiment suite: each workload's trace is
+caching for one run of the experiment suite: each workload's default
+trace (the context's seed and length, the profile's thread count) is
 generated once, its private-level replay once, and its LLC replay once
-per distinct capacity.  ``scale`` shortens traces uniformly for quick
-runs (tests); note that below ~0.5 the capacity-sweep components no
-longer complete enough passes for fixed-area capacity effects to show.
+per distinct capacity.  A trace that overrides seed, length or thread
+count (a core-sweep or seed-sweep cell) is built for its cell and
+dropped when the cell ends.  ``scale`` shortens traces uniformly for
+quick runs (tests); note that below ~0.5 the capacity-sweep components
+no longer complete enough passes for fixed-area capacity effects to
+show.
 
 :meth:`ExperimentContext.run_cell` is the one executor of a sweep cell:
 the serial loop calls it, and each process-pool worker
@@ -45,17 +49,25 @@ from repro.workloads.profiles import profile
 
 
 class ExperimentContext:
-    """Caches traces and simulation sessions across experiments.
+    """Caches the traces and simulation sessions experiments share.
 
     Traces are keyed by (workload, seed, length, threads) and sessions
-    additionally by architecture, so the core-sweep and sensitivity
-    studies — which vary core counts, seeds and model constants — share
-    one context (and one trace per distinct key) with the table/figure
-    experiments.  Private and LLC replays are shared across a trace's
-    sessions on the replay cache's own keys
-    (:func:`~repro.sim.replay_cache.private_arch_key`,
+    additionally by architecture.  Only *default* keys — the context's
+    seed, its length for the workload and the profile's thread count —
+    are kept: those are the traces the tables, figures, studies, ``dse``
+    and serve jobs ask for again and again.  Private and LLC replays
+    are shared across a default trace's sessions on the replay cache's
+    own keys (:func:`~repro.sim.replay_cache.private_arch_key`,
     :func:`~repro.sim.replay_cache.llc_geometry_key`), also for traces
-    too short for the on-disk cache.
+    too short for the on-disk cache, so the sensitivity study's
+    model-constant points replay once.
+
+    A key that overrides seed, length or thread count (the core sweep's
+    non-default core counts, the sensitivity study's seed points) is
+    asked for by one cell only: it gets a fresh trace and its own
+    session, which the cell drops when it ends, as a ``--jobs`` worker
+    does.  The on-disk replay cache still shares those replays with
+    later runs.
 
     Parameters
     ----------
@@ -129,6 +141,11 @@ class ExperimentContext:
             n_threads or profile(workload).n_threads,
         )
 
+    def _is_default(self, key: tuple) -> bool:
+        """Whether a trace key is the workload's default, the one key
+        the context keeps (see the class docstring)."""
+        return key == self._trace_key(key[0], None, None, None)
+
     def trace(
         self,
         workload: str,
@@ -136,19 +153,23 @@ class ExperimentContext:
         n_accesses: Optional[int] = None,
         n_threads: Optional[int] = None,
     ) -> Trace:
-        """The (cached) trace for a workload at this context's scale.
+        """The trace for a workload at this context's scale.
 
         ``seed``/``n_accesses``/``n_threads`` override the context
         defaults (sensitivity and core-sweep cells need their own seeds,
-        lengths and thread counts); each distinct key is generated once.
+        lengths and thread counts).  The default key is generated once
+        and kept; an overridden key is generated on every call.
         """
         key = self._trace_key(workload, seed, n_accesses, n_threads)
-        if key not in self._traces:
+        trace = self._traces.get(key)
+        if trace is None:
             _, seed, n, threads = key
-            self._traces[key] = generate_from_profile(
+            trace = generate_from_profile(
                 profile(workload), seed=seed, n_accesses=n, n_threads=threads
             )
-        return self._traces[key]
+            if self._is_default(key):
+                self._traces[key] = trace
+        return trace
 
     def session(
         self,
@@ -158,17 +179,21 @@ class ExperimentContext:
         n_accesses: Optional[int] = None,
         n_threads: Optional[int] = None,
     ) -> SimulationSession:
-        """The (cached) simulation session for a workload (+ overrides).
+        """The simulation session for a workload (+ overrides).
 
         Sessions are configuration-agnostic — pass the configuration to
         ``run()`` — so one private replay serves both fixed-capacity and
-        fixed-area sweeps of the same workload.  Sessions of one trace
-        share its replays on the replay cache's keys, so architectures
-        that differ only in timing or energy constants replay once; each
-        session still prices with its own architecture.
+        fixed-area sweeps of the same workload.  A default trace's
+        sessions are kept and share its replays on the replay cache's
+        keys, so architectures that differ only in timing or energy
+        constants replay once; each session still prices with its own
+        architecture.  An overridden key gets a fresh session that no
+        one else holds.
         """
         arch = arch or self.arch
         trace_key = self._trace_key(workload, seed, n_accesses, n_threads)
+        if not self._is_default(trace_key):
+            return SimulationSession(self.trace(*trace_key), arch=arch)
         key = (trace_key, arch)
         if key not in self._sessions:
             self._sessions[key] = SimulationSession(
@@ -210,6 +235,8 @@ class ExperimentContext:
         ``REPRO_FAULT_HOOK`` seam and opens the ``experiments.cell``
         span: serial sweeps and serve jobs call it on their context,
         pool workers on a fresh one (:func:`~repro.sim.parallel.run_cell`).
+        A cell with an overridden key runs every model on its own
+        session, which goes when the cell returns.
         """
         fire_hook(FAULT_HOOK_ENV, cell)
         with _metrics.span("experiments.cell"):

@@ -88,9 +88,10 @@ def run(
     simulated even when 1 is not in ``cores``.
 
     A shared ``context`` (whose scale/seed/jobs then take precedence)
-    lets the sweep reuse traces and replays across experiments; ``jobs``
-    alone fans the (workload, core-count) cells out over worker
-    processes.
+    lets the 4-core cells, the workloads' default traces, reuse traces
+    and replays across experiments; every other core count's trace is
+    dropped when its cell ends.  ``jobs`` alone fans the
+    (workload, core-count) cells out over worker processes.
     """
     if not workloads or not cores or not llcs:
         raise ExperimentError("core sweep needs workloads, cores and llcs")

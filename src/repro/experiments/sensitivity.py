@@ -117,7 +117,9 @@ def _assemble_check(
         key = (workload, seed)
         if key not in features_cache:
             # Features depend on the trace only — shared across every
-            # model-constant configuration at this seed.
+            # model-constant configuration at this seed.  A seed point's
+            # trace left the context with its cell, so this regenerates
+            # it once (a few ms at scale 0.05).
             features_cache[key] = extract_features(
                 context.trace(workload, seed=seed)
             )
@@ -151,8 +153,9 @@ def run(
     seed axis re-runs the default configuration on fresh traces.
 
     A shared ``context`` (whose scale/jobs then take precedence) reuses
-    traces across configurations; ``jobs`` alone fans the
-    (configuration, workload) cells out over worker processes.
+    the default-seed traces and replays across configurations; ``jobs``
+    alone fans the (configuration, workload) cells out over worker
+    processes.
     """
     if context is None:
         if not 0.0 < scale <= 1.0:

@@ -5,8 +5,8 @@ A run that collects metrics drops two files next to its results:
 - ``manifest.json`` — *what ran*: package version, python/platform,
   creation time, the run settings (scale, seed, cache
   configuration, jobs, …), a stable :func:`config_digest` of those
-  settings, and per-stage wall-clock timings derived from the top-level
-  spans;
+  settings, per-stage wall-clock timings derived from the top-level
+  spans, and the run's peak memory (:func:`peak_rss_mb`);
 - ``metrics.json`` — *what happened*: the full
   :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (counters, gauges,
   timer histograms, span records).
@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
@@ -88,6 +89,31 @@ def stage_timings(snapshot: Dict[str, Any]) -> list:
     return list(stages.values())
 
 
+def peak_rss_mb(workers: bool) -> Dict[str, float]:
+    """Peak resident memory in MB from :func:`resource.getrusage`.
+
+    ``peak_rss_mb`` is this process's high-water mark; with ``workers``
+    (a ``--jobs`` run), ``worker_peak_rss_mb`` is the largest reaped
+    child's, when one has exited.  Empty where the ``resource`` module
+    is missing (Windows).
+    """
+    try:
+        import resource
+    except ImportError:
+        return {}
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    per_mb = 1024 * 1024 if sys.platform == "darwin" else 1024
+    out = {
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb, 1
+        )
+    }
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    if workers and children:
+        out["worker_peak_rss_mb"] = round(children / per_mb, 1)
+    return out
+
+
 def build_manifest(
     settings: Dict[str, Any],
     snapshot: Optional[Dict[str, Any]] = None,
@@ -98,7 +124,9 @@ def build_manifest(
     ``resume`` records a checkpointed run's provenance — where it
     resumed from and how many cells were skipped vs newly journaled —
     as an optional top-level ``"resume"`` key (absent for
-    uncheckpointed runs, so the required-key set is unchanged).
+    uncheckpointed runs, so the required-key set is unchanged).  The
+    :func:`peak_rss_mb` keys are optional too; the worker's is read
+    when ``settings["jobs"]`` is over 1.
     """
     from repro import __version__
 
@@ -113,6 +141,7 @@ def build_manifest(
         "config_digest": config_digest(settings),
         "stages": stage_timings(snapshot) if snapshot else [],
     }
+    manifest.update(peak_rss_mb(workers=settings.get("jobs", 1) > 1))
     if resume is not None:
         manifest["resume"] = dict(resume)
     return manifest

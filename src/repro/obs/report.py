@@ -191,6 +191,12 @@ def render_summary(
             "settings: "
             + ", ".join(f"{k}={settings[k]}" for k in sorted(settings)),
         ]
+        if "peak_rss_mb" in manifest:
+            worker = manifest.get("worker_peak_rss_mb")
+            lines.append(
+                f"peak RSS: {manifest['peak_rss_mb']:.1f} MB"
+                + (f" (largest worker {worker:.1f} MB)" if worker else "")
+            )
         resume = manifest.get("resume")
         if resume is not None:
             source = resume.get("resumed_from")

@@ -32,6 +32,7 @@ import json
 import time
 from http.client import HTTPConnection, HTTPException
 from typing import Any, Dict, List, NamedTuple, Optional
+from urllib.parse import quote
 
 from repro.errors import DegradedError, QueueFullError, ServeError
 
@@ -212,7 +213,7 @@ class ServeClient:
 
     def status(self, job_id: str) -> Dict[str, Any]:
         """``GET /jobs/<id>`` — the job's status record."""
-        return self._json("GET", f"/jobs/{job_id}")["job"]
+        return self._json("GET", f"/jobs/{quote_segment(job_id)}")["job"]
 
     def list_jobs(self) -> List[Dict[str, Any]]:
         """``GET /jobs`` — every job's status record."""
@@ -220,7 +221,7 @@ class ServeClient:
 
     def result_bytes(self, job_id: str) -> bytes:
         """``GET /jobs/<id>/result`` — the raw canonical payload bytes."""
-        return self._request("GET", f"/jobs/{job_id}/result")
+        return self._request("GET", f"/jobs/{quote_segment(job_id)}/result")
 
     def result(self, job_id: str) -> Dict[str, Any]:
         """The result payload, parsed."""
@@ -228,7 +229,8 @@ class ServeClient:
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """``POST /jobs/<id>/cancel``."""
-        return self._json("POST", f"/jobs/{job_id}/cancel")["job"]
+        path = f"/jobs/{quote_segment(job_id)}/cancel"
+        return self._json("POST", path)["job"]
 
     def wait_state(
         self, job_id: str, target: str, timeout_s: float = 30.0
@@ -243,7 +245,8 @@ class ServeClient:
         """
         return self._json(
             "GET",
-            f"/jobs/{job_id}?wait={target}&timeout_s={timeout_s:g}",
+            f"/jobs/{quote_segment(job_id)}"
+            f"?wait={target}&timeout_s={timeout_s:g}",
             timeout_s=max(self.timeout_s, timeout_s + LONG_POLL_GRACE_S),
         )["job"]
 
@@ -286,7 +289,14 @@ class ServeClient:
 
     def store_get(self, digest: str) -> bytes:
         """``GET /store/<digest>`` — raw stored payload bytes."""
-        return self._request("GET", f"/store/{digest}")
+        return self._request("GET", f"/store/{quote_segment(digest)}")
+
+
+def quote_segment(value: str) -> str:
+    """One path segment, percent-quoted: the request line is ASCII, and
+    a space or ``/`` in an id must not change the path's shape.  The
+    server and the router unquote each segment."""
+    return quote(value, safe="")
 
 
 def submit_with_backoff(

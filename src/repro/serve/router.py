@@ -73,10 +73,16 @@ import threading
 import time
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from urllib.parse import unquote
 
 from repro.errors import DegradedError, ServeError
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.client import Response, TransportError, exchange
+from repro.serve.client import (
+    Response,
+    TransportError,
+    exchange,
+    quote_segment,
+)
 from repro.serve.jobs import normalize_spec, spec_digest
 from repro.serve.ring import VersionedRing
 from repro.serve.server import LONG_POLL_MAX_S, bind
@@ -480,7 +486,7 @@ class ShardRouter:
     ) -> Optional[_Reply]:
         path, _, query_string = target.partition("?")
         path = path.rstrip("/") or "/"
-        parts = path.strip("/").split("/")
+        parts = [unquote(part) for part in path.strip("/").split("/")]
         if method == "GET" and path == "/healthz":
             return self._health()
         if method == "GET" and path == "/metrics":
@@ -526,7 +532,7 @@ class ShardRouter:
     ) -> Response:
         job_id = parts[1]
         sub = "/".join(parts[2:])
-        path = f"/jobs/{job_id}" + (f"/{sub}" if sub else "")
+        path = "/" + "/".join(quote_segment(part) for part in parts)
         if query_string:
             path += f"?{query_string}"
         shard = self._job_homes.get(job_id)
@@ -575,7 +581,9 @@ class ShardRouter:
         """
         shards = self.shards
         results = _each(
-            lambda url: self._upstream(url, "GET", f"/jobs/{job_id}"),
+            lambda url: self._upstream(
+                url, "GET", f"/jobs/{quote_segment(job_id)}"
+            ),
             shards,
         )
         for url, result in zip(shards, results):

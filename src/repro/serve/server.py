@@ -34,7 +34,8 @@ a ``handle(method, target, http)`` method, so the fleet's
 :class:`~repro.serve.router.ShardRouter` answers through the same
 threaded handler, with the same body checks (a ``Content-Length`` that
 is not a non-negative integer is a 400, one over 8 MiB a 413, decided
-before any body byte is read) and the same error-to-HTTP mapping.
+from the header; a refused body of up to 16 MiB is drained so its
+sender reads the 413) and the same error-to-HTTP mapping.
 
 Lifecycle: :meth:`ExperimentServer.start` binds (an address it cannot
 bind is a :class:`~repro.errors.ServeError`, and the journal stays for
@@ -78,6 +79,11 @@ LONG_POLL_MAX_S = 60.0
 
 #: Largest request body either server reads; a longer one is a 413.
 _MAX_BODY = 8 * 1024 * 1024
+
+#: Longest refused body that is still read (and discarded) before the
+#: 413, so a client that writes its whole body before reading gets the
+#: answer instead of a connection reset.  A longer one is not read.
+_DRAIN_CAP = 16 * 1024 * 1024
 
 
 class _ServeHTTPServer(ThreadingHTTPServer):
@@ -193,7 +199,9 @@ class _Handler(BaseHTTPRequestHandler):
         """The request body, refused from ``Content-Length`` alone.
 
         A bad length leaves the body's end unknown, so the connection
-        closes after the error response.
+        closes after the error response.  An oversized body is read and
+        discarded up to :data:`_DRAIN_CAP` first, so its sender gets
+        the 413.
         """
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
@@ -205,6 +213,12 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(declared)
         if length > _MAX_BODY:
             self.close_connection = True
+            remaining = length if length <= _DRAIN_CAP else 0
+            while remaining > 0:
+                chunk = self.rfile.read(min(remaining, 1 << 16))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
             raise ServeError(
                 f"Content-Length {length} is over the {_MAX_BODY}-byte "
                 "body limit",
@@ -421,7 +435,7 @@ class ExperimentServer:
 
     def handle(self, method: str, path: str, http: _Handler) -> bool:
         """Route one request; returns False for an unknown endpoint."""
-        from urllib.parse import parse_qs
+        from urllib.parse import parse_qs, unquote
 
         path, _, query_string = path.partition("?")
         query = parse_qs(query_string)
@@ -438,7 +452,7 @@ class ExperimentServer:
         if method == "GET" and path == "/jobs":
             http.send_json(200, {"jobs": self.queue.describe()})
             return True
-        parts = path.strip("/").split("/")
+        parts = [unquote(part) for part in path.strip("/").split("/")]
         if method == "GET" and len(parts) == 2 and parts[0] == "store":
             self._store_get(http, parts[1])
             return True

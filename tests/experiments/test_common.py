@@ -59,6 +59,27 @@ class TestExperimentContext:
         assert capped.counts_for(model) is not default.counts_for(model)
         assert slower.run(model).runtime_s > default.run(model).runtime_s
 
+    @pytest.mark.parametrize(
+        "override",
+        [dict(seed=7), dict(n_threads=8), dict(n_accesses=6000)],
+        ids=["seed", "threads", "length"],
+    )
+    def test_override_cell_leaves_nothing_behind(self, override):
+        """A cell off the default key (a seed point, a core count) runs
+        on its own session and keeps no trace, session or replay."""
+        context = ExperimentContext(scale=0.05)
+        cell = context.cell("ft", "fixed-area", ("SRAM",), **override)
+        (results,) = context.run_cells([cell])
+        assert results["SRAM"].workload == "ft"
+        assert context._traces == context._sessions == context._replays == {}
+        assert context.trace("ft", **override) is not context.trace(
+            "ft", **override
+        )
+        assert context.session("ft", **override) is not context.session(
+            "ft", **override
+        )
+        assert context._traces == context._sessions == context._replays == {}
+
     def test_normalized_sweep_structure(self):
         context = ExperimentContext(scale=0.05)
         results = context.normalized_sweep(

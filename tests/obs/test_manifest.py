@@ -1,6 +1,9 @@
 """Tests for run manifests (:mod:`repro.obs.manifest`)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.obs.manifest import (
     load_manifest,
     load_metrics,
     load_run,
+    peak_rss_mb,
     stage_timings,
     validate_manifest,
     write_run_files,
@@ -77,6 +81,35 @@ class TestManifestShape:
     def test_validate_rejects_non_object(self):
         with pytest.raises(ReproError):
             validate_manifest(["not", "a", "manifest"])
+
+
+class TestPeakRss:
+    def test_a_manifest_records_the_process_peak_in_mb(self):
+        pytest.importorskip("resource")
+        manifest = build_manifest({"jobs": 1})
+        assert manifest["peak_rss_mb"] > 1.0
+        assert "worker_peak_rss_mb" not in manifest
+        status = Path("/proc/self/status")
+        if status.exists():  # Linux: VmHWM is the same high-water mark, in kB
+            line = next(
+                row for row in status.read_text().splitlines()
+                if row.startswith("VmHWM:")
+            )
+            hwm_mb = int(line.split()[1]) / 1024
+            assert manifest["peak_rss_mb"] == pytest.approx(hwm_mb, rel=0.05)
+
+    def test_a_jobs_run_records_its_largest_worker(self):
+        pytest.importorskip("resource")
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        manifest = build_manifest(_settings())  # jobs=2
+        assert 1.0 < manifest["worker_peak_rss_mb"]
+
+    def test_omitted_without_the_resource_module(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "resource", None)
+        assert peak_rss_mb(workers=True) == {}
+        manifest = build_manifest(_settings())
+        assert "peak_rss_mb" not in manifest
+        validate_manifest(manifest)
 
 
 class TestRoundTrip:

@@ -103,6 +103,19 @@ class TestExperimentsCliMetrics:
         assert "experiment.table5" in text
         assert "config digest:" in text
 
+    def test_metrics_summary_prints_the_peak_rss(
+        self, tmp_path, isolated_cache, capsys
+    ):
+        pytest.importorskip("resource")
+        from repro.experiments import runner
+
+        out_dir = self._run(tmp_path)
+        manifest = json.loads((out_dir / MANIFEST_NAME).read_text())
+        capsys.readouterr()
+        assert runner.main(["metrics-summary", str(out_dir)]) == 0
+        text = capsys.readouterr().out
+        assert f"peak RSS: {manifest['peak_rss_mb']:.1f} MB" in text
+
     def test_trace_file_streams_spans(self, tmp_path, isolated_cache, capsys):
         trace_path = tmp_path / "spans.jsonl"
         self._run(tmp_path, extra=["--trace-file", str(trace_path)])

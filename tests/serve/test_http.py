@@ -40,15 +40,15 @@ def _router_requests(fleet) -> float:
     return counters.get("serve.router.requests", 0)
 
 
-def _raw(url: str, request: str) -> bytes:
-    """Everything the server at ``url`` sends for ``request`` until it
-    closes the connection."""
+def _raw(url: str, request: str, body: bytes = b"") -> bytes:
+    """Everything the server at ``url`` sends for ``request`` (then
+    ``body``) until it closes the connection."""
     address = urlsplit(url)
     reply = b""
     with socket.create_connection(
         (address.hostname, address.port), timeout=10
     ) as sock:
-        sock.sendall(request.encode())
+        sock.sendall(request.encode() + body)
         while True:
             chunk = sock.recv(65536)
             if not chunk:
@@ -77,6 +77,21 @@ def test_a_bad_content_length_is_refused_before_the_body(
 
 
 @pytest.mark.parametrize("server", ["shard", "router"])
+def test_a_client_that_sends_an_oversized_body_reads_the_413(fleet, server):
+    """A 9 MiB body written in full before the reply is read: the server
+    drains it, so the client gets the 413 instead of a reset."""
+    url = fleet.url if server == "router" else fleet.shard_urls[0]
+    body = b" " * (9 * 1024 * 1024)
+    reply = _raw(url, (
+        "POST /jobs HTTP/1.1\r\nHost: x\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ), body)
+    assert reply.startswith(b"HTTP/1.1 413 "), reply[:300]
+    assert b"error[SERVE]" in reply.partition(b"\r\n\r\n")[2], reply
+
+
+@pytest.mark.parametrize("server", ["shard", "router"])
 @pytest.mark.parametrize("request_, status", [
     ("PUT /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n", 501),
     ("GARBAGE\r\n\r\n", 400),
@@ -95,6 +110,25 @@ def test_the_errors_the_stdlib_sends_use_the_json_contract(
     payload = json.loads(body)
     assert payload["code"] == "SERVE"
     assert payload["error"].startswith("error[SERVE]: "), payload
+
+
+@pytest.mark.parametrize("server", ["shard", "router"])
+@pytest.mark.parametrize(
+    "job_id", ["jöb-1", "job nope", "a/b"],
+    ids=["non-ascii", "space", "slash"],
+)
+def test_an_unknown_job_id_travels_quoted_to_a_typed_404(
+    fleet, server, job_id
+):
+    """Ids that are not ASCII, or carry a space or a slash, reach the
+    job table intact, so an unknown one is a 404 naming it."""
+    url = fleet.url if server == "router" else fleet.shard_urls[0]
+    client = ServeClient(url)
+    for call in (client.status, client.result_bytes):
+        with pytest.raises(ServeError) as info:
+            call(job_id)
+        assert info.value.http_status == 404, info.value
+        assert repr(job_id) in str(info.value), info.value
 
 
 def test_a_head_request_gets_its_status_without_a_body(fleet):

@@ -160,6 +160,22 @@ class TestFleetCommands:
         out = capsys.readouterr().out
         assert "Table II — NVM cell parameters" in out
 
+    def test_submit_and_fetch_end_the_render_with_a_newline(
+        self, fleet, capsys
+    ):
+        """Table II's render ends in ``|``: the next line must not
+        start on the table's last row."""
+        assert main([
+            "submit", "--url", fleet.url, "--experiment", "table2",
+            "--scale", "0.02", "--wait",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("|\n")
+        job_id = out.split()[1]
+        assert main(["fetch", "--url", fleet.url, job_id]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Table II\n") and out.endswith("|\n")
+
     def test_status_through_the_router_adds_up_the_shards(
         self, fleet, capsys
     ):
